@@ -19,7 +19,7 @@ from .cell import (
 from .chebyshev import ChebyshevPair, cheb_pair, cheb_pair_from_gap, cheb_t, cheb_u
 from .core import (
     Layer,
-    PlaneWaveAmplitudes,
+    NonFiniteMatrixError,
     PotentialStack,
     TransferMatrix,
     WaveNumberMismatchError,
@@ -66,8 +66,8 @@ __all__ = [
     "IntegrationSettings",
     "Layer",
     "POLE_TOLERANCE",
+    "NonFiniteMatrixError",
     "PeriodicSpec",
-    "PlaneWaveAmplitudes",
     "PotentialStack",
     "ScatteringCoefficients",
     "SpectralPoleError",

@@ -62,8 +62,6 @@ class CellParams:
     eta: float
     tau: float
     one_minus_xi: float
-    k1: complex
-    k2: complex
 
 
 def wave_params(k: float, v: float, b: float) -> tuple[float, float, float, float, float, float]:
@@ -118,8 +116,6 @@ def unit_cell_elements(k: float, v: float, b: float) -> CellParams:
         eta=eta,
         tau=tau,
         one_minus_xi=one_minus_xi,
-        k1=rho * cmath.exp(-1j * phi),
-        k2=rho * cmath.exp(1j * phi),
     )
 
 

@@ -10,8 +10,8 @@ config file is a flat ``key = value`` text file whose keys match the long
 option names with underscores (``n_min = 500``).
 
 Exit codes: 0 success, 1 invalid arguments or unwritable output, 2 numerical
-failure (scattering pole or integrator tolerance failure), 3 study flagged as
-non-converged.
+failure (scattering pole, a value outside the double range, or integrator
+tolerance failure), 3 study flagged as non-converged.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .oracle import (
     integrate_transfer_matrix,
     slab_propagation_matrix,
 )
-from .scattering import SpectralPoleError, transmission_surface
+from .scattering import transmission_surface
 from .stack import PeriodicSpec, build_alternating, periodic_matrix
 
 EXIT_OK = 0
@@ -520,7 +520,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"ptstack: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SpectralPoleError, IntegrationFailureError) as exc:
+    except (ArithmeticError, IntegrationFailureError) as exc:
         print(f"ptstack: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

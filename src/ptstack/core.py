@@ -10,8 +10,8 @@ Conventions used throughout the package (natural units hbar = 1, 2m = 1):
   carries its own position inside the off-diagonal phases of its matrix, so
   matrices of non-overlapping scatterers compose by plain multiplication,
   rightmost scatterer leftmost in the product.
-* Transmission and reflection follow ``t = 1/m22``, ``r_left = -m12/m22``,
-  ``r_right = m21/m22`` (see :mod:`ptstack.scattering`).
+* Transmission and reflection follow ``t = 1/m22``, ``r_left = -m21/m22``,
+  ``r_right = m12/m22`` (see :mod:`ptstack.scattering`).
 
 Every matrix produced from a physical potential is unimodular (det = 1) up to
 rounding; unimodularity is asserted in tests rather than enforced here so that
@@ -33,6 +33,10 @@ _OVERLAP_RTOL = 1e-9
 
 class WaveNumberMismatchError(ValueError):
     """Combining transfer matrices evaluated at different wave numbers."""
+
+
+class NonFiniteMatrixError(ArithmeticError):
+    """A computed transfer matrix has an inf or NaN entry (double range exceeded)."""
 
 
 def check_wave_number(k: float) -> float:
@@ -118,11 +122,6 @@ class TransferMatrix:
     def identity(cls, k: float) -> "TransferMatrix":
         return cls(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j, float(k))
 
-    @classmethod
-    def from_array(cls, m, k: float) -> "TransferMatrix":
-        m = np.asarray(m)
-        return cls(complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]), float(k))
-
     def as_array(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=complex)
 
@@ -130,22 +129,9 @@ class TransferMatrix:
     def det(self) -> complex:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-
-@dataclass(frozen=True)
-class PlaneWaveAmplitudes:
-    """Asymptotic plane-wave coefficients on both sides of a scatterer."""
-
-    a_plus: complex
-    b_plus: complex
-    a_minus: complex
-    b_minus: complex
-
-    @classmethod
-    def from_left_side(cls, m: TransferMatrix, a_minus: complex, b_minus: complex) -> "PlaneWaveAmplitudes":
-        """Propagate a left-side amplitude pair through ``m``."""
-        a_plus = m.m11 * a_minus + m.m12 * b_minus
-        b_plus = m.m21 * a_minus + m.m22 * b_minus
-        return cls(a_plus, b_plus, a_minus, b_minus)
+    @property
+    def is_finite(self) -> bool:
+        return all(cmath.isfinite(z) for z in (self.m11, self.m12, self.m21, self.m22))
 
 
 def mat_multiply(m2: TransferMatrix, m1: TransferMatrix) -> TransferMatrix:

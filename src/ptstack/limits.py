@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .cell import barrier_matrix
-from .core import TransferMatrix, check_wave_number
+from .core import NonFiniteMatrixError, TransferMatrix, check_wave_number
 from .stack import PeriodicSpec, build_alternating, compose_stack, periodic_matrix
 
 
@@ -189,23 +188,38 @@ class GeneralizedLimitResult:
         return "full_imbalance"
 
 
+# Gauss-Newton step cap; from the mean height 3-4 steps reach rounding noise.
+_FIT_MAX_STEPS = 12
+
+
 def _fit_effective_height(
     target: TransferMatrix, k: float, total_length: float, initial: complex
 ) -> complex:
-    def residuals(p):
-        m = barrier_matrix(k, complex(p[0], p[1]), total_length, 0.0)
-        diff = (m.m11 - target.m11, m.m12 - target.m12, m.m21 - target.m21, m.m22 - target.m22)
-        return [part for z in diff for part in (z.real, z.imag)]
+    """Gauss-Newton fit of one complex barrier height to ``target``.
 
-    fit = least_squares(
-        residuals,
-        x0=[initial.real, initial.imag],
-        xtol=1e-15,
-        ftol=1e-15,
-        gtol=1e-15,
-        method="lm",
-    )
-    return complex(fit.x[0], fit.x[1])
+    ``barrier_matrix`` is analytic in the height h, so the Jacobian of the
+    four complex entry residuals r is one complex column J and each step is
+    h -= (J^H r) / (J^H J).  J is a central difference in h.  The step
+    tolerance can sit below the rounding noise of the step (about 1e-14
+    relative); the step cap then ends the loop.
+    """
+    if not target.is_finite:
+        raise NonFiniteMatrixError(f"stack matrix is not finite at k = {k}; nothing to fit")
+
+    def residuals(h: complex) -> tuple[complex, ...]:
+        m = barrier_matrix(k, h, total_length, 0.0)
+        return (m.m11 - target.m11, m.m12 - target.m12, m.m21 - target.m21, m.m22 - target.m22)
+
+    h = complex(initial)
+    for _ in range(_FIT_MAX_STEPS):
+        delta = 1e-6 * max(1.0, abs(h))
+        r = residuals(h)
+        jac = [(a - b) / (2.0 * delta) for a, b in zip(residuals(h + delta), residuals(h - delta))]
+        step = sum(j.conjugate() * x for j, x in zip(jac, r)) / sum(abs(j) ** 2 for j in jac)
+        h -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(h)):
+            break
+    return h
 
 
 def generalized_limit_study(

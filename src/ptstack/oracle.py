@@ -19,11 +19,9 @@ Both tiers share the global-coordinate amplitude convention of
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import PotentialStack, TransferMatrix, check_wave_number
 
@@ -34,31 +32,24 @@ class IntegrationFailureError(RuntimeError):
     """The step controller could not reach the requested tolerance."""
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on first call: only this tier needs scipy."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
+
+
 @dataclass(frozen=True)
 class IntegrationSettings:
-    """Tolerances and method contract for the ODE tier.
-
-    ``method_order`` picks a one-step Runge-Kutta pair with step-size
-    control: order >= 6 selects the 8th-order scheme, 4 or 5 the classic
-    embedded 5(4) pair.
-    """
+    """Tolerances for the ODE tier, which always integrates with the
+    8th-order Dormand-Prince pair (DOP853) under step-size control."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    method_order: int = 8
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be > 0")
-        if not self.max_step > 0.0:
-            raise ValueError("max_step must be > 0")
-        if int(self.method_order) < 4:
-            raise ValueError(f"method_order must be >= 4, got {self.method_order!r}")
-
-    @property
-    def method(self) -> str:
-        return "DOP853" if self.method_order >= 6 else "RK45"
 
 
 def _segments(stack: PotentialStack) -> list[tuple[float, float, complex]]:
@@ -98,10 +89,9 @@ def _integrate_through(
             rhs,
             (x_from, x_to),
             y,
-            method=settings.method,
+            method="DOP853",
             rtol=settings.rel_tol,
             atol=settings.abs_tol,
-            max_step=settings.max_step,
             dense_output=False,
         )
         if not sol.success:

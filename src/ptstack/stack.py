@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 from .cell import barrier_matrix, unit_cell_elements
 from .chebyshev import cheb_pair_from_gap
-from .core import Layer, PotentialStack, TransferMatrix, check_wave_number, mat_multiply
+from .core import (
+    Layer, NonFiniteMatrixError, PotentialStack, TransferMatrix, check_wave_number, mat_multiply
+)
 
 
 @dataclass(frozen=True)
@@ -52,20 +54,26 @@ class PeriodicSpec:
 
 
 def periodic_matrix(spec: PeriodicSpec, k: float) -> TransferMatrix:
-    """Closed-form transfer matrix of the N-cell stack on [0, total_length]."""
+    """Closed-form transfer matrix of the N-cell stack on [0, total_length].
+
+    Raises :class:`NonFiniteMatrixError` if an entry overflows to inf or NaN.
+    """
     k = check_wave_number(k)
     p = unit_cell_elements(k, spec.v, spec.slab_width)
     pair = cheb_pair_from_gap(spec.n_cells, p.one_minus_xi)
     t_n = pair.t_n
     u = pair.u_n_minus_1
     phase = cmath.exp(-1j * k * spec.total_length)
-    return TransferMatrix(
+    m = TransferMatrix(
         (t_n + 1j * p.chi * u) * phase,
         1j * (p.eta - p.tau) * u * phase,
         1j * (p.eta + p.tau) * u / phase,
         (t_n - 1j * p.chi * u) / phase,
         k,
     )
+    if not m.is_finite:
+        raise NonFiniteMatrixError(f"N-cell matrix overflows the double range at k = {k}, {spec}")
+    return m
 
 
 def compose_stack(stack: PotentialStack, k: float) -> TransferMatrix:

@@ -69,8 +69,6 @@ def test_elements_frozen_point():
     assert p.chi == pytest.approx(CHI_REF, rel=1e-13)
     assert p.eta == pytest.approx(ETA_REF, rel=1e-13)
     assert p.tau == pytest.approx(TAU_REF, rel=1e-13)
-    assert p.k1 == pytest.approx(p.rho * cmath.exp(-1j * p.phi), rel=1e-15)
-    assert p.k2 == pytest.approx(p.rho * cmath.exp(1j * p.phi), rel=1e-15)
     # xi and its complement are the same number at full precision
     assert p.xi == 1.0 - p.one_minus_xi
 

@@ -255,3 +255,26 @@ def test_numerical_failure_maps_to_exit_2(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "sweep", "--v", "40", "--n-min", "5", "--n-max", "10")
     assert code == 2
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # math.sinh overflows inside the cell elements
+        ("sweep", "--v", "1e5", "--total-length", "50", "--n-min", "1", "--n-max", "2"),
+        ("cell", "--k", "1", "--v", "1e5", "--b", "25"),
+        # the elements fit, but the N-cell matrix overflows to NaN
+        ("sweep", "--v", "1e5", "--total-length", "50", "--n-min", "50", "--n-max", "50",
+         "--n-count", "1", "--k-min", "1", "--k-max", "1", "--k-count", "1"),
+        ("converge", "--k", "1", "--v", "1e5", "--total-length", "50"),
+        # the composed stack overflows before the fit
+        ("general", "--v1", "0", "--v2", "1e5", "--eps", "1", "--k", "1", "--total-length", "50"),
+    ],
+    ids=["sweep-overflow", "cell-overflow", "sweep-nan", "converge-nan", "general-nan"],
+)
+def test_out_of_range_input_exits_2(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ptstack: numerical failure: ")
+    assert err.count("\n") == 1

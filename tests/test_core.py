@@ -5,7 +5,6 @@ import pytest
 
 from ptstack import (
     Layer,
-    PlaneWaveAmplitudes,
     PotentialStack,
     TransferMatrix,
     WaveNumberMismatchError,
@@ -126,11 +125,3 @@ def test_unimodularity_over_physical_grid(rng):
             assert abs(m.det - 1.0) <= 1e-10
             flat_checked += 1
     assert flat_checked > 100
-
-
-def test_amplitude_propagation():
-    m = unit_cell_matrix(1.0, 40.0, 0.05)
-    amps = PlaneWaveAmplitudes.from_left_side(m, 1.0, 0.25j)
-    assert amps.a_plus == m.m11 * 1.0 + m.m12 * 0.25j
-    assert amps.b_plus == m.m21 * 1.0 + m.m22 * 0.25j
-    assert amps.a_minus == 1.0

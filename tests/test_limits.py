@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -133,3 +134,49 @@ def test_generalized_records_reference_fitted_barrier():
     for r in res.records:
         assert math.isnan(r.offdiag_predicted)
         assert r.deviation_inf >= r.diag_measured_err
+
+
+# effective_height and converged as the earlier Levenberg-Marquardt fit
+# returned them; the Gauss-Newton fit must land on the same barrier.  The
+# "cli" case also pins the exit code of `general` at its defaults.
+PINNED_FITS = [
+    pytest.param(
+        (0.0, 40.0, 1.0, 1.0, [64, 128, 256, 512], 3.0),
+        complex(0.00011027139165969066, -1.5986731365779948e-13), True, id="balanced",
+    ),
+    pytest.param(
+        (7.0, 40.0, 1.0, 1.0, [128, 256, 512, 1024, 2048], 3.0),
+        complex(7.000009786587576, 2.959171068494494e-11), True, id="real-barrier",
+    ),
+    pytest.param(
+        (0.0, 40.0, 0.5, 1.0, [128, 256, 512, 1024, 2048], 3.0),
+        complex(6.1367981241872746e-06, 9.999997844261728), True, id="unbalanced",
+    ),
+    pytest.param(
+        (2.0, 10.0, 0.3, 1.0, [64, 128, 256], 1.5),
+        complex(2.0000293547899295, 3.4999918174801223), True, id="records",
+    ),
+    pytest.param(
+        ("general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3"),
+        complex(7.000009786587576, 2.959171068494494e-11), True, id="cli",
+    ),
+]
+
+
+@pytest.mark.parametrize("case, height, converged", PINNED_FITS)
+def test_fit_matches_pinned_height(case, height, converged, tmp_path):
+    if case[0] == "general":
+        from ptstack.cli import main
+
+        out = tmp_path / "general.json"
+        code = main([*case, "--format", "json", "--output", str(out)])
+        summary = json.loads(out.read_text(encoding="utf-8"))["summary"]
+        fitted = complex(*summary["effective_height"])
+        assert summary["converged"] is converged
+        assert code == (0 if converged else 3)
+    else:
+        res = generalized_limit_study(*case)
+        fitted = res.effective_height
+        assert res.converged is converged
+    assert abs(fitted - height) <= 1e-9 * max(1.0, abs(height))
+
