@@ -1,4 +1,15 @@
+"""CLI tests.  ``GOLDEN`` invocations are compared byte for byte against the
+files under ``tests/data/cli/`` (stdout in ``<case>.<format>``, stderr and
+exit code in ``results.json``).  After a deliberate output change, rewrite
+them with ``PYTHONPATH=src python tests/test_cli.py --record`` and review the
+diff.
+"""
+
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -278,3 +289,60 @@ def test_out_of_range_input_exits_2(capsys, args):
     assert out == ""
     assert err.startswith("ptstack: numerical failure: ")
     assert err.count("\n") == 1
+
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
+
+GOLDEN = {
+    "cell": ("cell", "--k", "1", "--v", "40", "--b", "0.05"),
+    "sweep": ("sweep", "--v", "40", "--n-min", "10", "--n-max", "20", "--n-count", "2",
+              "--k-min", "1", "--k-max", "5", "--k-count", "3"),
+    "sweep-fig3": ("sweep", "--fig3", "--n-count", "1"),
+    "converge": ("converge", "--k", "5", "--v", "40", "--n-min", "100", "--n-max", "10000",
+                 "--n-count", "5"),
+    "general": ("general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3",
+                "--n-min", "128", "--n-max", "1024", "--n-count", "4"),
+    "general-nonconverged": ("general", "--v1", "0", "--v2", "40", "--eps", "-1", "--k", "1",
+                             "--n-min", "2", "--n-max", "8", "--n-count", "3"),
+    "oracle-check-quick": ("oracle-check", "--quick"),
+    # k range from the config file, v from the flag
+    "sweep-config": ("sweep", "--config", str(GOLDEN_DIR / "sweep.cfg"), "--v", "7"),
+    # the preset's v = 40 beats the config's v = 7
+    "sweep-fig3-config": ("sweep", "--fig3", "--config", str(GOLDEN_DIR / "fig3.cfg")),
+    "usage-missing-option": ("cell", "--k", "1", "--v", "40"),
+    "usage-bad-choice": ("sweep", "--v", "40", "--n-min", "5", "--n-max", "10",
+                         "--n-spacing", "cubic"),
+}
+
+
+def _golden_run(name, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*GOLDEN[name], "--format", fmt])
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(name, fmt):
+    out, err, code = _golden_run(name, fmt)
+    expected = json.loads((GOLDEN_DIR / "results.json").read_text(encoding="utf-8"))[f"{name}.{fmt}"]
+    assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
+    assert (err, code) == (expected["stderr"], expected["exit"])
+
+
+def _record_golden():
+    results = {}
+    for name in sorted(GOLDEN):
+        for fmt in ("csv", "json"):
+            out, err, code = _golden_run(name, fmt)
+            (GOLDEN_DIR / f"{name}.{fmt}").write_bytes(out.encode("utf-8"))
+            results[f"{name}.{fmt}"] = {"exit": code, "stderr": err}
+    text = json.dumps(results, indent=2, sort_keys=True) + "\n"
+    (GOLDEN_DIR / "results.json").write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_cli.py --record")
+    _record_golden()
