@@ -37,7 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import TransferMatrix, check_wave_number, mat_multiply
+from .core import NonFiniteMatrixError, TransferMatrix, check_wave_number, mat_multiply
 
 # Below this |q*width| the slab propagation uses the series form of
 # sin(q w)/q; keeps barrier-top energies (q ~ 0) finite.
@@ -83,24 +83,30 @@ def wave_params(k: float, v: float, b: float) -> tuple[float, float, float, floa
 
 
 def unit_cell_elements(k: float, v: float, b: float) -> CellParams:
-    """All derived cell quantities, including the matrix elements."""
-    rho, phi, alpha, beta, u_plus, u_minus = wave_params(k, v, b)
-    cos_phi = math.cos(phi)
-    sin_phi = math.sin(phi)
-    sin_a = math.sin(alpha)
-    sinh_b = math.sinh(beta)
+    """All derived cell quantities, including the matrix elements.
+
+    Raises :class:`NonFiniteMatrixError` when a quantity leaves the double
+    range (``sinh`` of a large ``beta``, or ``k*k`` underflowing to 0).
+    """
+    try:
+        rho, phi, alpha, beta, u_plus, u_minus = wave_params(k, v, b)
+        cos_phi = math.cos(phi)
+        sin_phi = math.sin(phi)
+        sin_a = math.sin(alpha)
+        sinh_b = math.sinh(beta)
+        sinh_2b = math.sinh(2.0 * beta)
+    except (OverflowError, ZeroDivisionError):
+        raise NonFiniteMatrixError(
+            f"cell elements leave the double range at k = {k}, V = {v}, b = {b}"
+        ) from None
 
     one_minus_xi = 2.0 * (cos_phi * sin_a - sin_phi * sinh_b) * (cos_phi * sin_a + sin_phi * sinh_b)
     xi = 1.0 - one_minus_xi
-    chi = 0.5 * (
-        u_plus * cos_phi * math.sin(2.0 * alpha) + u_minus * sin_phi * math.sinh(2.0 * beta)
-    )
+    chi = 0.5 * (u_plus * cos_phi * math.sin(2.0 * alpha) + u_minus * sin_phi * sinh_2b)
     # (cosh(2b) - cos(2a))/2 == sin(a)^2 + sinh(b)^2, which avoids the 1 - 1
     # cancellation at small widths.
     eta = (sin_a * sin_a + sinh_b * sinh_b) * math.sin(2.0 * phi)
-    tau = 0.5 * (
-        u_plus * sin_phi * math.sinh(2.0 * beta) + u_minus * cos_phi * math.sin(2.0 * alpha)
-    )
+    tau = 0.5 * (u_plus * sin_phi * sinh_2b + u_minus * cos_phi * math.sin(2.0 * alpha))
     return CellParams(
         k=float(k),
         v=float(v),
@@ -119,17 +125,27 @@ def unit_cell_elements(k: float, v: float, b: float) -> CellParams:
     )
 
 
+def _cell_pattern(
+    t: float, u: float, chi: float, eta: float, tau: float, phase: complex, k: float
+) -> TransferMatrix:
+    """[[(t + i chi u) phase, i(eta - tau) u phase], [i(eta + tau) u / phase, (t - i chi u) / phase]].
+
+    The shared shape of the one-cell matrix (t = xi, u = 1, phase = e^{-2ikb})
+    and the N-cell matrix (t = T_N(xi), u = U_{N-1}(xi), phase = e^{-ikL}).
+    """
+    return TransferMatrix(
+        (t + 1j * chi * u) * phase,
+        1j * (eta - tau) * u * phase,
+        1j * (eta + tau) * u / phase,
+        (t - 1j * chi * u) / phase,
+        k,
+    )
+
+
 def unit_cell_matrix(k: float, v: float, b: float) -> TransferMatrix:
     """Transfer matrix of one gain/loss cell occupying [0, 2b]."""
     p = unit_cell_elements(k, v, b)
-    phase = cmath.exp(-2j * p.k * p.b)
-    return TransferMatrix(
-        (p.xi + 1j * p.chi) * phase,
-        1j * (p.eta - p.tau) * phase,
-        1j * (p.eta + p.tau) / phase,
-        (p.xi - 1j * p.chi) / phase,
-        p.k,
-    )
+    return _cell_pattern(p.xi, 1.0, p.chi, p.eta, p.tau, cmath.exp(-2j * p.k * p.b), p.k)
 
 
 def _propagation_terms(q2: complex, width: float) -> tuple[complex, complex]:
@@ -163,7 +179,12 @@ def barrier_matrix(k: float, height: complex, width: float, offset: float = 0.0)
     offset = float(offset)
     height = complex(height)
     q2 = k * k - height
-    c, s_over_q = _propagation_terms(q2, width)
+    try:
+        c, s_over_q = _propagation_terms(q2, width)
+    except OverflowError:
+        raise NonFiniteMatrixError(
+            f"slab matrix overflows the double range at k = {k}, height = {height}, width = {width}"
+        ) from None
     diag = 0.5j * ((k * k + q2) / k) * s_over_q
     off = 0.5j * (height / k) * s_over_q
     edge_phase = cmath.exp(-1j * k * width)

@@ -5,9 +5,10 @@ Output is CSV (UTF-8, comma separated, ``#``-prefixed metadata lines) or
 JSON; ``--output -`` writes to standard output.  Runs are fully
 deterministic: identical invocations produce byte-identical output.
 
-Option precedence: command-line flag > config file > built-in default.  The
-config file is a flat ``key = value`` text file whose keys match the long
-option names with underscores (``n_min = 500``).
+Option precedence: command-line flag > preset flag (``sweep --fig3``,
+``oracle-check --quick``) > config file > built-in default.  The config file
+is a flat ``key = value`` text file whose keys match the long option names
+with underscores (``n_min = 500``).
 
 Exit codes: 0 success, 1 invalid arguments or unwritable output, 2 numerical
 failure (scattering pole, a value outside the double range, or integrator
@@ -21,6 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,6 +73,39 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+class _Opt(NamedTuple):
+    """One option: a type to cast with or a tuple of allowed values, its default and help."""
+
+    kind: object
+    default: object = _REQUIRED
+    help: str | None = None
+    metavar: str | None = None
+
+
+class _Preset(NamedTuple):
+    """A store-true flag whose values beat the config file but not explicit flags."""
+
+    flag: str
+    help: str
+    values: dict
+
+
+_IO_OPTIONS = {
+    "format": _Opt(("csv", "json"), "csv", "output format (default csv)"),
+    "output": _Opt(str, "-", "output path, '-' for stdout (default)", "PATH"),
+}
+
+def _n_options(n_min, n_max, n_count: int, n_spacing: str) -> dict:
+    """Options of an N schedule over a fixed total length, with their defaults."""
+    return {
+        "total_length": _Opt(float, 1.0),
+        "n_min": _Opt(int, n_min),
+        "n_max": _Opt(int, n_max),
+        "n_count": _Opt(int, n_count),
+        "n_spacing": _Opt(("linear", "log"), n_spacing),
+    }
+
+
 def _load_config(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -88,44 +123,51 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, schema: dict, preset: dict | None = None) -> dict:
-    """Merge flag > preset > config > default for every option in schema."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(config) - set(schema)
+def _from_config(name: str, kind, text: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise CliUsageError(f"config key {name}: {name} must be one of {kind}, got {text!r}")
+        return text
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise CliUsageError(f"config key {name}: {exc}") from exc
+
+
+def _resolve(args: argparse.Namespace, options: dict, preset: _Preset | None) -> tuple[dict, set]:
+    """Merge flag > preset > config > default for every option.
+
+    Returns the values, plus the preset flag's own value, and the names of
+    the options that fell back to their built-in default.
+    """
+    config = _load_config(args.config) if args.config else {}
+    unknown = set(config) - set(options)
     if unknown:
         raise CliUsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    preset = preset or {}
-    out = {}
-    for name, (cast, default) in schema.items():
-        value = getattr(args, name, None)
-        if value is None and name in preset:
-            value = preset[name]
-        if value is None and name in config:
-            try:
-                value = cast(config[name])
-            except ValueError as exc:
-                raise CliUsageError(f"config key {name}: {exc}") from exc
+    preset_values = preset.values if preset and getattr(args, preset.flag) else {}
+    values, defaulted = {}, set()
+    for name, opt in options.items():
+        value = getattr(args, name)
         if value is None:
-            if default is _REQUIRED:
+            value = preset_values.get(name)
+        if value is None and name in config:
+            value = _from_config(name, opt.kind, config[name])
+        if value is None:
+            if opt.default is _REQUIRED:
                 raise CliUsageError(f"missing required option --{name.replace('_', '-')}")
-            value = default
-        out[name] = value
-    return out
+            value = opt.default
+            defaulted.add(name)
+        values[name] = value
+    if preset:
+        values[preset.flag] = getattr(args, preset.flag)
+    return values, defaulted
 
 
-def _choice(name: str, allowed: tuple[str, ...]):
-    def cast(value: str) -> str:
-        if value not in allowed:
-            raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        return value
-
-    return cast
-
-
-def _int_grid(lo: int, hi: int, count: int, spacing: str) -> list[int]:
+def _n_grid(opt: dict) -> list[int]:
+    lo, hi, count = opt["n_min"], opt["n_max"], opt["n_count"]
     if lo < 1 or hi < lo or count < 1:
         raise CliUsageError(f"bad N range: min={lo} max={hi} count={count}")
-    if spacing == "log":
+    if opt["n_spacing"] == "log":
         xs = np.geomspace(lo, hi, count)
     else:
         xs = np.linspace(lo, hi, count)
@@ -138,39 +180,14 @@ def _float_grid(lo: float, hi: float, count: int) -> list[float]:
     return [float(x) for x in np.linspace(lo, hi, count)]
 
 
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
-
-
-def _fmt_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _split_complex(columns: list[str], rows: list[dict]) -> tuple[list[str], list[dict]]:
-    if not rows:
-        return columns, rows
-    flat_cols: list[str] = []
-    complex_cols = {c for c in columns if isinstance(rows[0][c], complex)}
-    for c in columns:
-        if c in complex_cols:
-            flat_cols.extend((f"{c}_re", f"{c}_im"))
+def _flatten(pairs):
+    """(name, value) pairs with every complex value split into name_re and name_im."""
+    for name, value in pairs:
+        if isinstance(value, complex):
+            yield f"{name}_re", value.real
+            yield f"{name}_im", value.imag
         else:
-            flat_cols.append(c)
-    flat_rows = []
-    for row in rows:
-        flat = {}
-        for c in columns:
-            if c in complex_cols:
-                flat[f"{c}_re"] = row[c].real
-                flat[f"{c}_im"] = row[c].imag
-            else:
-                flat[c] = row[c]
-        flat_rows.append(flat)
-    return flat_cols, flat_rows
+            yield name, value
 
 
 def _json_value(value):
@@ -181,25 +198,20 @@ def _json_value(value):
     return value
 
 
-def _render(fmt: str, meta: list[tuple], columns: list[str], rows: list[dict], summary: list[tuple] = ()) -> str:
+def _render(fmt: str, meta: list, columns: tuple, rows: list, summary: list) -> str:
+    """CSV or JSON text of one table; str(float) is the shortest round-trip repr."""
     if fmt == "json":
         doc = {
-            "metadata": {k: v for k, v in meta},
-            "rows": [{c: _json_value(row[c]) for c in columns} for row in rows],
+            "metadata": dict(meta),
+            "rows": [{c: _json_value(v) for c, v in zip(columns, row)} for row in rows],
         }
         if summary:
             doc["summary"] = {k: _json_value(v) for k, v in summary}
-        return json.dumps(doc, indent=2, default=_json_default) + "\n"
-    flat_cols, flat_rows = _split_complex(columns, rows)
-    lines = [f"# {k} = {_fmt_cell(v)}" for k, v in meta]
-    lines.append(",".join(flat_cols))
-    lines.extend(",".join(_fmt_cell(row[c]) for c in flat_cols) for row in flat_rows)
-    for k, v in summary:
-        if isinstance(v, complex):
-            lines.append(f"# {k}_re = {_fmt_cell(v.real)}")
-            lines.append(f"# {k}_im = {_fmt_cell(v.imag)}")
-        else:
-            lines.append(f"# {k} = {_fmt_cell(v)}")
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [f"# {k} = {v}" for k, v in meta]
+    lines.append(",".join(name for name, _ in _flatten(zip(columns, rows[0]))))
+    lines.extend(",".join(str(v) for _, v in _flatten(zip(columns, row))) for row in rows)
+    lines.extend(f"# {k} = {v}" for k, v in _flatten(summary))
     return "\n".join(lines) + "\n"
 
 
@@ -211,18 +223,6 @@ def _write(text: str, path: str) -> None:
             fh.write(text)
 
 
-def _meta(command: str, params: dict) -> list[tuple]:
-    meta = [("tool", "ptstack"), ("tool_version", __version__), ("command", command)]
-    meta.extend((k, v) for k, v in params.items() if k not in ("format", "output"))
-    return meta
-
-
-_IO_SCHEMA = {
-    "format": (_choice("format", ("csv", "json")), "csv"),
-    "output": (str, "-"),
-}
-
-
 def _matrix_dev(a, b) -> float:
     """Componentwise difference scaled by the larger entry magnitude (floor 1)."""
     aa, bb = a.as_array(), b.as_array()
@@ -230,175 +230,74 @@ def _matrix_dev(a, b) -> float:
     return float(np.max(np.abs(aa - bb))) / scale
 
 
-def cmd_cell(args: argparse.Namespace) -> int:
-    schema = {
-        "k": (float, _REQUIRED),
-        "v": (float, _REQUIRED),
-        "b": (float, _REQUIRED),
-        **_IO_SCHEMA,
-    }
-    opt = _resolve(args, schema)
+# Each command takes the resolved options and the names left at their default,
+# and returns (columns, rows, summary, extra metadata, exit code).
+
+_CELL_ELEMENTS = ("k", "v", "b", "rho", "phi", "alpha", "beta", "u_plus", "u_minus", "xi", "chi", "eta", "tau")
+_MATRIX_ENTRIES = ("m11", "m12", "m21", "m22", "absdet_err")
+
+
+def cmd_cell(opt: dict, defaulted: set):
     p = unit_cell_elements(opt["k"], opt["v"], opt["b"])
     m = unit_cell_matrix(opt["k"], opt["v"], opt["b"])
-    row = {
-        "k": p.k,
-        "v": p.v,
-        "b": p.b,
-        "rho": p.rho,
-        "phi": p.phi,
-        "alpha": p.alpha,
-        "beta": p.beta,
-        "u_plus": p.u_plus,
-        "u_minus": p.u_minus,
-        "xi": p.xi,
-        "chi": p.chi,
-        "eta": p.eta,
-        "tau": p.tau,
-        "m11": m.m11,
-        "m12": m.m12,
-        "m21": m.m21,
-        "m22": m.m22,
-        "absdet_err": abs(m.det - 1.0),
-    }
-    params = {k: opt[k] for k in ("k", "v", "b")}
-    text = _render(opt["format"], _meta("cell", params), list(row), [row])
-    _write(text, opt["output"])
-    return EXIT_OK
+    row = [getattr(p, c) for c in _CELL_ELEMENTS] + [getattr(m, c) for c in _MATRIX_ENTRIES]
+    return _CELL_ELEMENTS + _MATRIX_ENTRIES, [row], [], [], EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    schema = {
-        "v": (float, _REQUIRED),
-        "total_length": (float, 1.0),
-        "n_min": (int, _REQUIRED),
-        "n_max": (int, _REQUIRED),
-        "n_count": (int, 16),
-        "n_spacing": (_choice("n_spacing", ("linear", "log")), "linear"),
-        "k_min": (float, DEFAULT_K_GRID[0]),
-        "k_max": (float, DEFAULT_K_GRID[1]),
-        "k_count": (int, DEFAULT_K_GRID[2]),
-        **_IO_SCHEMA,
-    }
-    preset = {"v": 40.0, "total_length": 1.0, "n_min": 500, "n_max": 2000} if args.fig3 else None
-    opt = _resolve(args, schema, preset)
-    n_values = _int_grid(opt["n_min"], opt["n_max"], opt["n_count"], opt["n_spacing"])
+def cmd_sweep(opt: dict, defaulted: set):
+    n_values = _n_grid(opt)
     k_values = _float_grid(opt["k_min"], opt["k_max"], opt["k_count"])
     rows = [
-        {
-            "N": r.n,
-            "k": r.k,
-            "T": r.big_t,
-            "R_left": r.big_r_left,
-            "R_right": r.big_r_right,
-            "absdet_err": r.absdet_err,
-        }
+        (r.n, r.k, r.big_t, r.big_r_left, r.big_r_right, r.absdet_err)
         for r in transmission_surface(opt["v"], opt["total_length"], n_values, k_values)
     ]
-    params = {k: opt[k] for k in schema if k not in ("format", "output")}
-    params["fig3_preset"] = args.fig3
-    k_is_default = args.k_min is None and args.k_max is None and args.k_count is None
-    params["k_grid_provenance"] = "tool default (no externally specified range)" if k_is_default else "user"
-    columns = ["N", "k", "T", "R_left", "R_right", "absdet_err"]
-    text = _render(opt["format"], _meta("sweep", params), columns, rows)
-    _write(text, opt["output"])
-    return EXIT_OK
+    k_is_default = {"k_min", "k_max", "k_count"} <= defaulted
+    extra = [
+        ("fig3_preset", opt["fig3"]),
+        ("k_grid_provenance", "tool default (no externally specified range)" if k_is_default else "user"),
+    ]
+    return ("N", "k", "T", "R_left", "R_right", "absdet_err"), rows, [], extra, EXIT_OK
 
 
-def cmd_converge(args: argparse.Namespace) -> int:
-    schema = {
-        "k": (float, _REQUIRED),
-        "v": (float, _REQUIRED),
-        "total_length": (float, 1.0),
-        "n_min": (int, 100),
-        "n_max": (int, 100000),
-        "n_count": (int, 13),
-        "n_spacing": (_choice("n_spacing", ("linear", "log")), "log"),
-        **_IO_SCHEMA,
-    }
-    opt = _resolve(args, schema)
-    n_values = _int_grid(opt["n_min"], opt["n_max"], opt["n_count"], opt["n_spacing"])
-    records = convergence_study(opt["k"], opt["v"], opt["total_length"], n_values)
+def cmd_converge(opt: dict, defaulted: set):
+    records = convergence_study(opt["k"], opt["v"], opt["total_length"], _n_grid(opt))
     rows = [
-        {
-            "N": r.n,
-            "k": r.k,
-            "deviation_inf": r.deviation_inf,
-            "diag_err": r.diag_measured_err,
-            "offdiag_measured": r.offdiag_measured,
-            "offdiag_predicted": r.offdiag_predicted,
-            "offdiag_ratio": (
-                r.offdiag_measured / r.offdiag_predicted if r.offdiag_predicted else math.nan
-            ),
-            "absdet_err": r.absdet_err,
-        }
+        (
+            r.n, r.k, r.deviation_inf, r.diag_measured_err, r.offdiag_measured, r.offdiag_predicted,
+            r.offdiag_measured / r.offdiag_predicted if r.offdiag_predicted else math.nan,
+            r.absdet_err,
+        )
         for r in records
     ]
     slope = fit_loglog_slope([r.n for r in records], [r.deviation_inf for r in records])
-    summary = [
-        ("loglog_slope", slope),
-        ("offdiag_ratio_at_n_max", rows[-1]["offdiag_ratio"]),
-    ]
-    params = {k: opt[k] for k in schema if k not in ("format", "output")}
-    columns = list(rows[0])
-    text = _render(opt["format"], _meta("converge", params), columns, rows, summary)
-    _write(text, opt["output"])
-    return EXIT_OK
+    summary = [("loglog_slope", slope), ("offdiag_ratio_at_n_max", rows[-1][6])]
+    columns = (
+        "N", "k", "deviation_inf", "diag_err", "offdiag_measured", "offdiag_predicted",
+        "offdiag_ratio", "absdet_err",
+    )
+    return columns, rows, summary, [], EXIT_OK
 
 
-def cmd_general(args: argparse.Namespace) -> int:
-    schema = {
-        "v1": (float, _REQUIRED),
-        "v2": (float, _REQUIRED),
-        "eps": (float, _REQUIRED),
-        "k": (float, _REQUIRED),
-        "total_length": (float, 1.0),
-        "n_min": (int, 128),
-        "n_max": (int, 2048),
-        "n_count": (int, 5),
-        "n_spacing": (_choice("n_spacing", ("linear", "log")), "log"),
-        **_IO_SCHEMA,
-    }
-    opt = _resolve(args, schema)
-    n_values = _int_grid(opt["n_min"], opt["n_max"], opt["n_count"], opt["n_spacing"])
+def cmd_general(opt: dict, defaulted: set):
     result = generalized_limit_study(
-        opt["v1"], opt["v2"], opt["eps"], opt["total_length"], n_values, opt["k"]
+        opt["v1"], opt["v2"], opt["eps"], opt["total_length"], _n_grid(opt), opt["k"]
     )
     rows = [
-        {
-            "N": r.n,
-            "k": r.k,
-            "deviation_inf": r.deviation_inf,
-            "diag_err": r.diag_measured_err,
-            "offdiag_dev": r.offdiag_measured,
-            "absdet_err": r.absdet_err,
-        }
+        (r.n, r.k, r.deviation_inf, r.diag_measured_err, r.offdiag_measured, r.absdet_err)
         for r in result.records
     ]
     summary = [
-        ("effective_height", result.effective_height),
-        ("candidate_full_imbalance", result.candidate_full_imbalance),
-        ("candidate_mean_height", result.candidate_mean_height),
-        ("residual_full_imbalance", result.residual_full_imbalance),
-        ("residual_mean_height", result.residual_mean_height),
-        ("closest_candidate", result.closest_candidate),
-        ("converged", result.converged),
+        (name, getattr(result, name))
+        for name in (
+            "effective_height", "candidate_full_imbalance", "candidate_mean_height",
+            "residual_full_imbalance", "residual_mean_height", "closest_candidate", "converged",
+        )
     ]
-    params = {k: opt[k] for k in schema if k not in ("format", "output")}
-    columns = list(rows[0])
-    text = _render(opt["format"], _meta("general", params), columns, rows, summary)
-    _write(text, opt["output"])
-    return EXIT_OK if result.converged else EXIT_NONCONVERGED
+    columns = ("N", "k", "deviation_inf", "diag_err", "offdiag_dev", "absdet_err")
+    return columns, rows, summary, [], EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
-def cmd_oracle_check(args: argparse.Namespace) -> int:
-    schema = {
-        "rel_tol": (float, 1e-12),
-        "abs_tol": (float, 1e-14),
-        "ode_n_max": (int, 64),
-        **_IO_SCHEMA,
-    }
-    preset = {"ode_n_max": 4} if args.quick else None
-    opt = _resolve(args, schema, preset)
+def cmd_oracle_check(opt: dict, defaulted: set):
     settings = IntegrationSettings(rel_tol=opt["rel_tol"], abs_tol=opt["abs_tol"])
     rows = []
     worst = 0.0
@@ -408,104 +307,88 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
             for k in ORACLE_GRID_K:
                 closed = periodic_matrix(PeriodicSpec(v=v, n_cells=n, total_length=1.0), k)
                 slab = slab_propagation_matrix(stack, k)
-                row = {
-                    "k": k,
-                    "v": v,
-                    "N": n,
-                    "slab_vs_closed": _matrix_dev(slab, closed),
-                    "ode_vs_closed": math.nan,
-                    "ode_vs_slab": math.nan,
-                    "t_lr_diff": math.nan,
-                    "absdet_err": abs(closed.det - 1.0),
-                }
+                slab_vs_closed = _matrix_dev(slab, closed)
+                ode_vs_closed = ode_vs_slab = t_lr_diff = math.nan
                 if n <= opt["ode_n_max"]:
                     ode = integrate_transfer_matrix(stack, k, settings)
                     t_l, _ = incidence_scattering(stack, k, "left", settings)
                     t_r, _ = incidence_scattering(stack, k, "right", settings)
-                    row["ode_vs_closed"] = _matrix_dev(ode, closed)
-                    row["ode_vs_slab"] = _matrix_dev(ode, slab)
-                    row["t_lr_diff"] = abs(t_l - t_r)
-                rows.append(row)
-                worst = max(
-                    worst,
-                    *(row[c] for c in ("slab_vs_closed", "ode_vs_closed") if not math.isnan(row[c])),
-                )
+                    ode_vs_closed = _matrix_dev(ode, closed)
+                    ode_vs_slab = _matrix_dev(ode, slab)
+                    t_lr_diff = abs(t_l - t_r)
+                rows.append((k, v, n, slab_vs_closed, ode_vs_closed, ode_vs_slab, t_lr_diff, closed.absdet_err))
+                worst = max(worst, *(d for d in (slab_vs_closed, ode_vs_closed) if not math.isnan(d)))
+    ok = worst <= ORACLE_THRESHOLD
     summary = [
         ("max_deviation", worst),
         ("threshold", ORACLE_THRESHOLD),
-        ("verdict", "ok" if worst <= ORACLE_THRESHOLD else "deviation above threshold"),
+        ("verdict", "ok" if ok else "deviation above threshold"),
     ]
-    params = {k: opt[k] for k in schema if k not in ("format", "output")}
-    columns = list(rows[0])
-    text = _render(opt["format"], _meta("oracle-check", params), columns, rows, summary)
-    _write(text, opt["output"])
-    return EXIT_OK if worst <= ORACLE_THRESHOLD else EXIT_NUMERICAL
+    columns = ("k", "v", "N", "slab_vs_closed", "ode_vs_closed", "ode_vs_slab", "t_lr_diff", "absdet_err")
+    return columns, rows, summary, [], EXIT_OK if ok else EXIT_NUMERICAL
 
 
-def _add_io_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
-    sub.add_argument("--output", default=None, metavar="PATH", help="output path, '-' for stdout (default)")
-    sub.add_argument("--config", default=None, metavar="FILE", help="flat key = value config file")
+# subcommand -> (function, help, options, preset); --help lists the options in
+# this order, then the preset flag, then --format, --output and --config.
+_COMMANDS = {
+    "cell": (
+        cmd_cell, "derived quantities and matrix of one gain/loss cell",
+        {"k": _Opt(float), "v": _Opt(float), "b": _Opt(float)}, None,
+    ),
+    "sweep": (
+        cmd_sweep, "transmission/reflection over an (N, k) grid",
+        {
+            "v": _Opt(float),
+            **_n_options(_REQUIRED, _REQUIRED, 16, "linear"),
+            "k_min": _Opt(float, DEFAULT_K_GRID[0]),
+            "k_max": _Opt(float, DEFAULT_K_GRID[1]),
+            "k_count": _Opt(int, DEFAULT_K_GRID[2]),
+        },
+        _Preset(
+            "fig3", "preset: V=40, L=1, N in [500, 2000]",
+            {"v": 40.0, "total_length": 1.0, "n_min": 500, "n_max": 2000},
+        ),
+    ),
+    "converge": (
+        cmd_converge, "deviation from the identity over an N schedule",
+        {"k": _Opt(float), "v": _Opt(float), **_n_options(100, 100000, 13, "log")}, None,
+    ),
+    "general": (
+        cmd_general, "fit the constant-barrier limit of an unbalanced stack",
+        {"v1": _Opt(float), "v2": _Opt(float), "eps": _Opt(float), "k": _Opt(float),
+         **_n_options(128, 2048, 5, "log")},
+        None,
+    ),
+    "oracle-check": (
+        cmd_oracle_check, "closed form vs integration oracles on a fixed grid",
+        {
+            "rel_tol": _Opt(float, 1e-12),
+            "abs_tol": _Opt(float, 1e-14),
+            "ode_n_max": _Opt(int, 64, "largest N run through the ODE tier"),
+        },
+        _Preset("quick", "restrict the ODE tier to N <= 4", {"ode_n_max": 4}),
+    ),
+}
+
+
+def _add_option(parser: argparse.ArgumentParser, name: str, opt: _Opt) -> None:
+    kind = {"choices": opt.kind} if isinstance(opt.kind, tuple) else {"type": opt.kind}
+    parser.add_argument(f"--{name.replace('_', '-')}", help=opt.help, metavar=opt.metavar, **kind)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ptstack", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"ptstack {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cell = sub.add_parser("cell", help="derived quantities and matrix of one gain/loss cell")
-    p_cell.add_argument("--k", type=float)
-    p_cell.add_argument("--v", type=float)
-    p_cell.add_argument("--b", type=float)
-    _add_io_options(p_cell)
-    p_cell.set_defaults(func=cmd_cell)
-
-    p_sweep = sub.add_parser("sweep", help="transmission/reflection over an (N, k) grid")
-    p_sweep.add_argument("--v", type=float)
-    p_sweep.add_argument("--total-length", type=float, dest="total_length")
-    p_sweep.add_argument("--n-min", type=int, dest="n_min")
-    p_sweep.add_argument("--n-max", type=int, dest="n_max")
-    p_sweep.add_argument("--n-count", type=int, dest="n_count")
-    p_sweep.add_argument("--n-spacing", choices=("linear", "log"), dest="n_spacing")
-    p_sweep.add_argument("--k-min", type=float, dest="k_min")
-    p_sweep.add_argument("--k-max", type=float, dest="k_max")
-    p_sweep.add_argument("--k-count", type=int, dest="k_count")
-    p_sweep.add_argument("--fig3", action="store_true", help="preset: V=40, L=1, N in [500, 2000]")
-    _add_io_options(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_conv = sub.add_parser("converge", help="deviation from the identity over an N schedule")
-    p_conv.add_argument("--k", type=float)
-    p_conv.add_argument("--v", type=float)
-    p_conv.add_argument("--total-length", type=float, dest="total_length")
-    p_conv.add_argument("--n-min", type=int, dest="n_min")
-    p_conv.add_argument("--n-max", type=int, dest="n_max")
-    p_conv.add_argument("--n-count", type=int, dest="n_count")
-    p_conv.add_argument("--n-spacing", choices=("linear", "log"), dest="n_spacing")
-    _add_io_options(p_conv)
-    p_conv.set_defaults(func=cmd_converge)
-
-    p_gen = sub.add_parser("general", help="fit the constant-barrier limit of an unbalanced stack")
-    p_gen.add_argument("--v1", type=float)
-    p_gen.add_argument("--v2", type=float)
-    p_gen.add_argument("--eps", type=float)
-    p_gen.add_argument("--k", type=float)
-    p_gen.add_argument("--total-length", type=float, dest="total_length")
-    p_gen.add_argument("--n-min", type=int, dest="n_min")
-    p_gen.add_argument("--n-max", type=int, dest="n_max")
-    p_gen.add_argument("--n-count", type=int, dest="n_count")
-    p_gen.add_argument("--n-spacing", choices=("linear", "log"), dest="n_spacing")
-    _add_io_options(p_gen)
-    p_gen.set_defaults(func=cmd_general)
-
-    p_oc = sub.add_parser("oracle-check", help="closed form vs integration oracles on a fixed grid")
-    p_oc.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p_oc.add_argument("--abs-tol", type=float, dest="abs_tol")
-    p_oc.add_argument("--ode-n-max", type=int, dest="ode_n_max", help="largest N run through the ODE tier")
-    p_oc.add_argument("--quick", action="store_true", help="restrict the ODE tier to N <= 4")
-    _add_io_options(p_oc)
-    p_oc.set_defaults(func=cmd_oracle_check)
-
+    for name, (_, help_text, options, preset) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for opt_name, opt in options.items():
+            _add_option(p, opt_name, opt)
+        if preset:
+            p.add_argument(f"--{preset.flag}", action="store_true", help=preset.help)
+        for opt_name, opt in _IO_OPTIONS.items():
+            _add_option(p, opt_name, opt)
+        p.add_argument("--config", metavar="FILE", help="flat key = value config file")
     return parser
 
 
@@ -513,11 +396,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except CliUsageError as exc:
-        print(f"ptstack: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+        fn, _, options, preset = _COMMANDS[args.command]
+        opt, defaulted = _resolve(args, {**options, **_IO_OPTIONS}, preset)
+        columns, rows, summary, extra, code = fn(opt, defaulted)
+        meta = [("tool", "ptstack"), ("tool_version", __version__), ("command", args.command)]
+        meta += [(name, opt[name]) for name in options] + extra
+        _write(_render(opt["format"], meta, columns, rows, summary), opt["output"])
+        return code
+    except (CliUsageError, ValueError, OSError) as exc:
         print(f"ptstack: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, IntegrationFailureError) as exc:

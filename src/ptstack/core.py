@@ -130,6 +130,11 @@ class TransferMatrix:
         return self.m11 * self.m22 - self.m12 * self.m21
 
     @property
+    def absdet_err(self) -> float:
+        """Unimodularity error |det - 1|, exported as ``absdet_err``."""
+        return abs(self.det - 1.0)
+
+    @property
     def is_finite(self) -> bool:
         return all(cmath.isfinite(z) for z in (self.m11, self.m12, self.m21, self.m22))
 

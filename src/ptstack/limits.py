@@ -107,7 +107,7 @@ def _deviation_record(n: int, k: float, m: TransferMatrix, ref: TransferMatrix, 
         offdiag_measured=max(d12, d21),
         offdiag_predicted=offdiag_predicted,
         diag_measured_err=max(d11, d22),
-        absdet_err=abs(m.det - 1.0),
+        absdet_err=m.absdet_err,
     )
 
 

@@ -102,7 +102,7 @@ def transmission_surface(
                     big_t=coeffs.big_t,
                     big_r_left=coeffs.big_r_left,
                     big_r_right=coeffs.big_r_right,
-                    absdet_err=abs(m.det - 1.0),
+                    absdet_err=m.absdet_err,
                 )
             )
     return rows

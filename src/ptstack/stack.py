@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cell import barrier_matrix, unit_cell_elements
+from .cell import _cell_pattern, barrier_matrix, unit_cell_elements
 from .chebyshev import cheb_pair_from_gap
 from .core import (
     Layer, NonFiniteMatrixError, PotentialStack, TransferMatrix, check_wave_number, mat_multiply
@@ -61,16 +61,8 @@ def periodic_matrix(spec: PeriodicSpec, k: float) -> TransferMatrix:
     k = check_wave_number(k)
     p = unit_cell_elements(k, spec.v, spec.slab_width)
     pair = cheb_pair_from_gap(spec.n_cells, p.one_minus_xi)
-    t_n = pair.t_n
-    u = pair.u_n_minus_1
     phase = cmath.exp(-1j * k * spec.total_length)
-    m = TransferMatrix(
-        (t_n + 1j * p.chi * u) * phase,
-        1j * (p.eta - p.tau) * u * phase,
-        1j * (p.eta + p.tau) * u / phase,
-        (t_n - 1j * p.chi * u) / phase,
-        k,
-    )
+    m = _cell_pattern(pair.t_n, pair.u_n_minus_1, p.chi, p.eta, p.tau, phase, k)
     if not m.is_finite:
         raise NonFiniteMatrixError(f"N-cell matrix overflows the double range at k = {k}, {spec}")
     return m

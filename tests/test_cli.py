@@ -219,6 +219,44 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert meta["v"] == "7.0"
 
 
+def test_preset_overrides_config(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("v = 7\nn_count = 1\nk_count = 2\n")
+    code, out, _ = run_cli(capsys, "sweep", "--fig3", "--config", str(cfg))
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert meta["v"] == "40.0"
+    assert meta["n_count"] == "1" and len(rows) == 2
+
+
+@pytest.mark.parametrize(
+    "config, provenance",
+    [
+        ("k_min = 1\nk_max = 2\n", "user"),
+        ("k_count = 3\n", "user"),
+        ("n_count = 2\n", "tool default (no externally specified range)"),
+    ],
+    ids=["config-range", "config-count", "config-without-k"],
+)
+def test_k_grid_provenance(capsys, tmp_path, config, provenance):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--v", "7",
+                           "--n-min", "5", "--n-max", "10")
+    assert code == 0
+    meta, _, _ = parse_csv(out)
+    assert meta["k_grid_provenance"] == provenance
+
+
+def test_config_bad_choice(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_spacing = cubic\n")
+    code, out, err = run_cli(capsys, "sweep", "--v", "40", "--n-min", "5", "--n-max", "10",
+                             "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "n_spacing must be one of ('linear', 'log'), got 'cubic'" in err
+
+
 def test_config_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("vv = 40\n")
@@ -274,20 +312,27 @@ def test_numerical_failure_maps_to_exit_2(capsys, monkeypatch):
         # math.sinh overflows inside the cell elements
         ("sweep", "--v", "1e5", "--total-length", "50", "--n-min", "1", "--n-max", "2"),
         ("cell", "--k", "1", "--v", "1e5", "--b", "25"),
+        # k*k underflows to 0 inside the cell elements
+        ("cell", "--k", "1e-200", "--v", "1e300", "--b", "1"),
         # the elements fit, but the N-cell matrix overflows to NaN
         ("sweep", "--v", "1e5", "--total-length", "50", "--n-min", "50", "--n-max", "50",
          "--n-count", "1", "--k-min", "1", "--k-max", "1", "--k-count", "1"),
         ("converge", "--k", "1", "--v", "1e5", "--total-length", "50"),
         # the composed stack overflows before the fit
         ("general", "--v1", "0", "--v2", "1e5", "--eps", "1", "--k", "1", "--total-length", "50"),
+        # cmath.cos overflows inside one wide slab's matrix
+        ("general", "--v1", "0", "--v2", "1e5", "--eps", "1", "--k", "1", "--total-length", "50",
+         "--n-min", "1", "--n-max", "2", "--n-count", "2"),
     ],
-    ids=["sweep-overflow", "cell-overflow", "sweep-nan", "converge-nan", "general-nan"],
+    ids=["sweep-overflow", "cell-overflow", "cell-underflow", "sweep-nan", "converge-nan", "general-nan",
+         "general-overflow"],
 )
 def test_out_of_range_input_exits_2(capsys, args):
     code, out, err = run_cli(capsys, *args)
     assert code == 2
     assert out == ""
     assert err.startswith("ptstack: numerical failure: ")
+    assert "k = " in err
     assert err.count("\n") == 1
 
 
