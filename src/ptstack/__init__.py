@@ -4,8 +4,10 @@ The package computes plane-wave scattering off finite stacks of rectangular
 (generally complex) potential slabs.  Its centerpiece is the balanced
 gain/loss cell (+iV, -iV) and its N-cell periodic repetition over a fixed
 length, evaluated either in closed form via Chebyshev polynomials or by
-explicit matrix composition, together with the machinery to verify that the
-fine-layer limit of such a stack is indistinguishable from free space.
+explicit matrix composition (the unbalanced v1 + iv2 / v1 - i eps v2 cell
+has a Chebyshev closed form too), together with the machinery to verify
+that the fine-layer limit of such a stack is indistinguishable from free
+space.
 """
 
 from .cell import (
@@ -16,7 +18,14 @@ from .cell import (
     unit_cell_matrix,
     wave_params,
 )
-from .chebyshev import ChebyshevPair, cheb_pair, cheb_pair_from_gap, cheb_t, cheb_u
+from .chebyshev import (
+    ChebyshevPair,
+    cheb_pair,
+    cheb_pair_from_complex_gap,
+    cheb_pair_from_gap,
+    cheb_t,
+    cheb_u,
+)
 from .core import (
     Layer,
     NonFiniteMatrixError,
@@ -52,7 +61,13 @@ from .scattering import (
     scattering_from_matrix,
     transmission_surface,
 )
-from .stack import PeriodicSpec, build_alternating, compose_stack, periodic_matrix
+from .stack import (
+    PeriodicSpec,
+    alternating_matrix,
+    build_alternating,
+    compose_stack,
+    periodic_matrix,
+)
 
 __version__ = "0.1.0"
 
@@ -74,10 +89,12 @@ __all__ = [
     "TransferMatrix",
     "TransmissionRow",
     "WaveNumberMismatchError",
+    "alternating_matrix",
     "barrier_matrix",
     "cell_from_barriers",
     "check_wave_number",
     "cheb_pair",
+    "cheb_pair_from_complex_gap",
     "cheb_pair_from_gap",
     "cheb_t",
     "cheb_u",

@@ -126,12 +126,14 @@ def unit_cell_elements(k: float, v: float, b: float) -> CellParams:
 
 
 def _cell_pattern(
-    t: float, u: float, chi: float, eta: float, tau: float, phase: complex, k: float
+    t: complex, u: complex, chi: complex, eta: complex, tau: complex, phase: complex, k: float
 ) -> TransferMatrix:
     """[[(t + i chi u) phase, i(eta - tau) u phase], [i(eta + tau) u / phase, (t - i chi u) / phase]].
 
     The shared shape of the one-cell matrix (t = xi, u = 1, phase = e^{-2ikb})
-    and the N-cell matrix (t = T_N(xi), u = U_{N-1}(xi), phase = e^{-ikL}).
+    and the N-cell matrix (t = T_N(xi), u = U_{N-1}(xi), phase = e^{-ikL}),
+    with real elements for the balanced cell and complex ones for the
+    unbalanced cell of :func:`ptstack.stack.alternating_matrix`.
     """
     return TransferMatrix(
         (t + 1j * chi * u) * phase,

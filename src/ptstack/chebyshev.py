@@ -19,10 +19,15 @@ involved (2 - gap, gap - 2) are exact in floating point.
 
 Values whose true magnitude exceeds the double range (|x| > 1 with
 n*arccosh|x| above ~710) overflow to +/-inf with the correct sign.
+
+:func:`cheb_pair_from_complex_gap` evaluates the pair at a complex argument
+through the same half-angle form; it serves the power of a cell that is not
+gain/loss balanced, whose half-trace is complex.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -89,6 +94,35 @@ def cheb_pair_from_gap(n: int, gap: float) -> ChebyshevPair:
         raise ValueError("gap must not be NaN")
     t, u = _eval_pair(n, gap)
     return ChebyshevPair(n=n, x=1.0 - gap, t_n=t, u_n_minus_1=u)
+
+
+def cheb_pair_from_complex_gap(n: int, gap: complex) -> tuple[complex, complex]:
+    """(T_n(1 - gap), U_{n-1}(1 - gap)) for complex ``gap``, taken at face value.
+
+    The complex counterpart of :func:`cheb_pair_from_gap`, through the same
+    half-angle form: with s = sqrt(gap/2), theta = 2*asin(s) and
+    sin(theta) = 2*s*sqrt((2 - gap)/2); at sin(theta) = 0 U_{n-1} takes its
+    limit n.  As in the real case, Re(gap) > 1 (Re x < 0) is reflected to
+    2 - gap with the parity signs, which also keeps s off the branch cut of
+    asin, where the two square roots could disagree in sign.  ``cmath``
+    raises OverflowError when n*theta leaves the double range.
+    """
+    n = _check_degree(n)
+    gap = complex(gap)
+    if n == 0:
+        return 1.0 + 0.0j, 0.0j
+    sign_t = sign_u = 1.0
+    if gap.real > 1.0:
+        gap = 2.0 - gap
+        if n % 2:
+            sign_t = -1.0
+        else:
+            sign_u = -1.0
+    s = cmath.sqrt(0.5 * gap)
+    sin_theta = 2.0 * s * cmath.sqrt(0.5 * (2.0 - gap))
+    n_theta = 2.0 * n * cmath.asin(s)
+    u = complex(n) if sin_theta == 0.0 else cmath.sin(n_theta) / sin_theta
+    return sign_t * cmath.cos(n_theta), sign_u * u
 
 
 def cheb_pair(n: int, x: float) -> ChebyshevPair:

@@ -300,7 +300,7 @@ def cmd_general(opt: dict, defaulted: set):
 def cmd_oracle_check(opt: dict, defaulted: set):
     settings = IntegrationSettings(rel_tol=opt["rel_tol"], abs_tol=opt["abs_tol"])
     rows = []
-    worst = 0.0
+    worst = (0.0, math.nan, math.nan, 0, "none")  # (deviation, k, v, N, column)
     for v in ORACLE_GRID_V:
         for n in ORACLE_GRID_N:
             stack = build_alternating(0.0, v, 1.0, n, 1.0)
@@ -317,10 +317,17 @@ def cmd_oracle_check(opt: dict, defaulted: set):
                     ode_vs_slab = _matrix_dev(ode, slab)
                     t_lr_diff = abs(t_l - t_r)
                 rows.append((k, v, n, slab_vs_closed, ode_vs_closed, ode_vs_slab, t_lr_diff, closed.absdet_err))
-                worst = max(worst, *(d for d in (slab_vs_closed, ode_vs_closed) if not math.isnan(d)))
-    ok = worst <= ORACLE_THRESHOLD
+                gated = {"slab_vs_closed": slab_vs_closed, "ode_vs_closed": ode_vs_closed, "ode_vs_slab": ode_vs_slab}
+                for column, d in gated.items():
+                    if d > worst[0]:  # NaN (ODE tier skipped) never compares greater
+                        worst = (d, k, v, n, column)
+    ok = worst[0] <= ORACLE_THRESHOLD
     summary = [
-        ("max_deviation", worst),
+        ("max_deviation", worst[0]),
+        ("max_deviation_k", worst[1]),
+        ("max_deviation_v", worst[2]),
+        ("max_deviation_n", worst[3]),
+        ("max_deviation_column", worst[4]),
         ("threshold", ORACLE_THRESHOLD),
         ("verdict", "ok" if ok else "deviation above threshold"),
     ]

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .cell import barrier_matrix
-from .core import NonFiniteMatrixError, TransferMatrix, check_wave_number
-from .stack import PeriodicSpec, build_alternating, compose_stack, periodic_matrix
+from .core import TransferMatrix, check_wave_number
+from .stack import PeriodicSpec, alternating_matrix, periodic_matrix
 
 
 @dataclass(frozen=True)
@@ -158,12 +159,13 @@ class GeneralizedLimitResult:
     """Fitted constant-barrier equivalent of an unbalanced alternating stack.
 
     ``effective_height`` minimizes the entrywise least-squares distance
-    between the single-barrier matrix of the full length and the composed
-    stack at the largest N of the schedule.  Two closed-form candidates are
+    between the single-barrier matrix of the full length and the stack
+    matrix at the largest N of the schedule.  Two closed-form candidates are
     carried for comparison: the full uncompensated imbalance
     v1 + i(1-eps) v2 and the arithmetic mean of the two slab heights
     v1 + i(1-eps) v2/2.  ``converged`` is False when the deviation from the
-    fitted barrier fails to decrease over the schedule; callers should treat
+    fitted barrier fails to decrease over the schedule or never rises above
+    rounding noise (about 1e3 ulps of the largest entry); callers should treat
     the fit as unreliable in that case rather than expect an exception.
     """
 
@@ -191,6 +193,12 @@ class GeneralizedLimitResult:
 # Gauss-Newton step cap; from the mean height 3-4 steps reach rounding noise.
 _FIT_MAX_STEPS = 12
 
+# Deviations below this many ulps of the largest entry are rounding noise and
+# compare equal in the convergence test, so a schedule that shows only noise
+# (identical slabs, eps = -1: at most ~105 ulps over 300 random draws) is not
+# flagged as converged by chance.
+_NOISE_ULPS = 1024
+
 
 def _fit_effective_height(
     target: TransferMatrix, k: float, total_length: float, initial: complex
@@ -203,8 +211,6 @@ def _fit_effective_height(
     tolerance can sit below the rounding noise of the step (about 1e-14
     relative); the step cap then ends the loop.
     """
-    if not target.is_finite:
-        raise NonFiniteMatrixError(f"stack matrix is not finite at k = {k}; nothing to fit")
 
     def residuals(h: complex) -> tuple[complex, ...]:
         m = barrier_matrix(k, h, total_length, 0.0)
@@ -232,15 +238,14 @@ def generalized_limit_study(
 ) -> GeneralizedLimitResult:
     """Fit the fine-layer limit of slabs alternating v1 + i v2 / v1 - i eps v2.
 
-    The stack matrix is built by the explicit product route (the closed form
-    only covers the balanced case), the effective height is fitted at the
-    largest N, and the per-N deviation from that fitted barrier is recorded.
+    Each stack matrix comes from the closed form :func:`alternating_matrix`
+    (O(1) in N), the effective height is fitted at the largest N, and the
+    per-N deviation from that fitted barrier is recorded.  Raises
+    :class:`NonFiniteMatrixError` when a stack matrix leaves the double range.
     """
     k = check_wave_number(k)
     ns = _check_schedule(n_schedule)
-    matrices = [
-        compose_stack(build_alternating(v1, v2, eps, n, total_length), k) for n in ns
-    ]
+    matrices = [alternating_matrix(v1, v2, eps, n, total_length, k) for n in ns]
     mean_height = complex(v1, (1.0 - eps) * v2 / 2.0)
     full_imbalance = complex(v1, (1.0 - eps) * v2)
     effective = _fit_effective_height(matrices[-1], k, total_length, mean_height)
@@ -248,7 +253,9 @@ def generalized_limit_study(
     records = tuple(
         _deviation_record(n, k, m, reference, math.nan) for n, m in zip(ns, matrices)
     )
-    deviations = [r.deviation_inf for r in records]
+    scale = max(1.0, *(abs(z) for z in (reference.m11, reference.m12, reference.m21, reference.m22)))
+    floor = _NOISE_ULPS * sys.float_info.epsilon * scale
+    deviations = [max(r.deviation_inf, floor) for r in records]
     converged = all(b <= a * 1.05 for a, b in zip(deviations, deviations[1:])) and (
         deviations[-1] < deviations[0]
     )

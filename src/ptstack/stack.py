@@ -1,6 +1,6 @@
 """N identical gain/loss cells over a fixed total length, plus general stacks.
 
-Two first-class routes produce the periodic matrix:
+Three routes produce the N-cell matrix:
 
 * :func:`periodic_matrix` - closed form: the N-cell matrix of cells on
   [0, L] is, with xi, chi, eta, tau the single-cell elements at b = L/(2N),
@@ -9,9 +9,12 @@ Two first-class routes produce the periodic matrix:
        [ i(eta + tau) U_{N-1}(xi) e^{ikL},      (T_N(xi) - i*chi*U_{N-1}(xi)) e^{ikL}]]
 
   O(1) in N, the only practical route for large N.
+* :func:`alternating_matrix` - the same Chebyshev power for the unbalanced
+  cell (v1 + i v2 then v1 - i eps v2), whose half-trace is complex.  O(1) in
+  N; it serves the generalized fine-layer study.
 * :func:`compose_stack` - explicit product of positioned single-slab
   matrices, O(number of layers).  Works for arbitrary heterogeneous stacks
-  and anchors the closed form at small N.
+  and anchors both closed forms at small N.
 
 Slab widths are always derived from (L, N) as b = L/(2N); accumulating b 2N
 times would contaminate the fixed-length limit with rounding.
@@ -23,8 +26,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .cell import _cell_pattern, barrier_matrix, unit_cell_elements
-from .chebyshev import cheb_pair_from_gap
+from .cell import _cell_pattern, _propagation_terms, barrier_matrix, unit_cell_elements
+from .chebyshev import cheb_pair_from_complex_gap, cheb_pair_from_gap
 from .core import (
     Layer, NonFiniteMatrixError, PotentialStack, TransferMatrix, check_wave_number, mat_multiply
 )
@@ -81,6 +84,24 @@ def compose_stack(stack: PotentialStack, k: float) -> TransferMatrix:
     return net
 
 
+def _alternating_slabs(
+    v1: float, v2: float, eps: float, n_cells: int, total_length: float
+) -> tuple[complex, complex, int, float]:
+    """Validated (gain height, loss height, N, slab width) of the alternating stack."""
+    n_cells = int(n_cells)
+    if n_cells < 1:
+        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
+    total_length = float(total_length)
+    if not (math.isfinite(total_length) and total_length > 0.0):
+        raise ValueError(f"total_length must be finite and > 0, got {total_length!r}")
+    gain = complex(v1, v2)
+    loss = complex(v1, -eps * v2)
+    for height in (gain, loss):
+        if not cmath.isfinite(height):
+            raise ValueError(f"slab height must be finite, got {height!r}")
+    return gain, loss, n_cells, total_length / (2.0 * n_cells)
+
+
 def build_alternating(
     v1: float, v2: float, eps: float, n_cells: int, total_length: float
 ) -> PotentialStack:
@@ -89,17 +110,71 @@ def build_alternating(
     The v1 + i*v2 slab fills the gain slot of each cell (first of the pair),
     so (v1=0, eps=1) reproduces the periodic gain/loss system exactly.
     """
-    n_cells = int(n_cells)
-    if n_cells < 1:
-        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    total_length = float(total_length)
-    if not (math.isfinite(total_length) and total_length > 0.0):
-        raise ValueError(f"total_length must be finite and > 0, got {total_length!r}")
-    width = total_length / (2.0 * n_cells)
-    gain = complex(v1, v2)
-    loss = complex(v1, -eps * v2)
+    gain, loss, n_cells, width = _alternating_slabs(v1, v2, eps, n_cells, total_length)
     layers = [
         Layer(height=gain if j % 2 == 0 else loss, width=width, offset=j * width)
         for j in range(2 * n_cells)
     ]
     return PotentialStack(layers)
+
+
+def alternating_matrix(
+    v1: float, v2: float, eps: float, n_cells: int, total_length: float, k: float
+) -> TransferMatrix:
+    """Closed-form matrix of ``build_alternating(v1, v2, eps, n_cells, total_length)``.
+
+    With b = L/(2N), heights h1 = v1 + i v2, h2 = v1 - i eps v2 and, per slab,
+    q_j^2 = k^2 - h_j, c_j = cos(q_j b), s_j = sin(q_j b)/q_j, the cell
+    referenced to its own left edge is A = S2 S1 with
+
+        S_j = [[c_j + i d_j, -i o_j], [i o_j, c_j - i d_j]],
+        d_j = (k^2 + q_j^2) s_j / (2k),   o_j = h_j s_j / (2k).
+
+    Stacking N cells gives diag(e^{-ikL}, e^{ikL}) A^N, and Cayley-Hamilton
+    gives A^N = T_N(x) I + U_{N-1}(x) (A - x I) with x = tr(A)/2.  A has the
+    shape of the balanced cell with complex elements
+
+        chi = c2 d1 + c1 d2,   eta = i (h2 - h1) s1 s2 / 2,   tau = c2 o1 + c1 o2,
+        A = [[x + i chi, i(eta - tau)], [i(eta + tau), x - i chi]],
+
+    so A - x I never subtracts two entries near 1.  The gap 1 - x comes from
+    the Kronig-Penney identity
+
+        1 - x = 2 sin^2((q1 + q2) b / 2) + (q1 - q2)^2 s1 s2 / 2,
+
+    with q1 - q2 = (h2 - h1)/(q1 + q2).  Both sides are even in q2, so q2
+    takes the sign that keeps |q1 + q2| >= |q1 - q2|.  Taking 1 - x from the
+    trace instead leaves an absolute error of ~1e-16 in a gap of order
+    (kL/N)^2, which at N = 65536 moves the matrix by ~4e-7.
+
+    O(1) in N.  Raises :class:`NonFiniteMatrixError` when a value leaves the
+    double range.
+    """
+    k = check_wave_number(k)
+    h1, h2, n, b = _alternating_slabs(v1, v2, eps, n_cells, total_length)
+    try:
+        c1, s1 = _propagation_terms(k * k - h1, b)
+        c2, s2 = _propagation_terms(k * k - h2, b)
+        q1 = cmath.sqrt(k * k - h1)
+        q2 = cmath.sqrt(k * k - h2)
+        if (q1 * q2.conjugate()).real < 0.0:
+            q2 = -q2
+        q_sum = q1 + q2
+        q_diff = (h2 - h1) / q_sum if q_sum else 0.0j
+        gap = 2.0 * cmath.sin(0.5 * q_sum * b) ** 2 + 0.5 * q_diff * q_diff * s1 * s2
+        d1 = 0.5 * (2.0 * k * k - h1) / k * s1
+        d2 = 0.5 * (2.0 * k * k - h2) / k * s2
+        chi = c2 * d1 + c1 * d2
+        eta = 0.5j * (h2 - h1) * s1 * s2
+        tau = 0.5 * (c2 * h1 * s1 + c1 * h2 * s2) / k
+        t, u = cheb_pair_from_complex_gap(n, gap)
+        m = _cell_pattern(t, u, chi, eta, tau, cmath.exp(-1j * k * float(total_length)), k)
+    except (OverflowError, ZeroDivisionError):
+        pass
+    else:
+        if m.is_finite:
+            return m
+    raise NonFiniteMatrixError(
+        f"alternating stack matrix leaves the double range at k = {k}, "
+        f"v1 = {v1}, v2 = {v2}, eps = {eps}, N = {n}"
+    )

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
-from ptstack import cheb_pair, cheb_pair_from_gap, cheb_t, cheb_u
+from ptstack import cheb_pair, cheb_pair_from_complex_gap, cheb_pair_from_gap, cheb_t, cheb_u
 
 def recurrence_pair(n, x):
     """Three-term recurrence, the small-n oracle."""
@@ -161,3 +161,39 @@ def test_degree_validation():
         cheb_pair(2.5, 0.5)
     with pytest.raises(ValueError):
         cheb_pair(3, math.nan)
+
+
+def test_complex_gap_matches_recurrence(rng):
+    # Complex arguments off and on the real segment; the three-term
+    # recurrence is the small-n oracle, as for the real pair.
+    for _ in range(400):
+        n = int(rng.integers(0, 200))
+        x = complex(rng.uniform(-1.5, 1.5), rng.choice([0.0, 1.0]) * rng.uniform(-0.5, 0.5))
+        t, u = cheb_pair_from_complex_gap(n, 1.0 - x)
+        t_ref, u_ref = recurrence_pair(n, x)
+        assert abs(t - t_ref) <= 1e-9 * max(1.0, abs(t_ref))
+        assert abs(u - u_ref) <= 1e-9 * max(1.0, abs(u_ref))
+
+
+def test_complex_gap_agrees_with_real_pair():
+    # A real gap, including ones far below 1e-16, goes the way of the real
+    # helper: the complex path keeps the same relative precision near x = 1.
+    # Both round n*theta (theta ~ sqrt(2 gap)), which costs ~n*theta ulps.
+    for n in (1, 7, 1000, 10**6):
+        for gap in (1e-13, 3e-9, 0.25, 1.0, 1.9, 2.0 - 1e-9, -1e-13, -2e-12):
+            pair = cheb_pair_from_gap(n, gap)
+            t, u = cheb_pair_from_complex_gap(n, complex(gap, 0.0))
+            tol = 1e-13 * max(1.0, n * math.sqrt(abs(gap)))
+            assert abs(t - pair.t_n) <= tol * max(1.0, abs(pair.t_n))
+            assert abs(u - pair.u_n_minus_1) <= tol * max(1.0, abs(pair.u_n_minus_1))
+
+
+def test_complex_gap_endpoints_and_overflow():
+    assert cheb_pair_from_complex_gap(0, 0.3 + 0.1j) == (1.0, 0.0)
+    for n in (1, 2, 7, 8, 10**6):
+        assert cheb_pair_from_complex_gap(n, 0.0) == (1.0, float(n))
+        t, u = cheb_pair_from_complex_gap(n, 2.0)
+        assert u == (-1.0) ** (n - 1) * n
+        assert abs(t - (-1.0) ** n) <= 1e-9
+    with pytest.raises(OverflowError):
+        cheb_pair_from_complex_gap(10**6, -1.0 + 0.5j)

@@ -204,6 +204,26 @@ def test_oracle_check_quick(capsys):
     assert {"slab_vs_closed", "ode_vs_closed", "t_lr_diff"} <= set(header)
     skipped = [r for r in rows if r["ode_vs_closed"] == "nan"]
     assert skipped, "quick mode should skip large-N ODE runs"
+    # the summary locates the worst gated deviation; ode_vs_slab is gated too
+    column = meta["max_deviation_column"]
+    assert column in ("slab_vs_closed", "ode_vs_closed", "ode_vs_slab")
+    worst = [
+        r for r in rows
+        if (r["k"], r["v"], r["N"]) == (meta["max_deviation_k"], meta["max_deviation_v"], meta["max_deviation_n"])
+    ]
+    assert len(worst) == 1 and worst[0][column] == meta["max_deviation"]
+    gated = [float(r[c]) for r in rows for c in ("slab_vs_closed", "ode_vs_closed", "ode_vs_slab") if r[c] != "nan"]
+    assert float(meta["max_deviation"]) == max(gated)
+
+
+def test_general_at_a_million_cells(capsys):
+    code, out, _ = run_cli(
+        capsys, "general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3", "--n-max", "1000000",
+    )
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert meta["converged"] == "True"
+    assert rows[-1]["N"] == "1000000"
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):
@@ -318,9 +338,9 @@ def test_numerical_failure_maps_to_exit_2(capsys, monkeypatch):
         ("sweep", "--v", "1e5", "--total-length", "50", "--n-min", "50", "--n-max", "50",
          "--n-count", "1", "--k-min", "1", "--k-max", "1", "--k-count", "1"),
         ("converge", "--k", "1", "--v", "1e5", "--total-length", "50"),
-        # the composed stack overflows before the fit
+        # the N-cell power of the alternating cell overflows before the fit
         ("general", "--v1", "0", "--v2", "1e5", "--eps", "1", "--k", "1", "--total-length", "50"),
-        # cmath.cos overflows inside one wide slab's matrix
+        # cmath.cos overflows inside one wide slab of the alternating cell
         ("general", "--v1", "0", "--v2", "1e5", "--eps", "1", "--k", "1", "--total-length", "50",
          "--n-min", "1", "--n-max", "2", "--n-count", "2"),
     ],

@@ -136,6 +136,34 @@ def test_generalized_records_reference_fitted_barrier():
         assert r.deviation_inf >= r.diag_measured_err
 
 
+@pytest.mark.parametrize(
+    "v1, v2, k, total, ns",
+    [
+        (0.0, 40.0, 1.0, 1.0, [2, 4, 8]),
+        (-0.1051, 0.2717, 2.4038, 1.8292, [405, 810, 1620, 6480]),
+        (-25.6455, 80.1734, 0.8074, 0.5398, [827, 1654, 3308, 13232]),
+        (64.3319, 26.5106, 5.4051, 1.0797, [154, 308, 616, 2464]),
+        (-0.9074, 0.2592, 2.0526, 2.3561, [3, 6, 12, 48]),
+    ],
+)
+def test_identical_slabs_are_not_converged(v1, v2, k, total, ns):
+    # eps = -1 makes both slabs v1 + i v2: the stack is one uniform barrier
+    # for every N and the deviations are rounding noise (these cases drew
+    # noise that happened to decrease), which carries no convergence signal.
+    res = generalized_limit_study(v1, v2, -1.0, total, ns, k)
+    assert abs(res.effective_height - complex(v1, v2)) <= 1e-9 * abs(complex(v1, v2))
+    assert not res.converged
+
+
+def test_generalized_study_reaches_a_million_cells():
+    ns = [10**3, 10**4, 10**5, 10**6]
+    res = generalized_limit_study(7.0, 40.0, 1.0, 1.0, ns, 3.0)
+    assert res.converged
+    assert abs(res.effective_height - 7.0) <= 1e-6
+    devs = [r.deviation_inf for r in res.records]
+    assert -1.05 <= fit_loglog_slope(ns, devs) <= -0.95
+
+
 # effective_height and converged as the earlier Levenberg-Marquardt fit
 # returned them; the Gauss-Newton fit must land on the same barrier.  The
 # "cli" case also pins the exit code of `general` at its defaults.

@@ -1,0 +1,45 @@
+"""Property tests of the unbalanced closed form over log-uniform inputs."""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ptstack import alternating_matrix, build_alternating, compose_stack
+from conftest import scaled_diff
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+# v1 of either sign or exactly 0 (the balanced-height family).
+V1 = st.one_of(st.just(0.0), st.tuples(st.sampled_from((-1.0, 1.0)), log_uniform(-2, 2)).map(
+    lambda pair: pair[0] * pair[1]
+))
+# N <= 4096, log-uniform.
+N_CELLS = st.floats(0.0, math.log10(4096)).map(lambda e: int(round(10.0 ** e)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    v1=V1,
+    v2=log_uniform(-2, 2),
+    eps=st.floats(-1.5, 1.5),
+    # k >= 10^-0.5: below it the slab product's own rounding (relative
+    # ~N * eps * |h| / k^2) reaches 1e-10 at v1 = -100, N = 4096, while the
+    # closed form stays at 1e-14 of the mpmath product there
+    # (tests/test_stack.py::test_alternating_matches_high_precision_power).
+    k=log_uniform(-0.5, 1.3),
+    total_length=log_uniform(-1, 0.5),
+    n=N_CELLS,
+)
+def test_alternating_matches_slab_product(v1, v2, eps, k, total_length, n):
+    m = alternating_matrix(v1, v2, eps, n, total_length, k)
+    product = compose_stack(build_alternating(v1, v2, eps, n, total_length), k)
+    assert scaled_diff(m, product) <= 1e-10
+    # t from the left is 1/m22, from the right det/m22: they agree as far as
+    # the determinant is resolvable, ~eps * (|m11 m22| + |m12 m21|).
+    t_left, t_right = 1.0 / m.m22, m.det / m.m22
+    resolvable = abs(m.m11 * m.m22) + abs(m.m12 * m.m21)
+    assert abs(t_left - t_right) <= 1e-12 * resolvable * abs(t_left)

@@ -1,17 +1,25 @@
+import cmath
+
+import mpmath as mp
+import numpy as np
 import pytest
 
 from ptstack import (
     Layer,
+    NonFiniteMatrixError,
     PeriodicSpec,
     PotentialStack,
     TransferMatrix,
+    alternating_matrix,
     barrier_matrix,
     build_alternating,
     compose_stack,
+    mat_multiply,
+    mat_power_direct,
     periodic_matrix,
     unit_cell_matrix,
 )
-from conftest import entry_diff, rel_diff
+from conftest import entry_diff, rel_diff, scaled_diff
 
 
 def test_spec_validation():
@@ -122,3 +130,102 @@ def test_large_n_stays_o1():
     for _ in range(100):
         periodic_matrix(PeriodicSpec(v=40.0, n_cells=10**6, total_length=1.0), 5.0)
     assert time.time() - t0 < 1.0
+
+
+# (v1, v2, eps, k): real barrier, unbalanced, general, deep well with gain,
+# identical slabs (eps = -1), real heights only (v2 = 0).
+ALTERNATING_CASES = [
+    (7.0, 40.0, 1.0, 3.0),
+    (0.0, 40.0, 0.5, 3.0),
+    (2.0, 10.0, 0.3, 1.5),
+    (-30.0, 5.0, 1.3, 0.7),
+    (0.0, 40.0, -1.0, 1.0),
+    (5.0, 0.0, 1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("v1, v2, eps, k", ALTERNATING_CASES)
+def test_alternating_matches_power_of_rebased_cell(v1, v2, eps, k):
+    # The reference powers the two-slab cell with mat_power_direct, rebased to
+    # its own left edge as in test_core::test_power_matches_periodic_closed_form.
+    total = 1.0
+    for n in (1, 2, 7, 64):
+        b = total / (2 * n)
+        cell = compose_stack(build_alternating(v1, v2, eps, 1, 2 * b), k)
+        rebase = TransferMatrix(cmath.exp(2j * k * b), 0.0, 0.0, cmath.exp(-2j * k * b), k)
+        restore = TransferMatrix(cmath.exp(-1j * k * total), 0.0, 0.0, cmath.exp(1j * k * total), k)
+        powered = mat_multiply(restore, mat_power_direct(mat_multiply(rebase, cell), n))
+        assert scaled_diff(alternating_matrix(v1, v2, eps, n, total, k), powered) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000, 10**6])
+def test_alternating_balanced_reduces_to_periodic(n):
+    for k in (0.5, 3.0, 20.0):
+        for v in (1.0, 40.0):
+            balanced = alternating_matrix(0.0, v, 1.0, n, 1.0, k)
+            assert scaled_diff(balanced, periodic_matrix(PeriodicSpec(v, n, 1.0), k)) <= 1e-13
+
+
+def _mp_alternating(v1, v2, eps, n, total, k):
+    """The N-cell matrix with the cell power taken in 40-digit arithmetic."""
+    with mp.workdps(40):
+        k, b = mp.mpf(k), mp.mpf(total) / (2 * n)
+
+        def slab(h):
+            q = mp.sqrt(k * k - h)
+            c, s = mp.cos(q * b), mp.sin(q * b) / q
+            d, o = (2 * k * k - h) / (2 * k) * s, h / (2 * k) * s
+            return mp.matrix([[c + 1j * d, -1j * o], [1j * o, c - 1j * d]])
+
+        power = (slab(mp.mpc(v1, -eps * v2)) * slab(mp.mpc(v1, v2))) ** n
+        phase = mp.exp(-1j * k * total)
+        return TransferMatrix(
+            complex(power[0, 0] * phase), complex(power[0, 1] * phase),
+            complex(power[1, 0] / phase), complex(power[1, 1] / phase), float(k),
+        )
+
+
+@pytest.mark.parametrize(
+    "v1, v2, eps, n, total, k",
+    [
+        # the benchmark's unbalanced input, where 1 - tr/2 taken from the trace
+        # is off by 6e-7 at N = 65536
+        (7.0, 40.0, 1.0, 65536, 1.0, 3.25),
+        (7.0, 40.0, 1.0, 10**6, 1.0, 3.0),
+        (0.0, 40.0, 0.5, 10**6, 1.0, 3.0),
+        # a deep well at small k: the slab product drifts by 1.5e-10 here
+        (-100.0, 0.01, 1.5, 4096, 3.16, 0.1),
+        # nearly equal gain slabs, entries ~2e15: the slab product drifts by 1.6e-10
+        (0.1788, 115.709, -1.032, 1509, 4.0138, 0.03259),
+        # evanescent slabs with nearly opposite principal q: q1 + q2 would cancel
+        # without the sign choice for q2
+        (100.0, 1e-3, 0.5, 10**5, 1.0, 1.0),
+    ],
+)
+def test_alternating_matches_high_precision_power(v1, v2, eps, n, total, k):
+    reference = _mp_alternating(v1, v2, eps, n, total, k)
+    assert scaled_diff(alternating_matrix(v1, v2, eps, n, total, k), reference) <= 1e-13
+
+
+def test_alternating_is_o1_in_n():
+    import time
+
+    t0 = time.time()
+    for _ in range(100):
+        alternating_matrix(7.0, 40.0, 1.0, 10**6, 1.0, 3.0)
+    assert time.time() - t0 < 1.0
+
+
+def test_alternating_validation_and_overflow():
+    with pytest.raises(ValueError):
+        alternating_matrix(7.0, 40.0, 1.0, 0, 1.0, 3.0)
+    with pytest.raises(ValueError):
+        alternating_matrix(7.0, 40.0, 1.0, 4, -1.0, 3.0)
+    with pytest.raises(ValueError):
+        alternating_matrix(7.0, np.nan, 1.0, 4, 1.0, 3.0)
+    with pytest.raises(ValueError):
+        alternating_matrix(7.0, 40.0, 1.0, 4, 1.0, 0.0)
+    # one slab overflows cmath.cos; the N-cell power overflows cmath.cos
+    for n, expected in ((1, "N = 1"), (128, "N = 128")):
+        with pytest.raises(NonFiniteMatrixError, match=f"k = 1.0, v1 = 0.0, v2 = 100000.0, eps = 1.0, {expected}"):
+            alternating_matrix(0.0, 1e5, 1.0, n, 50.0, 1.0)
