@@ -48,7 +48,6 @@ from .limits import (
 )
 from .oracle import (
     IntegrationFailureError,
-    IntegrationSettings,
     incidence_scattering,
     integrate_transfer_matrix,
     slab_propagation_matrix,
@@ -78,7 +77,6 @@ __all__ = [
     "ConvergenceRecord",
     "GeneralizedLimitResult",
     "IntegrationFailureError",
-    "IntegrationSettings",
     "Layer",
     "POLE_TOLERANCE",
     "NonFiniteMatrixError",

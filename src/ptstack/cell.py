@@ -37,7 +37,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import NonFiniteMatrixError, TransferMatrix, check_wave_number, mat_multiply
+from .core import (
+    NonFiniteMatrixError, TransferMatrix, check_finite, check_positive, check_wave_number, mat_multiply
+)
 
 # Below this |q*width| the slab propagation uses the series form of
 # sin(q w)/q; keeps barrier-top energies (q ~ 0) finite.
@@ -64,15 +66,15 @@ class CellParams:
     one_minus_xi: float
 
 
-def wave_params(k: float, v: float, b: float) -> tuple[float, float, float, float, float, float]:
-    """(rho, phi, alpha, beta, u_plus, u_minus) for a cell at (k, V, b)."""
-    k = check_wave_number(k)
-    v = float(v)
-    b = float(b)
-    if not (math.isfinite(v) and v > 0.0):
-        raise ValueError(f"gain/loss magnitude V must be finite and > 0, got {v!r}")
-    if not (math.isfinite(b) and b > 0.0):
-        raise ValueError(f"slab width b must be finite and > 0, got {b!r}")
+def _check_cell(k: float, v: float, b: float) -> tuple[float, float, float]:
+    return (
+        check_wave_number(k),
+        check_positive(v, "gain/loss magnitude V"),
+        check_positive(b, "slab width b"),
+    )
+
+
+def _wave_params(k: float, v: float, b: float) -> tuple[float, float, float, float, float, float]:
     rho = (k ** 4 + v * v) ** 0.25
     phi = 0.5 * math.atan(v / (k * k))
     alpha = b * rho * math.cos(phi)
@@ -82,35 +84,43 @@ def wave_params(k: float, v: float, b: float) -> tuple[float, float, float, floa
     return rho, phi, alpha, beta, u_plus, u_minus
 
 
+def wave_params(k: float, v: float, b: float) -> tuple[float, float, float, float, float, float]:
+    """(rho, phi, alpha, beta, u_plus, u_minus) for a cell at (k, V, b)."""
+    return _wave_params(*_check_cell(k, v, b))
+
+
 def unit_cell_elements(k: float, v: float, b: float) -> CellParams:
     """All derived cell quantities, including the matrix elements.
 
     Raises :class:`NonFiniteMatrixError` when a quantity leaves the double
-    range (``sinh`` of a large ``beta``, or ``k*k`` underflowing to 0).
+    range (``sinh`` of a large ``beta``, ``sin`` of an infinite ``alpha``, or
+    ``k*k`` underflowing to 0).
     """
+    k, v, b = _check_cell(k, v, b)
     try:
-        rho, phi, alpha, beta, u_plus, u_minus = wave_params(k, v, b)
+        rho, phi, alpha, beta, u_plus, u_minus = _wave_params(k, v, b)
         cos_phi = math.cos(phi)
         sin_phi = math.sin(phi)
         sin_a = math.sin(alpha)
+        sin_2a = math.sin(2.0 * alpha)
         sinh_b = math.sinh(beta)
         sinh_2b = math.sinh(2.0 * beta)
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ValueError, ZeroDivisionError):
         raise NonFiniteMatrixError(
             f"cell elements leave the double range at k = {k}, V = {v}, b = {b}"
         ) from None
 
     one_minus_xi = 2.0 * (cos_phi * sin_a - sin_phi * sinh_b) * (cos_phi * sin_a + sin_phi * sinh_b)
     xi = 1.0 - one_minus_xi
-    chi = 0.5 * (u_plus * cos_phi * math.sin(2.0 * alpha) + u_minus * sin_phi * sinh_2b)
+    chi = 0.5 * (u_plus * cos_phi * sin_2a + u_minus * sin_phi * sinh_2b)
     # (cosh(2b) - cos(2a))/2 == sin(a)^2 + sinh(b)^2, which avoids the 1 - 1
     # cancellation at small widths.
     eta = (sin_a * sin_a + sinh_b * sinh_b) * math.sin(2.0 * phi)
-    tau = 0.5 * (u_plus * sin_phi * sinh_2b + u_minus * cos_phi * math.sin(2.0 * alpha))
+    tau = 0.5 * (u_plus * sin_phi * sinh_2b + u_minus * cos_phi * sin_2a)
     return CellParams(
-        k=float(k),
-        v=float(v),
-        b=float(b),
+        k=k,
+        v=v,
+        b=b,
         rho=rho,
         phi=phi,
         alpha=alpha,
@@ -175,22 +185,21 @@ def barrier_matrix(k: float, height: complex, width: float, offset: float = 0.0)
     this reduces to the textbook rectangular-barrier matrix.
     """
     k = check_wave_number(k)
-    width = float(width)
-    if not (math.isfinite(width) and width > 0.0):
-        raise ValueError(f"barrier width must be finite and > 0, got {width!r}")
-    offset = float(offset)
-    height = complex(height)
+    height = check_finite(complex(height), "barrier height")
+    width = check_positive(width, "barrier width")
+    offset = check_finite(float(offset), "barrier offset")
     q2 = k * k - height
     try:
         c, s_over_q = _propagation_terms(q2, width)
-    except OverflowError:
+        edge_phase = cmath.exp(-1j * k * width)
+        position_phase = cmath.exp(-1j * k * (width + 2.0 * offset))
+    except (OverflowError, ValueError):
         raise NonFiniteMatrixError(
-            f"slab matrix overflows the double range at k = {k}, height = {height}, width = {width}"
+            f"slab matrix leaves the double range at k = {k}, height = {height}, "
+            f"width = {width}, offset = {offset}"
         ) from None
     diag = 0.5j * ((k * k + q2) / k) * s_over_q
     off = 0.5j * (height / k) * s_over_q
-    edge_phase = cmath.exp(-1j * k * width)
-    position_phase = cmath.exp(-1j * k * (width + 2.0 * offset))
     return TransferMatrix(
         (c + diag) * edge_phase,
         -off * position_phase,

@@ -31,6 +31,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .core import check_count
+
 
 @dataclass(frozen=True)
 class ChebyshevPair:
@@ -88,7 +90,7 @@ def cheb_pair_from_gap(n: int, gap: float) -> ChebyshevPair:
     1, pass the exactly known ``1 - x`` here instead of rounding x first.
     Any real ``gap`` is accepted (gap < 0 means x > 1, gap > 2 means x < -1).
     """
-    n = _check_degree(n)
+    n = check_count(n, "polynomial degree", 0)
     gap = float(gap)
     if math.isnan(gap):
         raise ValueError("gap must not be NaN")
@@ -107,7 +109,7 @@ def cheb_pair_from_complex_gap(n: int, gap: complex) -> tuple[complex, complex]:
     asin, where the two square roots could disagree in sign.  ``cmath``
     raises OverflowError when n*theta leaves the double range.
     """
-    n = _check_degree(n)
+    n = check_count(n, "polynomial degree", 0)
     gap = complex(gap)
     if n == 0:
         return 1.0 + 0.0j, 0.0j
@@ -130,7 +132,7 @@ def cheb_pair(n: int, x: float) -> ChebyshevPair:
     x = float(x)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
-    n = _check_degree(n)
+    n = check_count(n, "polynomial degree", 0)
     t, u = _eval_pair(n, 1.0 - x)
     return ChebyshevPair(n=n, x=x, t_n=t, u_n_minus_1=u)
 
@@ -142,13 +144,4 @@ def cheb_t(n: int, x: float) -> float:
 
 def cheb_u(n: int, x: float) -> float:
     """Chebyshev polynomial of the second kind, U_n(x)."""
-    return cheb_pair(_check_degree(n) + 1, x).u_n_minus_1
-
-
-def _check_degree(n: int) -> int:
-    if n != int(n):
-        raise ValueError(f"polynomial degree must be an integer, got {n!r}")
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"polynomial degree must be >= 0, got {n}")
-    return n
+    return cheb_pair(check_count(n, "polynomial degree", 0) + 1, x).u_n_minus_1

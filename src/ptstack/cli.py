@@ -33,13 +33,7 @@ from .limits import (
     fit_loglog_slope,
     generalized_limit_study,
 )
-from .oracle import (
-    IntegrationFailureError,
-    IntegrationSettings,
-    incidence_scattering,
-    integrate_transfer_matrix,
-    slab_propagation_matrix,
-)
+from .oracle import incidence_scattering, integrate_transfer_matrix, slab_propagation_matrix
 from .scattering import transmission_surface
 from .stack import PeriodicSpec, build_alternating, periodic_matrix
 
@@ -298,7 +292,6 @@ def cmd_general(opt: dict, defaulted: set):
 
 
 def cmd_oracle_check(opt: dict, defaulted: set):
-    settings = IntegrationSettings(rel_tol=opt["rel_tol"], abs_tol=opt["abs_tol"])
     rows = []
     worst = (0.0, math.nan, math.nan, 0, "none")  # (deviation, k, v, N, column)
     for v in ORACLE_GRID_V:
@@ -310,9 +303,9 @@ def cmd_oracle_check(opt: dict, defaulted: set):
                 slab_vs_closed = _matrix_dev(slab, closed)
                 ode_vs_closed = ode_vs_slab = t_lr_diff = math.nan
                 if n <= opt["ode_n_max"]:
-                    ode = integrate_transfer_matrix(stack, k, settings)
-                    t_l, _ = incidence_scattering(stack, k, "left", settings)
-                    t_r, _ = incidence_scattering(stack, k, "right", settings)
+                    ode = integrate_transfer_matrix(stack, k)
+                    t_l, _ = incidence_scattering(stack, k, "left")
+                    t_r, _ = incidence_scattering(stack, k, "right")
                     ode_vs_closed = _matrix_dev(ode, closed)
                     ode_vs_slab = _matrix_dev(ode, slab)
                     t_lr_diff = abs(t_l - t_r)
@@ -368,11 +361,7 @@ _COMMANDS = {
     ),
     "oracle-check": (
         cmd_oracle_check, "closed form vs integration oracles on a fixed grid",
-        {
-            "rel_tol": _Opt(float, 1e-12),
-            "abs_tol": _Opt(float, 1e-14),
-            "ode_n_max": _Opt(int, 64, "largest N run through the ODE tier"),
-        },
+        {"ode_n_max": _Opt(int, 64, "largest N run through the ODE tier")},
         _Preset("quick", "restrict the ODE tier to N <= 4", {"ode_n_max": 4}),
     ),
 }
@@ -413,7 +402,7 @@ def main(argv=None) -> int:
     except (CliUsageError, ValueError, OSError) as exc:
         print(f"ptstack: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, IntegrationFailureError) as exc:
+    except ArithmeticError as exc:
         print(f"ptstack: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

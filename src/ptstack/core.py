@@ -39,16 +39,47 @@ class NonFiniteMatrixError(ArithmeticError):
     """A computed transfer matrix has an inf or NaN entry (double range exceeded)."""
 
 
+def check_positive(value: float, name: str) -> float:
+    """Return ``value`` as a float, or raise ValueError unless it is finite and > 0.
+
+    The one rule for every magnitude: V, slab widths and total lengths.
+    """
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
 def check_wave_number(k: float) -> float:
     """Validate a scattering wave number and return it as a float.
 
     Only real k > 0 is supported; k = 0 is rejected because the cell
     quantities k/rho + rho/k and their relatives diverge there.
     """
-    k = float(k)
-    if not math.isfinite(k) or k <= 0.0:
-        raise ValueError(f"wave number must be finite and > 0, got {k!r}")
-    return k
+    return check_positive(k, "wave number")
+
+
+def check_count(n: int, name: str, minimum: int) -> int:
+    """Return ``n`` as an int >= ``minimum``: cell counts and polynomial degrees.
+
+    Integral floats (2.0) and numpy integers pass; 2.5 is rejected rather
+    than truncated.
+    """
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != n or count < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return count
+
+
+def check_finite(value: complex, name: str) -> complex:
+    """Return ``value`` (real or complex) unchanged, or raise ValueError unless
+    it is finite: slab heights and offsets."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -60,13 +91,9 @@ class Layer:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.width) and self.width > 0.0):
-            raise ValueError(f"layer width must be finite and > 0, got {self.width!r}")
-        if not math.isfinite(self.offset):
-            raise ValueError(f"layer offset must be finite, got {self.offset!r}")
-        h = complex(self.height)
-        if not (math.isfinite(h.real) and math.isfinite(h.imag)):
-            raise ValueError(f"layer height must be finite, got {self.height!r}")
+        check_positive(self.width, "layer width")
+        check_finite(float(self.offset), "layer offset")
+        check_finite(complex(self.height), "layer height")
 
     @property
     def right_edge(self) -> float:
@@ -165,9 +192,7 @@ def mat_power_direct(m: TransferMatrix, n: int) -> TransferMatrix:
     Chebyshev closed form is validated against, so it must not share that
     shortcut.  ``n = 0`` returns the identity (degenerate but well defined).
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"matrix power requires n >= 0, got {n}")
+    n = check_count(n, "matrix power n", 0)
     a11, a12, a21, a22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
     for _ in range(n):
         a11, a12, a21, a22 = (

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .cell import barrier_matrix
-from .core import TransferMatrix, check_wave_number
+from .core import TransferMatrix, check_count, check_positive, check_wave_number
 from .stack import PeriodicSpec, alternating_matrix, periodic_matrix
 
 
@@ -72,11 +72,9 @@ def predict_asymptotics(k: float, v: float, total_length: float, n: int) -> Asym
     replaces it by kL/N.  Tests and ratio checks use the exact form.
     """
     k = check_wave_number(k)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    total_length = float(total_length)
-    v = float(v)
+    n = check_count(n, "n", 1)
+    total_length = check_positive(total_length, "total_length")
+    v = check_positive(v, "V")
     kl = k * total_length
     b = total_length / (2.0 * n)
     return AsymptoticPrediction(
@@ -113,13 +111,11 @@ def _deviation_record(n: int, k: float, m: TransferMatrix, ref: TransferMatrix, 
 
 
 def _check_schedule(n_schedule: Sequence[int]) -> list[int]:
-    ns = [int(n) for n in n_schedule]
+    ns = [check_count(n, "n_schedule entry", 1) for n in n_schedule]
     if not ns:
         raise ValueError("n_schedule must not be empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"n_schedule must be strictly increasing, got {ns}")
-    if ns[0] < 1:
-        raise ValueError("n_schedule entries must be >= 1")
     return ns
 
 

@@ -19,7 +19,6 @@ Both tiers share the global-coordinate amplitude convention of
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +26,14 @@ from .core import PotentialStack, TransferMatrix, check_wave_number
 
 _SINC_SWITCH = 1e-4  # kept local: this tier must not lean on the closed-form module
 
+# The one tolerance of the ODE tier's DOP853 step controller, tight enough
+# that the tier's own error stays far below ORACLE_THRESHOLD of oracle-check.
+REL_TOL = 1e-12
+ABS_TOL = 1e-14
 
-class IntegrationFailureError(RuntimeError):
-    """The step controller could not reach the requested tolerance."""
+
+class IntegrationFailureError(RuntimeError, ArithmeticError):
+    """The step controller could not reach the tolerance."""
 
 
 def solve_ivp(*args, **kwargs):
@@ -37,19 +41,6 @@ def solve_ivp(*args, **kwargs):
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
-
-
-@dataclass(frozen=True)
-class IntegrationSettings:
-    """Tolerances for the ODE tier, which always integrates with the
-    8th-order Dormand-Prince pair (DOP853) under step-size control."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be > 0")
 
 
 def _segments(stack: PotentialStack) -> list[tuple[float, float, complex]]:
@@ -68,7 +59,6 @@ def _integrate_through(
     stack: PotentialStack,
     k: float,
     y0: np.ndarray,
-    settings: IntegrationSettings,
     backward: bool = False,
 ) -> np.ndarray:
     """Chain the state vector through every segment (pairs of psi, psi')."""
@@ -90,8 +80,8 @@ def _integrate_through(
             (x_from, x_to),
             y,
             method="DOP853",
-            rtol=settings.rel_tol,
-            atol=settings.abs_tol,
+            rtol=REL_TOL,
+            atol=ABS_TOL,
             dense_output=False,
         )
         if not sol.success:
@@ -111,16 +101,13 @@ def _amplitudes_at(psi: complex, dpsi: complex, k: float, x: float) -> tuple[com
     return a, b
 
 
-def integrate_transfer_matrix(
-    stack: PotentialStack, k: float, settings: IntegrationSettings | None = None
-) -> TransferMatrix:
+def integrate_transfer_matrix(stack: PotentialStack, k: float) -> TransferMatrix:
     """Transfer matrix of an arbitrary stack by direct integration.
 
     Two independent plane-wave initial conditions are carried from the left
     edge to the right edge; their images give the columns of the matrix.
     """
     k = check_wave_number(k)
-    settings = settings or IntegrationSettings()
     if not stack.layers:
         return TransferMatrix.identity(k)
     x_l, x_r = stack.left_edge, stack.right_edge
@@ -129,17 +116,14 @@ def integrate_transfer_matrix(
     y0 = np.array(
         [right_mover, 1j * k * right_mover, left_mover, -1j * k * left_mover], dtype=complex
     )
-    y = _integrate_through(stack, k, y0, settings)
+    y = _integrate_through(stack, k, y0)
     a1, b1 = _amplitudes_at(complex(y[0]), complex(y[1]), k, x_r)
     a2, b2 = _amplitudes_at(complex(y[2]), complex(y[3]), k, x_r)
     return TransferMatrix(a1, a2, b1, b2, k)
 
 
 def incidence_scattering(
-    stack: PotentialStack,
-    k: float,
-    side: str = "left",
-    settings: IntegrationSettings | None = None,
+    stack: PotentialStack, k: float, side: str = "left"
 ) -> tuple[complex, complex]:
     """(t, r) for a wave incident from ``side``, by solving the physical
     boundary-value problem directly (no transfer-matrix assembly).
@@ -149,7 +133,6 @@ def incidence_scattering(
     components are read off.
     """
     k = check_wave_number(k)
-    settings = settings or IntegrationSettings()
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if not stack.layers:
@@ -158,12 +141,12 @@ def incidence_scattering(
     if side == "left":
         out = cmath.exp(1j * k * x_r)
         y0 = np.array([out, 1j * k * out], dtype=complex)
-        y = _integrate_through(stack, k, y0, settings, backward=True)
+        y = _integrate_through(stack, k, y0, backward=True)
         incoming, reflected = _amplitudes_at(complex(y[0]), complex(y[1]), k, x_l)
     else:
         out = cmath.exp(-1j * k * x_l)
         y0 = np.array([out, -1j * k * out], dtype=complex)
-        y = _integrate_through(stack, k, y0, settings)
+        y = _integrate_through(stack, k, y0)
         reflected, incoming = _amplitudes_at(complex(y[0]), complex(y[1]), k, x_r)
     return 1.0 / incoming, reflected / incoming
 

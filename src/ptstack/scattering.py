@@ -91,7 +91,7 @@ def transmission_surface(
     k_list = [check_wave_number(k) for k in k_values]
     rows = []
     for n in n_values:
-        spec = PeriodicSpec(v=v, n_cells=int(n), total_length=total_length)
+        spec = PeriodicSpec(v=v, n_cells=n, total_length=total_length)
         for k in k_list:
             m = periodic_matrix(spec, k)
             coeffs = scattering_from_matrix(m)

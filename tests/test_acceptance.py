@@ -9,7 +9,6 @@ import mpmath as mp
 import numpy as np
 
 from ptstack import (
-    IntegrationSettings,
     Layer,
     PeriodicSpec,
     PotentialStack,
@@ -31,8 +30,6 @@ from ptstack import (
     unit_cell_elements,
     unit_cell_matrix,
 )
-
-TIGHT = IntegrationSettings(rel_tol=1e-12, abs_tol=1e-14)
 
 _DBL_MAX_LOG = math.log(1.7976931348623157e308)
 
@@ -73,7 +70,7 @@ def test_criterion_2_unit_cell_closed_form():
                 cell = unit_cell_matrix(k, v, b)
                 comp = cell_from_barriers(k, v, b)
                 stack = PotentialStack([Layer(1j * v, b, 0.0), Layer(-1j * v, b, b)])
-                ode = integrate_transfer_matrix(stack, k, TIGHT)
+                ode = integrate_transfer_matrix(stack, k)
                 worst_comp = max(worst_comp, _entry_diff(cell, comp))
                 worst_ode = max(worst_ode, _entry_diff(cell, ode))
     elapsed = time.perf_counter() - t0
@@ -192,11 +189,11 @@ def test_criterion_8_oracle_self_consistency():
         for v in (1.0, 40.0, 100.0):
             for b in (0.01, 0.05, 0.5):
                 stack = PotentialStack([Layer(1j * v, b, 0.0), Layer(-1j * v, b, b)])
-                ode = integrate_transfer_matrix(stack, k, TIGHT)
+                ode = integrate_transfer_matrix(stack, k)
                 slab = slab_propagation_matrix(stack, k)
                 worst_tier = max(worst_tier, _scaled_diff(ode, slab))
-                t_l, _ = incidence_scattering(stack, k, "left", TIGHT)
-                t_r, _ = incidence_scattering(stack, k, "right", TIGHT)
+                t_l, _ = incidence_scattering(stack, k, "left")
+                t_r, _ = incidence_scattering(stack, k, "right")
                 worst_t = max(worst_t, abs(t_l - t_r))
     elapsed = time.perf_counter() - t0
     ok = worst_tier <= 1e-9 and worst_t <= 1e-8

@@ -277,6 +277,26 @@ def test_config_bad_choice(capsys, tmp_path):
     assert "n_spacing must be one of ('linear', 'log'), got 'cubic'" in err
 
 
+def test_oracle_check_tolerance_is_fixed(capsys, tmp_path):
+    # The ODE tier runs at one tolerance; neither a flag nor a config key sets it.
+    code, out, err = run_cli(capsys, "oracle-check", "--quick", "--rel-tol", "1e-12")
+    assert (code, out) == (1, "")
+    assert "--rel-tol" in err
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text("abs_tol = 1e-14\n")
+    code, out, err = run_cli(capsys, "oracle-check", "--quick", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "unknown config keys: abs_tol" in err
+
+
+def test_non_integer_n_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("n_min = 2.5\n")
+    code, out, err = run_cli(capsys, "converge", "--k", "5", "--v", "40", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert "n_min" in err
+
+
 def test_config_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("vv = 40\n")
@@ -343,9 +363,21 @@ def test_numerical_failure_maps_to_exit_2(capsys, monkeypatch):
         # cmath.cos overflows inside one wide slab of the alternating cell
         ("general", "--v1", "0", "--v2", "1e5", "--eps", "1", "--k", "1", "--total-length", "50",
          "--n-min", "1", "--n-max", "2", "--n-count", "2"),
+        # rho (V*V), alpha (b*rho) or q*b reach inf, where math/cmath raise a domain error
+        ("cell", "--k", "1", "--v", "1e300", "--b", "1"),
+        ("converge", "--k", "5", "--v", "1e300"),
+        ("sweep", "--v", "1e300", "--n-min", "1", "--n-max", "2"),
+        ("cell", "--k", "1e10", "--v", "40", "--b", "1e300"),
+        ("general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "1e10", "--total-length", "1e308",
+         "--n-min", "1", "--n-max", "2", "--n-count", "2"),
+        # 2*alpha alone reaches inf; k*L alone reaches inf
+        ("cell", "--k", "1e77", "--v", "1e-300", "--b", "1e231"),
+        ("converge", "--k", "1e10", "--v", "1e-300", "--total-length", "1e299",
+         "--n-min", "1000", "--n-max", "1000", "--n-count", "1"),
     ],
     ids=["sweep-overflow", "cell-overflow", "cell-underflow", "sweep-nan", "converge-nan", "general-nan",
-         "general-overflow"],
+         "general-overflow", "cell-domain-v", "converge-domain", "sweep-domain", "cell-domain-b",
+         "general-domain", "cell-domain-2alpha", "converge-domain-kl"],
 )
 def test_out_of_range_input_exits_2(capsys, args):
     code, out, err = run_cli(capsys, *args)

@@ -8,12 +8,19 @@ from ptstack import (
     PotentialStack,
     TransferMatrix,
     WaveNumberMismatchError,
+    alternating_matrix,
+    build_alternating,
     check_wave_number,
+    convergence_study,
+    generalized_limit_study,
     mat_multiply,
     mat_power_direct,
+    predict_asymptotics,
     translate,
+    transmission_surface,
     unit_cell_matrix,
 )
+from ptstack.core import check_count, check_finite, check_positive
 from conftest import entry_diff, random_unimodular
 
 
@@ -22,6 +29,45 @@ def test_wave_number_validation():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             check_wave_number(bad)
+
+
+def test_input_checks():
+    assert check_positive(3, "V") == 3.0
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="V must be finite and > 0"):
+            check_positive(bad, "V")
+    assert check_count(2.0, "n", 1) == 2 and type(check_count(np.int64(2), "n", 1)) is int
+    assert check_count(0, "degree", 0) == 0
+    for bad in (2.5, 0, -1, math.nan, math.inf, "2", None):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            check_count(bad, "n", 1)
+    assert check_finite(1 - 2j, "height") == 1 - 2j and check_finite(-3.0, "offset") == -3.0
+    for bad in (complex(0, math.inf), math.nan, -math.inf):
+        with pytest.raises(ValueError, match="height must be finite"):
+            check_finite(bad, "height")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: alternating_matrix(7.0, 40.0, 1.0, n, 1.0, 3.0),
+        lambda n: build_alternating(7.0, 40.0, 1.0, n, 1.0),
+        lambda n: predict_asymptotics(1.0, 40.0, 1.0, n),
+        lambda n: mat_power_direct(unit_cell_matrix(1.0, 40.0, 0.05), n),
+        lambda n: convergence_study(2.0, 40.0, 1.0, [1, n]),
+        lambda n: generalized_limit_study(7.0, 40.0, 1.0, 1.0, [1, n], 3.0),
+        lambda n: transmission_surface(40.0, 1.0, [n], [1.0, 2.0]),
+    ],
+    ids=[
+        "alternating_matrix", "build_alternating", "predict_asymptotics", "mat_power_direct",
+        "convergence_study", "generalized_limit_study", "transmission_surface",
+    ],
+)
+def test_cell_count_must_be_an_integer(call):
+    # A non-integer cell count is invalid input, never truncated.
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(2.5)
+    assert repr(call(2.0)) == repr(call(np.int64(2))) == repr(call(2))
 
 
 def test_layer_validation():

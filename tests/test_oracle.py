@@ -1,7 +1,6 @@
 import pytest
 
 from ptstack import (
-    IntegrationSettings,
     Layer,
     PeriodicSpec,
     PotentialStack,
@@ -17,18 +16,8 @@ from ptstack import (
 )
 from conftest import entry_diff, scaled_diff
 
-TIGHT = IntegrationSettings(rel_tol=1e-12, abs_tol=1e-14)
-
-
 def cell_stack(v, b):
     return PotentialStack([Layer(1j * v, b, 0.0), Layer(-1j * v, b, b)])
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        IntegrationSettings(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegrationSettings(abs_tol=-1.0)
 
 
 def test_empty_stack_is_identity():
@@ -40,7 +29,7 @@ def test_empty_stack_is_identity():
 def test_single_real_barrier_matches_closed_form():
     stack = PotentialStack([Layer(10.0, 0.5, 0.2)])
     ref = barrier_matrix(1.0, 10.0, 0.5, 0.2)
-    assert entry_diff(integrate_transfer_matrix(stack, 1.0, TIGHT), ref) <= 1e-8
+    assert entry_diff(integrate_transfer_matrix(stack, 1.0), ref) <= 1e-8
     assert entry_diff(slab_propagation_matrix(stack, 1.0), ref) <= 1e-12
 
 
@@ -48,14 +37,14 @@ def test_unit_cell_matches_closed_form():
     # Primary validation of the cell element formulas.
     for (k, v, b) in ((1.0, 40.0, 0.05), (2.0, 40.0, 0.1), (5.0, 1.0, 0.5)):
         ref = unit_cell_matrix(k, v, b)
-        ode = integrate_transfer_matrix(cell_stack(v, b), k, TIGHT)
+        ode = integrate_transfer_matrix(cell_stack(v, b), k)
         assert entry_diff(ode, ref) <= 1e-8
 
 
 def test_tiers_agree_scaled():
     for (k, v, b) in ((0.5, 100.0, 0.5), (1.0, 40.0, 0.05), (10.0, 1.0, 0.01)):
         stack = cell_stack(v, b)
-        ode = integrate_transfer_matrix(stack, k, TIGHT)
+        ode = integrate_transfer_matrix(stack, k)
         slab = slab_propagation_matrix(stack, k)
         assert scaled_diff(ode, slab) <= 1e-9
 
@@ -65,7 +54,7 @@ def test_gapped_heterogeneous_stack_both_tiers():
         [Layer(3.0 - 7.0j, 0.3, -0.5), Layer(12.0, 0.25, 0.1), Layer(2.0j, 0.4, 0.8)]
     )
     for k in (0.9, 4.2):
-        ode = integrate_transfer_matrix(stack, k, TIGHT)
+        ode = integrate_transfer_matrix(stack, k)
         slab = slab_propagation_matrix(stack, k)
         assert scaled_diff(ode, slab) <= 1e-9
         assert abs(slab.det - 1.0) <= 1e-11
@@ -85,8 +74,8 @@ def test_incidence_side_validation():
 def test_incidence_left_right_transmission_equal():
     for (k, v, b) in ((0.5, 40.0, 0.05), (2.0, 100.0, 0.2), (7.0, 1.0, 0.5)):
         stack = cell_stack(v, b)
-        t_l, _ = incidence_scattering(stack, k, "left", TIGHT)
-        t_r, _ = incidence_scattering(stack, k, "right", TIGHT)
+        t_l, _ = incidence_scattering(stack, k, "left")
+        t_r, _ = incidence_scattering(stack, k, "right")
         assert abs(t_l - t_r) <= 1e-8
 
 
@@ -94,8 +83,8 @@ def test_incidence_matches_matrix_route():
     k, v, b = 1.0, 40.0, 0.05
     stack = cell_stack(v, b)
     coeffs = scattering_from_matrix(unit_cell_matrix(k, v, b))
-    t_l, r_l = incidence_scattering(stack, k, "left", TIGHT)
-    t_r, r_r = incidence_scattering(stack, k, "right", TIGHT)
+    t_l, r_l = incidence_scattering(stack, k, "left")
+    t_r, r_r = incidence_scattering(stack, k, "right")
     assert abs(t_l - coeffs.t) <= 1e-10
     assert abs(t_r - coeffs.t) <= 1e-10
     assert abs(r_l - coeffs.r_left) <= 1e-10
@@ -107,7 +96,7 @@ def test_ode_vs_closed_form_midsize_stack():
     for (k, v, n) in ((2.0, 40.0, 16), (5.0, 1.0, 64)):
         stack = build_alternating(0.0, v, 1.0, n, 1.0)
         closed = periodic_matrix(PeriodicSpec(v=v, n_cells=n, total_length=1.0), k)
-        ode = integrate_transfer_matrix(stack, k, TIGHT)
+        ode = integrate_transfer_matrix(stack, k)
         assert scaled_diff(ode, closed) <= 1e-7
 
 
@@ -117,7 +106,7 @@ def test_end_to_end_pt_stack_n500():
     k, v, n = 5.0, 40.0, 500
     stack = build_alternating(0.0, v, 1.0, n, 1.0)
     coeffs = scattering_from_matrix(periodic_matrix(PeriodicSpec(v=v, n_cells=n, total_length=1.0), k))
-    t_l, r_l = incidence_scattering(stack, k, "left", TIGHT)
+    t_l, r_l = incidence_scattering(stack, k, "left")
     assert abs(t_l - coeffs.t) <= 1e-7
     assert abs(r_l - coeffs.r_left) <= 1e-7
 
