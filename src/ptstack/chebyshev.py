@@ -20,6 +20,10 @@ involved (2 - gap, gap - 2) are exact in floating point.
 Values whose true magnitude exceeds the double range (|x| > 1 with
 n*arccosh|x| above ~710) overflow to +/-inf with the correct sign.
 
+:func:`eval_pairs` evaluates the pair over an array of gaps, each branch on
+its own entries; :func:`cheb_pair_from_gap` and :func:`cheb_pair` are
+length-1 calls of it.
+
 :func:`cheb_pair_from_complex_gap` evaluates the pair at a complex argument
 through the same half-angle form; it serves the power of a cell that is not
 gain/loss balanced, whose half-trace is complex.
@@ -31,7 +35,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import check_count
+import numpy as np
+
+from .core import check_count, libm
 
 
 @dataclass(frozen=True)
@@ -58,29 +64,60 @@ def _sinh_safe(y: float) -> float:
         return math.copysign(math.inf, y)
 
 
-def _eval_pair(n: int, gap: float) -> tuple[float, float]:
+@np.errstate(all="ignore")
+def eval_pairs(n: int, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(T_n(1 - gap), U_{n-1}(1 - gap)) over an array of gaps: (t, u, errors).
+
+    ``errors`` maps each failing entry to its exception, as
+    :func:`ptstack.core.libm` does; a NaN gap is a ValueError.  Each branch
+    evaluates only its own entries.
+    """
+    errors = {i: ValueError("gap must not be NaN") for i in np.flatnonzero(np.isnan(gap)).tolist()}
     if n == 0:
-        return 1.0, 0.0
-    sign_t = 1.0
-    sign_u = 1.0
-    if gap > 1.0:
-        # x < 0: reflect to x' = -x = gap - 1, i.e. gap' = 2 - gap (exact).
-        gap = 2.0 - gap
-        if n % 2:
-            sign_t = -1.0
-        else:
-            sign_u = -1.0
-    if gap < 0.0:
-        u_arg = -gap
-        theta_h = 2.0 * math.asinh(math.sqrt(0.5 * u_arg))
-        t = _cosh_safe(n * theta_h)
-        u = _sinh_safe(n * theta_h) / math.sqrt(u_arg * (u_arg + 2.0))
-    else:
-        theta = 2.0 * math.asin(math.sqrt(0.5 * gap))
-        sin_theta = math.sqrt(gap * (2.0 - gap))
-        t = math.cos(n * theta)
-        u = float(n) if sin_theta == 0.0 else math.sin(n * theta) / sin_theta
-    return sign_t * t, sign_u * u
+        return np.ones_like(gap), np.zeros_like(gap), errors
+    n_float = float(n)  # what n * theta rounds n to
+
+    def call(fn, rows, x):
+        values, failed = libm(fn, x)
+        for j, exc in failed.items():
+            errors.setdefault(int(rows[j]), exc)
+        return values
+
+    # x < 0: reflect to x' = -x = gap - 1, i.e. gap' = 2 - gap (exact).
+    reflected = gap > 1.0
+    gap = np.where(reflected, 2.0 - gap, gap)
+    sign_t = np.where(reflected & bool(n % 2), -1.0, 1.0)
+    sign_u = np.where(reflected & (not n % 2), -1.0, 1.0)
+    t, u = np.empty_like(gap), np.empty_like(gap)
+    hyperbolic = gap < 0.0
+
+    rows = np.flatnonzero(hyperbolic)
+    if rows.size:
+        u_arg = -gap[rows]
+        n_theta = n_float * (2.0 * call(math.asinh, rows, np.sqrt(0.5 * u_arg)))
+        sinh_theta = np.sqrt(u_arg * (u_arg + 2.0))
+        # Past |gap| ~ 1.3e154 the product overflows although its root does not.
+        wide = np.isinf(sinh_theta)
+        sinh_theta[wide] = np.sqrt(u_arg[wide]) * np.sqrt(u_arg[wide] + 2.0)
+        t[rows] = call(_cosh_safe, rows, n_theta)
+        u[rows] = call(_sinh_safe, rows, n_theta) / sinh_theta
+
+    rows = np.flatnonzero(~hyperbolic)
+    if rows.size:
+        g = gap[rows]
+        n_theta = n_float * (2.0 * call(math.asin, rows, np.sqrt(0.5 * g)))
+        sin_theta = np.sqrt(g * (2.0 - g))
+        t[rows] = call(math.cos, rows, n_theta)
+        u[rows] = np.where(sin_theta == 0.0, n_float, call(math.sin, rows, n_theta) / sin_theta)
+    return sign_t * t, sign_u * u, errors
+
+
+def _pair(n: int, gap: float) -> tuple[float, float]:
+    """A length-1 call of :func:`eval_pairs`, raising its error."""
+    t, u, errors = eval_pairs(n, np.array([gap]))
+    if errors:
+        raise errors[0]
+    return float(t[0]), float(u[0])
 
 
 def cheb_pair_from_gap(n: int, gap: float) -> ChebyshevPair:
@@ -92,9 +129,7 @@ def cheb_pair_from_gap(n: int, gap: float) -> ChebyshevPair:
     """
     n = check_count(n, "polynomial degree", 0)
     gap = float(gap)
-    if math.isnan(gap):
-        raise ValueError("gap must not be NaN")
-    t, u = _eval_pair(n, gap)
+    t, u = _pair(n, gap)
     return ChebyshevPair(n=n, x=1.0 - gap, t_n=t, u_n_minus_1=u)
 
 
@@ -133,7 +168,7 @@ def cheb_pair(n: int, x: float) -> ChebyshevPair:
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     n = check_count(n, "polynomial degree", 0)
-    t, u = _eval_pair(n, 1.0 - x)
+    t, u = _pair(n, 1.0 - x)
     return ChebyshevPair(n=n, x=x, t_n=t, u_n_minus_1=u)
 
 

@@ -18,6 +18,8 @@ tolerance failure), 3 study flagged as non-converged.
 from __future__ import annotations
 
 import argparse
+import cmath
+import contextlib
 import json
 import math
 import sys
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .cell import unit_cell_elements, unit_cell_matrix
+from .core import NonFiniteMatrixError
 from .limits import (
     convergence_study,
     fit_loglog_slope,
@@ -35,7 +38,7 @@ from .limits import (
 )
 from .oracle import incidence_scattering, integrate_transfer_matrix, slab_propagation_matrix
 from .scattering import transmission_surface
-from .stack import PeriodicSpec, build_alternating, periodic_matrix
+from .stack import PeriodicSpec, build_alternating, cells_as_float, periodic_matrix
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,6 +164,7 @@ def _n_grid(opt: dict) -> list[int]:
     lo, hi, count = opt["n_min"], opt["n_max"], opt["n_count"]
     if lo < 1 or hi < lo or count < 1:
         raise CliUsageError(f"bad N range: min={lo} max={hi} count={count}")
+    cells_as_float(hi)  # an N beyond the double range is a numerical failure, named
     if opt["n_spacing"] == "log":
         xs = np.geomspace(lo, hi, count)
     else:
@@ -184,37 +188,100 @@ def _flatten(pairs):
             yield name, value
 
 
-def _json_value(value):
+# How json.dumps spells the floats that have no JSON literal.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_FLOATS.get(text, text)
+
+
+def _json_token(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` of a table value on a line indented by
+    ``indent``: a complex is the list [re, im] and a NaN float is null."""
     if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
+        inner = indent + "  "
+        return f"[\n{inner}{_json_float(value.real)},\n{inner}{_json_float(value.imag)}\n{indent}]"
+    if isinstance(value, float):
+        return "null" if math.isnan(value) else _json_float(value)
+    return json.dumps(value)
 
 
-def _render(fmt: str, meta: list, columns: tuple, rows: list, summary: list) -> str:
-    """CSV or JSON text of one table; str(float) is the shortest round-trip repr."""
+def _json_object(pairs: list, indent: str) -> str:
+    inner = indent + "  "
+    items = [f"{inner}{json.dumps(k)}: {_json_token(v, inner)}" for k, v in dict(pairs).items()]
+    return "{\n" + ",\n".join(items) + f"\n{indent}}}" if items else "{}"
+
+
+def _csv_fields(name: str, values: list) -> list:
+    """(header, fields) of one column; a complex column splits into _re and _im."""
+    if values and isinstance(values[0], complex):
+        return [(f"{name}_re", [str(v.real) for v in values]), (f"{name}_im", [str(v.imag) for v in values])]
+    return [(name, list(map(str, values)))]
+
+
+def _json_fields(name: str, values: list) -> list:
+    return [(name, [_json_token(v, "      ") for v in values])]
+
+
+def _one_block(rows: list) -> list:
+    """A table of row tuples as a single block (see :func:`_write_table`)."""
+    return [(len(rows), [list(column) for column in zip(*rows)])]
+
+
+def _block_fields(columns: tuple, blocks, fields_of):
+    """The (header, fields) columns of each block, formatting a shared value
+    once and a column object repeated from the previous block not again."""
+    previous = {}
+    for count, values in blocks:
+        fields = []
+        for j, (name, column) in enumerate(zip(columns, values)):
+            if not isinstance(column, list):
+                fields += [(header, texts * count) for header, texts in fields_of(name, [column])]
+                continue
+            if j not in previous or previous[j][0] is not column:
+                previous[j] = (column, fields_of(name, column))
+            fields += previous[j][1]
+        yield fields
+
+
+def _write_table(out, fmt: str, meta: list, columns: tuple, blocks, summary: list) -> None:
+    """Write one table as CSV or JSON, a block of rows at a time.
+
+    ``blocks`` yields (row count, columns); a column is a list of values, or
+    one value shared by every row of the block.  The bytes are those of the
+    whole table's lines joined (CSV) or of ``json.dumps(doc, indent=2)``
+    (JSON); str(float) is the shortest round-trip repr.
+    """
     if fmt == "json":
-        doc = {
-            "metadata": dict(meta),
-            "rows": [{c: _json_value(v) for c, v in zip(columns, row)} for row in rows],
-        }
+        out.write('{\n  "metadata": ' + _json_object(meta, "  ") + ',\n  "rows": [')
+        row = "{\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in columns) + "\n    }"
+        separator = "\n    "
+        for fields in _block_fields(columns, blocks, _json_fields):
+            texts = [row % cells for cells in zip(*(f for _, f in fields))]
+            if texts:
+                out.write(separator + ",\n    ".join(texts))
+                separator = ",\n    "
+        out.write("]" if separator == "\n    " else "\n  ]")
         if summary:
-            doc["summary"] = {k: _json_value(v) for k, v in summary}
-        return json.dumps(doc, indent=2) + "\n"
-    lines = [f"# {k} = {v}" for k, v in meta]
-    lines.append(",".join(name for name, _ in _flatten(zip(columns, rows[0]))))
-    lines.extend(",".join(str(v) for _, v in _flatten(zip(columns, row))) for row in rows)
-    lines.extend(f"# {k} = {v}" for k, v in _flatten(summary))
-    return "\n".join(lines) + "\n"
+            out.write(',\n  "summary": ' + _json_object(summary, "  "))
+        out.write("\n}\n")
+        return
+    out.write("".join(f"# {k} = {v}\n" for k, v in meta))
+    header = None
+    for fields in _block_fields(columns, blocks, _csv_fields):
+        if header is None:
+            header = ",".join(name for name, _ in fields)
+            out.write(header + "\n")
+        lines = "\n".join(map(",".join, zip(*(f for _, f in fields))))
+        if lines:
+            out.write(lines + "\n")
+    out.write("".join(f"# {k} = {v}\n" for k, v in _flatten(summary)))
 
 
-def _write(text: str, path: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _open_output(path: str):
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
 
 
 def _matrix_dev(a, b) -> float:
@@ -225,7 +292,7 @@ def _matrix_dev(a, b) -> float:
 
 
 # Each command takes the resolved options and the names left at their default,
-# and returns (columns, rows, summary, extra metadata, exit code).
+# and returns (columns, blocks of rows, summary, extra metadata, exit code).
 
 _CELL_ELEMENTS = ("k", "v", "b", "rho", "phi", "alpha", "beta", "u_plus", "u_minus", "xi", "chi", "eta", "tau")
 _MATRIX_ENTRIES = ("m11", "m12", "m21", "m22", "absdet_err")
@@ -235,22 +302,30 @@ def cmd_cell(opt: dict, defaulted: set):
     p = unit_cell_elements(opt["k"], opt["v"], opt["b"])
     m = unit_cell_matrix(opt["k"], opt["v"], opt["b"])
     row = [getattr(p, c) for c in _CELL_ELEMENTS] + [getattr(m, c) for c in _MATRIX_ENTRIES]
-    return _CELL_ELEMENTS + _MATRIX_ENTRIES, [row], [], [], EXIT_OK
+    if not all(map(cmath.isfinite, row)):
+        raise NonFiniteMatrixError(
+            f"cell matrix or absdet_err leaves the double range at k = {p.k}, V = {p.v}, b = {p.b}"
+        )
+    return _CELL_ELEMENTS + _MATRIX_ENTRIES, _one_block([row]), [], [], EXIT_OK
 
 
 def cmd_sweep(opt: dict, defaulted: set):
     n_values = _n_grid(opt)
     k_values = _float_grid(opt["k_min"], opt["k_max"], opt["k_count"])
-    rows = [
-        (r.n, r.k, r.big_t, r.big_r_left, r.big_r_right, r.absdet_err)
-        for r in transmission_surface(opt["v"], opt["total_length"], n_values, k_values)
-    ]
+    table = transmission_surface(opt["v"], opt["total_length"], n_values, k_values)
+    k_column = table.k_values.tolist()
+    results = (table.big_t, table.big_r_left, table.big_r_right, table.absdet_err)
+    # One block per N: the N is one shared value and the k column one list.
+    blocks = (
+        (len(k_column), [n, k_column, *(column[i].tolist() for column in results)])
+        for i, n in enumerate(table.n_values)
+    )
     k_is_default = {"k_min", "k_max", "k_count"} <= defaulted
     extra = [
         ("fig3_preset", opt["fig3"]),
         ("k_grid_provenance", "tool default (no externally specified range)" if k_is_default else "user"),
     ]
-    return ("N", "k", "T", "R_left", "R_right", "absdet_err"), rows, [], extra, EXIT_OK
+    return ("N", "k", "T", "R_left", "R_right", "absdet_err"), blocks, [], extra, EXIT_OK
 
 
 def cmd_converge(opt: dict, defaulted: set):
@@ -269,7 +344,7 @@ def cmd_converge(opt: dict, defaulted: set):
         "N", "k", "deviation_inf", "diag_err", "offdiag_measured", "offdiag_predicted",
         "offdiag_ratio", "absdet_err",
     )
-    return columns, rows, summary, [], EXIT_OK
+    return columns, _one_block(rows), summary, [], EXIT_OK
 
 
 def cmd_general(opt: dict, defaulted: set):
@@ -288,7 +363,7 @@ def cmd_general(opt: dict, defaulted: set):
         )
     ]
     columns = ("N", "k", "deviation_inf", "diag_err", "offdiag_dev", "absdet_err")
-    return columns, rows, summary, [], EXIT_OK if result.converged else EXIT_NONCONVERGED
+    return columns, _one_block(rows), summary, [], EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
 def cmd_oracle_check(opt: dict, defaulted: set):
@@ -325,7 +400,7 @@ def cmd_oracle_check(opt: dict, defaulted: set):
         ("verdict", "ok" if ok else "deviation above threshold"),
     ]
     columns = ("k", "v", "N", "slab_vs_closed", "ode_vs_closed", "ode_vs_slab", "t_lr_diff", "absdet_err")
-    return columns, rows, summary, [], EXIT_OK if ok else EXIT_NUMERICAL
+    return columns, _one_block(rows), summary, [], EXIT_OK if ok else EXIT_NUMERICAL
 
 
 # subcommand -> (function, help, options, preset); --help lists the options in
@@ -394,10 +469,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         fn, _, options, preset = _COMMANDS[args.command]
         opt, defaulted = _resolve(args, {**options, **_IO_OPTIONS}, preset)
-        columns, rows, summary, extra, code = fn(opt, defaulted)
+        columns, blocks, summary, extra, code = fn(opt, defaulted)
         meta = [("tool", "ptstack"), ("tool_version", __version__), ("command", args.command)]
         meta += [(name, opt[name]) for name in options] + extra
-        _write(_render(opt["format"], meta, columns, rows, summary), opt["output"])
+        with _open_output(opt["output"]) as out:
+            _write_table(out, opt["format"], meta, columns, blocks, summary)
         return code
     except (CliUsageError, ValueError, OSError) as exc:
         print(f"ptstack: error: {exc}", file=sys.stderr)

@@ -8,7 +8,8 @@ Three routes produce the N-cell matrix:
       [[(T_N(xi) + i*chi*U_{N-1}(xi)) e^{-ikL},  i(eta - tau) U_{N-1}(xi) e^{-ikL}],
        [ i(eta + tau) U_{N-1}(xi) e^{ikL},      (T_N(xi) - i*chi*U_{N-1}(xi)) e^{ikL}]]
 
-  O(1) in N, the only practical route for large N.
+  O(1) in N, the only practical route for large N.  It evaluates a whole
+  k grid at once (:func:`periodic_arrays`); one k is a length-1 call.
 * :func:`alternating_matrix` - the same Chebyshev power for the unbalanced
   cell (v1 + i v2 then v1 - i eps v2), whose half-trace is complex.  O(1) in
   N; it serves the generalized fine-layer study.
@@ -23,14 +24,34 @@ times would contaminate the fixed-length limit with rounding.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .cell import _cell_pattern, _propagation_terms, barrier_matrix, unit_cell_elements
-from .chebyshev import cheb_pair_from_complex_gap, cheb_pair_from_gap
+import numpy as np
+
+from .cell import (
+    WaveTerms, _cell_pattern, _propagation_terms, barrier_matrix, cell_arrays, cell_error, cell_pattern_pairs,
+    wave_terms,
+)
+from .chebyshev import cheb_pair_from_complex_gap, eval_pairs
 from .core import (
     Layer, NonFiniteMatrixError, PotentialStack, TransferMatrix, check_count, check_finite,
-    check_positive, check_wave_number, mat_multiply,
+    check_positive, check_wave_number, error_mask, libm, mat_multiply, pairs_finite, raise_first,
 )
+
+
+def cells_as_float(n_cells: int) -> float:
+    """``float(n_cells)``, or :class:`NonFiniteMatrixError` naming n_cells
+    when it lies beyond the double range."""
+    try:
+        return float(n_cells)
+    except OverflowError:
+        from decimal import Decimal
+
+        raise NonFiniteMatrixError(
+            f"n_cells = {Decimal(n_cells):.3e} is beyond the double range"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -45,6 +66,7 @@ class PeriodicSpec:
         object.__setattr__(self, "v", check_positive(self.v, "V"))
         object.__setattr__(self, "n_cells", check_count(self.n_cells, "n_cells", 1))
         object.__setattr__(self, "total_length", check_positive(self.total_length, "total_length"))
+        cells_as_float(self.n_cells)
 
     @property
     def slab_width(self) -> float:
@@ -52,21 +74,55 @@ class PeriodicSpec:
         return self.total_length / (2.0 * self.n_cells)
 
 
+class SweepTerms(NamedTuple):
+    """What every N of a sweep at fixed (V, L) shares, one entry per k."""
+
+    wave: WaveTerms
+    phase: tuple  # e^{-ikL} as (re, im); NaN where kL leaves the double range
+
+
+@np.errstate(all="ignore")
+def sweep_terms(v: float, total_length: float, k: np.ndarray) -> SweepTerms:
+    """The k-only terms of a sweep: the cell's wave terms and the phase e^{-ikL}.
+
+    cmath.exp(-1j*k*L) is exp(0) * (cos(-kL), sin(-kL)), and raises a
+    ValueError where kL is infinite; that phase is NaN.
+    """
+    kl = -(k * total_length)
+    phase_re, _ = libm(math.cos, kl)
+    phase_im, _ = libm(math.sin, kl)
+    phase_im[np.isinf(kl)] = 0.0  # a float NaN meets a complex as (nan, 0.0)
+    return SweepTerms(wave_terms(k, v), (phase_re, phase_im))
+
+
+def periodic_arrays(spec: PeriodicSpec, terms: SweepTerms) -> tuple[tuple, list]:
+    """Entries of the N-cell matrix over the k of ``terms`` as (re, im) pairs,
+    with the stages at which entries fail, for :func:`ptstack.core.raise_first`."""
+    k, b = terms.wave.k, check_positive(spec.slab_width, "slab width b")
+    cell = cell_arrays(terms.wave, b)
+    t, u, cheb_errors = eval_pairs(spec.n_cells, cell.one_minus_xi)
+    real = [(x, 0.0) for x in (t, u, cell.chi, cell.eta, cell.tau)]
+    entries = cell_pattern_pairs(*real, terms.phase)
+    stages = [
+        (cell.failed, lambda i: cell_error(float(k[i]), spec.v, b)),
+        (error_mask(cheb_errors, len(k)), cheb_errors.__getitem__),
+        (~pairs_finite(*entries), lambda i: NonFiniteMatrixError(
+            f"N-cell matrix overflows the double range at k = {float(k[i])}, {spec}"
+        )),
+    ]
+    return entries, stages
+
+
 def periodic_matrix(spec: PeriodicSpec, k: float) -> TransferMatrix:
     """Closed-form transfer matrix of the N-cell stack on [0, total_length].
 
-    Raises :class:`NonFiniteMatrixError` if an entry overflows to inf or NaN.
+    A length-1 call of :func:`periodic_arrays`.  Raises
+    :class:`NonFiniteMatrixError` if an entry overflows to inf or NaN.
     """
-    p = unit_cell_elements(k, spec.v, spec.slab_width)
-    pair = cheb_pair_from_gap(spec.n_cells, p.one_minus_xi)
-    try:
-        phase = cmath.exp(-1j * p.k * spec.total_length)
-    except ValueError:  # kL beyond the double range
-        phase = cmath.nan
-    m = _cell_pattern(pair.t_n, pair.u_n_minus_1, p.chi, p.eta, p.tau, phase, p.k)
-    if not m.is_finite:
-        raise NonFiniteMatrixError(f"N-cell matrix overflows the double range at k = {p.k}, {spec}")
-    return m
+    k = check_wave_number(k)
+    entries, stages = periodic_arrays(spec, sweep_terms(spec.v, spec.total_length, np.array([k])))
+    raise_first(stages)
+    return TransferMatrix(*(complex(re[0], im[0]) for re, im in entries), k)
 
 
 def compose_stack(stack: PotentialStack, k: float) -> TransferMatrix:

@@ -197,3 +197,9 @@ def test_complex_gap_endpoints_and_overflow():
         assert abs(t - (-1.0) ** n) <= 1e-9
     with pytest.raises(OverflowError):
         cheb_pair_from_complex_gap(10**6, -1.0 + 0.5j)
+
+
+def test_hyperbolic_gap_beyond_square_overflow():
+    # gap * (gap - 2) overflows past |gap| ~ 1.3e154; sinh(theta), its root, does not.
+    for gap in (-1e160, 2.0 + 1e160, -1e300):
+        assert cheb_pair_from_gap(1, gap).u_n_minus_1 == pytest.approx(1.0, rel=1e-13)

@@ -374,10 +374,17 @@ def test_numerical_failure_maps_to_exit_2(capsys, monkeypatch):
         ("cell", "--k", "1e77", "--v", "1e-300", "--b", "1e231"),
         ("converge", "--k", "1e10", "--v", "1e-300", "--total-length", "1e299",
          "--n-min", "1000", "--n-max", "1000", "--n-count", "1"),
+        # the matrix fits, but det (cell) or |det - 1| and T, R (sweep) do not
+        ("cell", "--k", "0.5", "--v", "40", "--b", "50"),
+        ("sweep", "--v", "40", "--total-length", "100", "--n-min", "1", "--n-max", "1",
+         "--k-min", "0.5", "--k-max", "0.5", "--k-count", "1"),
+        ("sweep", "--v", "3000", "--total-length", "10", "--n-min", "1", "--n-max", "1",
+         "--k-min", "5.9", "--k-max", "5.9", "--k-count", "1"),
     ],
     ids=["sweep-overflow", "cell-overflow", "cell-underflow", "sweep-nan", "converge-nan", "general-nan",
          "general-overflow", "cell-domain-v", "converge-domain", "sweep-domain", "cell-domain-b",
-         "general-domain", "cell-domain-2alpha", "converge-domain-kl"],
+         "general-domain", "cell-domain-2alpha", "converge-domain-kl", "cell-absdet-nan",
+         "sweep-absdet-inf", "sweep-hyperbolic-wide"],
 )
 def test_out_of_range_input_exits_2(capsys, args):
     code, out, err = run_cli(capsys, *args)
@@ -386,6 +393,37 @@ def test_out_of_range_input_exits_2(capsys, args):
     assert err.startswith("ptstack: numerical failure: ")
     assert "k = " in err
     assert err.count("\n") == 1
+
+
+def test_nonfinite_sweep_row_names_its_point(capsys):
+    # The entries reach 1e160, so |det - 1| overflows.
+    code, out, err = run_cli(
+        capsys, "sweep", "--v", "3000", "--total-length", "10", "--n-min", "1", "--n-max", "2",
+        "--n-count", "2", "--k-min", "5.8", "--k-max", "5.9", "--k-count", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "ptstack: numerical failure: T, R or absdet_err leaves the double range at N = 1, k = 5.8\n"
+    )
+
+
+def test_converge_wide_hyperbolic_gap(capsys):
+    # |gap| ~ 1e160 at N = 1: U_0 = 1 must survive the overflow of gap^2.
+    code, out, _ = run_cli(
+        capsys, "converge", "--k", "5.9", "--v", "3000", "--total-length", "10",
+        "--n-min", "1", "--n-max", "2", "--n-count", "2",
+    )
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert rows[0]["N"] == "1"
+    assert float(rows[0]["offdiag_measured"]) > 1e160
+
+
+def test_cell_count_beyond_double_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, "converge", "--k", "1", "--v", "40", "--n-min", "1",
+                             "--n-max", "1" + "0" * 400)
+    assert (code, out) == (2, "")
+    assert err == "ptstack: numerical failure: n_cells = 1.000e+400 is beyond the double range\n"
 
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "cli"

@@ -1,6 +1,7 @@
 import pytest
 
 from ptstack import (
+    NonFiniteMatrixError,
     PeriodicSpec,
     SpectralPoleError,
     TransferMatrix,
@@ -92,3 +93,36 @@ def test_reflections_vanish_at_large_n():
         assert large.big_r_right < small.big_r_right
         assert abs(large.big_t - 1.0) < abs(small.big_t - 1.0)
         assert abs(large.big_t - 1.0) <= 1e-8
+
+
+def test_surface_table_is_a_sequence_of_rows():
+    table = transmission_surface(40.0, 1.0, [3, 5], [1.0, 2.0, 4.0])
+    assert len(table) == 6
+    assert table.big_t.shape == (2, 3)
+    assert table[-1] == table[5]
+    assert (table[4].n, table[4].k) == (5, 2.0)
+    assert table[4].big_t == table.big_t[1, 1]
+    assert list(table)[2] == table[2]
+    with pytest.raises(IndexError):
+        table[6]
+
+
+def test_surface_raises_at_the_first_failing_point():
+    # At V = 3000, L = 10 the N = 1 entries reach 1e160 for k <= 20 and
+    # |det - 1| overflows; N = 16 is finite at k = 20 and 60.
+    with pytest.raises(NonFiniteMatrixError, match=r"at N = 1, k = 20\.0$"):
+        transmission_surface(3000.0, 10.0, [16, 1], [20.0, 60.0])
+    with pytest.raises(NonFiniteMatrixError, match=r"at N = 16, k = 5\.9$"):
+        transmission_surface(3000.0, 10.0, [16], [60.0, 5.9, 1.0])
+    # Validation of each N happens where a point-by-point loop reaches it.
+    with pytest.raises(NonFiniteMatrixError, match="N = 1,"):
+        transmission_surface(3000.0, 10.0, [1, 0], [5.9])
+    with pytest.raises(ValueError, match="n_cells"):
+        transmission_surface(3000.0, 10.0, [16, 0], [60.0])
+
+
+def test_surface_cell_count_beyond_double_range():
+    with pytest.raises(NonFiniteMatrixError, match=r"^n_cells = 1\.000e\+400 is beyond the double range$"):
+        transmission_surface(40.0, 1.0, [10**400], [1.0])
+    with pytest.raises(NonFiniteMatrixError, match="n_cells"):
+        PeriodicSpec(v=40.0, n_cells=10**400, total_length=1.0)
