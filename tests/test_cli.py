@@ -426,6 +426,34 @@ def test_cell_count_beyond_double_range_exits_2(capsys):
     assert err == "ptstack: numerical failure: n_cells = 1.000e+400 is beyond the double range\n"
 
 
+def test_json_writer_matches_json_dumps():
+    # The streamed writer must print what json.dumps(doc, indent=2) prints,
+    # with complex values as [re, im] and a NaN row or summary value as null.
+    import math
+    from ptstack.cli import _write_table
+
+    inf, nan = math.inf, math.nan
+    meta = [("tool", "ptstack"), ("note", 'quote " \\ é \n'), ("flag", False), ("count", 3), ("v", 1e-300)]
+    rows = [(1, 0.5, complex(1.5, -0.0), nan, inf), (2, 1e22, complex(nan, inf), -inf, 2.0)]
+    summary = [("slope", -1.0), ("height", complex(7.0, 0.25)), ("verdict", "ok"), ("missing", nan), ("converged", True)]
+    columns = ("N", "k", "m11", "err", "x")
+    blocks = [(1, [[1], [0.5], [rows[0][2]], [nan], [inf]]), (1, [2, [1e22], [rows[1][2]], [-inf], [2.0]])]
+    out = io.StringIO()
+    _write_table(out, "json", meta, columns, blocks, summary)
+
+    def plain(value):
+        if isinstance(value, complex):
+            return [value.real, value.imag]
+        return None if isinstance(value, float) and math.isnan(value) else value
+
+    doc = {
+        "metadata": dict(meta),
+        "rows": [{c: plain(v) for c, v in zip(columns, row)} for row in rows],
+        "summary": {k: plain(v) for k, v in summary},
+    }
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
 GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
 
 GOLDEN = {
