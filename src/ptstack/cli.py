@@ -330,6 +330,13 @@ def cmd_sweep(opt: dict, defaulted: set):
 
 def cmd_converge(opt: dict, defaulted: set):
     records = convergence_study(opt["k"], opt["v"], opt["total_length"], _n_grid(opt))
+    for r in records:
+        # offdiag_ratio is NaN by design where the prediction is 0
+        if not all(map(math.isfinite, (r.deviation_inf, r.diag_measured_err, r.offdiag_measured, r.absdet_err))):
+            raise NonFiniteMatrixError(
+                "deviation_inf, diag_err, offdiag_measured or absdet_err leaves the double range "
+                f"at N = {r.n}, k = {r.k}"
+            )
     rows = [
         (
             r.n, r.k, r.deviation_inf, r.diag_measured_err, r.offdiag_measured, r.offdiag_predicted,

@@ -7,13 +7,14 @@ diff.
 
 import io
 import json
+import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from ptstack import PeriodicSpec, periodic_matrix, scattering_from_matrix, unit_cell_elements
+from ptstack import PeriodicSpec, convergence_study, periodic_matrix, scattering_from_matrix, unit_cell_elements
 from ptstack.cli import main
 
 
@@ -380,11 +381,13 @@ def test_numerical_failure_maps_to_exit_2(capsys, monkeypatch):
          "--k-min", "0.5", "--k-max", "0.5", "--k-count", "1"),
         ("sweep", "--v", "3000", "--total-length", "10", "--n-min", "1", "--n-max", "1",
          "--k-min", "5.9", "--k-max", "5.9", "--k-count", "1"),
+        ("converge", "--k", "5.9", "--v", "3000", "--total-length", "10", "--n-min", "1",
+         "--n-max", "2", "--n-count", "2"),
     ],
     ids=["sweep-overflow", "cell-overflow", "cell-underflow", "sweep-nan", "converge-nan", "general-nan",
          "general-overflow", "cell-domain-v", "converge-domain", "sweep-domain", "cell-domain-b",
          "general-domain", "cell-domain-2alpha", "converge-domain-kl", "cell-absdet-nan",
-         "sweep-absdet-inf", "sweep-hyperbolic-wide"],
+         "sweep-absdet-inf", "sweep-hyperbolic-wide", "converge-absdet-nan"],
 )
 def test_out_of_range_input_exits_2(capsys, args):
     code, out, err = run_cli(capsys, *args)
@@ -407,16 +410,13 @@ def test_nonfinite_sweep_row_names_its_point(capsys):
     )
 
 
-def test_converge_wide_hyperbolic_gap(capsys):
+def test_converge_wide_hyperbolic_gap():
     # |gap| ~ 1e160 at N = 1: U_0 = 1 must survive the overflow of gap^2.
-    code, out, _ = run_cli(
-        capsys, "converge", "--k", "5.9", "--v", "3000", "--total-length", "10",
-        "--n-min", "1", "--n-max", "2", "--n-count", "2",
-    )
-    assert code == 0
-    _, _, rows = parse_csv(out)
-    assert rows[0]["N"] == "1"
-    assert float(rows[0]["offdiag_measured"]) > 1e160
+    # Only |det - 1| overflows, so the CLI exits 2 (converge-absdet-nan).
+    record = convergence_study(5.9, 3000.0, 10.0, [1, 2])[0]
+    assert record.n == 1
+    assert 1e160 < record.offdiag_measured < math.inf
+    assert math.isnan(record.absdet_err)
 
 
 def test_cell_count_beyond_double_range_exits_2(capsys):

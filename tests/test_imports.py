@@ -11,14 +11,33 @@ import ptstack
 PACKAGE_DIR = Path(ptstack.__file__).parent
 
 
-def test_import_does_not_load_scipy():
-    # scipy is needed only by the ODE oracle, which loads it on first use.
-    code = "import sys, ptstack; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+
+
+def _run(code: str) -> str:
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test dependency only: the package never imports it.
+    assert _run(f"import sys, ptstack; print({SCIPY_MODULES})") == "[]"
+
+
+def test_oracle_check_runs_without_scipy(tmp_path):
+    # A None entry in sys.modules makes any import of scipy fail.
+    output = tmp_path / "oracle.csv"
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from ptstack.cli import main\n"
+        f"code = main(['oracle-check', '--quick', '--output', {str(output)!r}])\n"
+        f"print(code, [m for m in {SCIPY_MODULES} if sys.modules[m] is not None])"
+    )
+    assert _run(code) == "0 []"
+    assert "# verdict = ok" in output.read_text(encoding="utf-8")
 
 
 def _package_imports(path: Path) -> set:

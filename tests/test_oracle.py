@@ -1,3 +1,6 @@
+import time
+
+import numpy as np
 import pytest
 
 from ptstack import (
@@ -14,6 +17,8 @@ from ptstack import (
     slab_propagation_matrix,
     unit_cell_matrix,
 )
+from ptstack import oracle
+from ptstack.cli import ORACLE_GRID_K, ORACLE_GRID_N, ORACLE_GRID_V
 from conftest import entry_diff, scaled_diff
 
 def cell_stack(v, b):
@@ -120,3 +125,76 @@ def test_integration_failure_raises():
     stack = PotentialStack([Layer(1e200, 1e-3, 0.0)])
     with pytest.raises(IntegrationFailureError, match="step size"):
         integrate_transfer_matrix(stack, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_evanescent_segment_fails_fast():
+    # psi grows like e^(100 x) across the 100 wide barrier and leaves the
+    # double range near x = 7: the overflowing steps are rejected until the
+    # step floor is reached, without a floating-point warning.
+    from ptstack import IntegrationFailureError
+
+    stack = PotentialStack([Layer(1e4, 100.0, 0.0)])
+    start = time.perf_counter()
+    with pytest.raises(IntegrationFailureError, match="step size"):
+        integrate_transfer_matrix(stack, 1.0)
+    assert time.perf_counter() - start < 5.0
+
+
+def _rhs(w2):
+    def rhs(x, state):
+        out = np.empty_like(state)
+        out[0::2] = state[1::2]
+        out[1::2] = w2 * state[0::2]
+        return out
+
+    return rhs
+
+
+def _oracle_grid_chains():
+    """Segments, as (rhs, x_span), and start state of every chain the ODE tier
+    integrates on the oracle-check grid: forward with both plane waves,
+    backward with the outgoing one."""
+    for v in ORACLE_GRID_V:
+        for n in ORACLE_GRID_N:
+            segments = oracle._segments(build_alternating(0.0, v, 1.0, n, 1.0))
+            for k in ORACLE_GRID_K:
+                forward = [(_rhs(h - k * k), (x0, x1)) for x0, x1, h in segments]
+                backward = [(_rhs(h - k * k), (x1, x0)) for x0, x1, h in reversed(segments)]
+                yield forward, np.array([1, 1j * k, 1, -1j * k])
+                yield backward, np.exp(1j * k) * np.array([1, 1j * k])
+
+
+def _random_segments(rng, count):
+    """Seeded segments of random complex height, width and k, both ways."""
+    kinds = set()
+    for i in range(count):
+        height = complex(rng.uniform(-50, 50), rng.uniform(-50, 50))
+        width = 10 ** rng.uniform(-3, 0.5)
+        k = 10 ** rng.uniform(-1, 1.2)
+        kinds.add("evanescent" if height.real > k * k else "oscillatory")
+        x0 = rng.uniform(-1, 1)
+        span = (x0, x0 + width) if i % 2 == 0 else (x0 + width, x0)
+        size = 4 if i % 2 == 0 else 2
+        yield [(_rhs(height - k * k), span)], rng.normal(size=size) + 1j * rng.normal(size=size)
+    assert kinds == {"evanescent", "oscillatory"}
+
+
+def test_dop853_takes_scipys_steps(rng):
+    # The built-in integrator is scipy's DOP853 at the tier's tolerances:
+    # the same right-hand-side calls and the same end state up to rounding.
+    # Along a chain, each segment starts from scipy's end state of the last.
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    count = 0
+    for chain, y in [*_oracle_grid_chains(), *_random_segments(rng, 300)]:
+        for rhs, span in chain:
+            ours = oracle.solve_ivp(rhs, span, y)
+            theirs = scipy_solve_ivp(rhs, span, y, method="DOP853", rtol=oracle.REL_TOL, atol=oracle.ABS_TOL)
+            assert ours.success and theirs.success
+            assert ours.nfev == theirs.nfev, span
+            y = theirs.y[:, -1]
+            scale = max(1.0, np.max(np.abs(ours.y)), np.max(np.abs(y)))
+            assert np.max(np.abs(ours.y - y)) <= 1e-14 * scale, span
+            count += 1
+    assert count == 300 + 4 * sum(ORACLE_GRID_N) * len(ORACLE_GRID_V) * len(ORACLE_GRID_K)
