@@ -7,7 +7,7 @@ Nothing here touches the closed forms.  Two independent tiers:
   segment by segment (the potential is constant inside each segment, so the
   step controller never straddles a discontinuity).  Interface continuity of
   psi and psi' is automatic; there is no manual wave matching anywhere.  The
-  integrator is :func:`solve_ivp`, a built-in DOP853 that needs only numpy.
+  integrator is the built-in DOP853 of :mod:`ptstack.dop853` (numpy only).
 * :func:`slab_propagation_matrix` - exact analytic propagation of (psi, psi')
   across each slab, multiplied up and converted to plane-wave amplitudes only
   at the outer edges.  Exact for rectangles, O(layers), used to cross-check
@@ -20,8 +20,6 @@ Both tiers share the global-coordinate amplitude convention of
 from __future__ import annotations
 
 import cmath
-import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,182 +37,18 @@ class IntegrationFailureError(RuntimeError, ArithmeticError):
     """The step controller could not reach the tolerance."""
 
 
-# DOP853, the Dormand-Prince 8(5,3) pair of Hairer, Norsett & Wanner, "Solving
-# Ordinary Differential Equations I", sec. II.5 (the doubles of dop853.f; the
-# third-order error weights are b - bhh).  Twelve stages; the thirteenth row
-# of the stage array holds f at the new point, which the error weights use.
-# The weights are stored complex, so the stage sums need no cast.
-_C = (
-    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
-    0.8571428571428571, 1.0,
-)
-_A = tuple(np.array(row, dtype=complex) for row in (
-    (),
-    (0.05260015195876773,),
-    (0.0197250569845379, 0.0591751709536137),
-    (0.02958758547680685, 0.0, 0.08876275643042054),
-    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
-    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
-    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
-    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
-     -0.015319437748624402, 0.008273789163814023),
-    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
-     27.59209969944671, 20.154067550477894, -43.48988418106996),
-    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
-     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
-    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
-     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
-     -3.0467644718982196),
-    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
-     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
-     12.360567175794303, 0.6433927460157636),
-))
-_B = np.array((
-    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
-    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
-    0.04471061572777259,
-), dtype=complex)
-_E3 = np.array((
-    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
-    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
-    0.02265179219836082, 0.0,
-), dtype=complex)
-_E5 = np.array((
-    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
-    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
-    -0.022355307863886294, 0.0,
-), dtype=complex)
-_STAGES = len(_C)
+def solve_ivp(fun, x_span, y0):
+    """Integrate y' = fun(x, y) over ``x_span`` from y0: DOP853 at REL_TOL /
+    ABS_TOL, taking the steps of scipy's ``solve_ivp(method="DOP853")``.
 
-# Step-size control: new step = old * SAFETY * error_norm^(-1/8), the factor
-# clipped to [MIN_FACTOR, MAX_FACTOR] (never above 1 right after a rejection).
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1.0 / 8.0
-_STEP_FLOOR_ULPS = 10  # a step below this many ulps of x fails
-
-
-class OdeResult(NamedTuple):
-    """End state of :func:`solve_ivp` and its count of right-hand-side calls."""
-
-    y: np.ndarray
-    nfev: int
-    success: bool
-    message: str
-
-
-def _norm(x: np.ndarray):
-    """2-norm of a complex vector, as ``np.linalg.norm`` sums it."""
-    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-
-
-def _rms(x: np.ndarray):
-    return _norm(x) / x.size**0.5
-
-
-def _initial_step(fun, x, y, f, x_end, direction):
-    """Starting step of Hairer, Norsett & Wanner, sec. II.4, for error order 7.
-
-    Costs one call of ``fun``.  numpy scalars throughout: an overflowing
-    derivative gives an inf or NaN estimate here, never an exception.
+    Returns a :class:`ptstack.dop853.OdeResult` (end state ``y``, ``nfev``,
+    ``success``, ``message``); see :func:`ptstack.dop853.integrate`.
     """
-    interval = abs(x_end - x)
-    scale = ABS_TOL + np.abs(y) * REL_TOL
-    d0 = _rms(y / scale)
-    d1 = _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    f1 = fun(x + h0 * direction, y + h0 * direction * f)
-    d2 = _rms((f1 - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval)
+    # Imported on the first integration: a process that never runs the ODE
+    # tier does not compile the integrator.
+    from .dop853 import integrate
 
-
-def _rk_step(fun, x, y, f, h, k, k_t):
-    """One DOP853 step of size h from (x, y), f = fun(x, y).
-
-    Fills the stage rows of ``k`` (``k_t[s]`` is the view ``k[:s].T``) and
-    returns (y_new, f_new).
-    """
-    # numpy multiplies by a 0-d complex array about three times faster than by
-    # a Python float, with the same result: it casts the float to complex.
-    h_c = np.array(h, dtype=complex)
-    k[0] = f
-    for s in range(1, _STAGES):
-        k[s] = fun(x + _C[s] * h, y + k_t[s].dot(_A[s]) * h_c)
-    y_new = y + h_c * k_t[_STAGES].dot(_B)
-    k[_STAGES] = f_new = fun(x + h, y_new)
-    return y_new, f_new
-
-
-def _error_norm(k_t, h, scale):
-    """DOP853's error measure: the fifth-order estimate, damped where the
-    third-order one is large, err5^2 / sqrt((err5^2 + 0.01 err3^2) n)."""
-    err5 = k_t.dot(_E5) / scale
-    err3 = k_t.dot(_E3) / scale
-    err5_2 = _norm(err5) ** 2
-    err3_2 = _norm(err3) ** 2
-    if err5_2 == 0 and err3_2 == 0:
-        return 0.0
-    return abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * scale.size)
-
-
-def solve_ivp(fun, x_span, y0) -> OdeResult:
-    """Integrate y' = fun(x, y) over ``x_span`` from y0 with DOP853.
-
-    The one scheme of the ODE tier, at REL_TOL / ABS_TOL with no step limit.
-    The step sequence is that of scipy's ``solve_ivp(method="DOP853")`` at
-    the same tolerances: the same starting step, error norm and controller.
-    A step whose error norm is NaN or inf is rejected like any other; when
-    the step has to fall below 10 ulps of x, the result has ``success``
-    False.  Floating-point warnings are silenced: a state that overflows
-    shows up as that failure.
-    """
-    x, x_end = float(x_span[0]), float(x_span[1])
-    y = np.asarray(y0, dtype=complex)
-    direction = 1.0 if x_end > x else -1.0
-    k = np.empty((_STAGES + 1, y.size), dtype=complex)
-    k_t = [k[:s].T for s in range(_STAGES + 2)]
-    with np.errstate(all="ignore"):
-        f = fun(x, y)
-        nfev = 1
-        if x != x_end:
-            h_abs = _initial_step(fun, x, y, f, x_end, direction)
-            nfev += 1
-        while direction * (x - x_end) < 0:
-            min_step = _STEP_FLOOR_ULPS * abs(math.nextafter(x, direction * math.inf) - x)
-            h_abs = max(h_abs, min_step)
-            rejected = False
-            while True:
-                if not h_abs >= min_step:  # also stops a NaN step
-                    return OdeResult(
-                        y, nfev, False,
-                        f"required step size fell below {_STEP_FLOOR_ULPS} ulps of x = {x}",
-                    )
-                x_new = x + h_abs * direction
-                if direction * (x_new - x_end) > 0:
-                    x_new = x_end
-                h = x_new - x
-                h_abs = abs(h)
-                y_new, f_new = _rk_step(fun, x, y, f, h, k, k_t)
-                nfev += _STAGES
-                scale = ABS_TOL + np.maximum(np.abs(y), np.abs(y_new)) * REL_TOL
-                error_norm = _error_norm(k_t[-1], h, scale)
-                if error_norm < 1:
-                    factor = _MAX_FACTOR
-                    if error_norm > 0:
-                        factor = min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-                    h_abs *= min(1.0, factor) if rejected else factor
-                    break
-                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-                rejected = True
-            x, y, f = x_new, y_new, f_new
-    return OdeResult(y, nfev, True, "")
+    return integrate(fun, x_span, y0, REL_TOL, ABS_TOL)
 
 
 def _segments(stack: PotentialStack) -> list[tuple[float, float, complex]]:
@@ -241,7 +75,7 @@ def _integrate_through(
         segments = [(x1, x0, h) for (x0, x1, h) in reversed(segments)]
     y = np.asarray(y0, dtype=complex)
     for x_from, x_to, height in segments:
-        w2 = np.array(height - k * k)  # 0-d: see _rk_step
+        w2 = np.array(height - k * k)  # 0-d: numpy multiplies by it faster than by a complex
 
         def rhs(x, state, w2=w2):
             out = np.empty_like(state)

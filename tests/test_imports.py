@@ -68,3 +68,4 @@ def test_oracle_is_independent_of_the_closed_forms():
     imported = _package_imports(PACKAGE_DIR / "oracle.py")
     assert "core" in imported
     assert not imported & {"", "cell", "chebyshev", "stack", "scattering", "limits"}
+    assert not _package_imports(PACKAGE_DIR / "dop853.py")
