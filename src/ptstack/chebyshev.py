@@ -17,8 +17,9 @@ double precision first would throw that precision away.  Arguments x < 0 are
 reflected to |x| with the parity signs (-1)^n and (-1)^(n-1); the subtractions
 involved (2 - gap, gap - 2) are exact in floating point.
 
-Values whose true magnitude exceeds the double range (|x| > 1 with
-n*arccosh|x| above ~710) overflow to +/-inf with the correct sign.
+Values whose true magnitude exceeds the double range overflow to +/-inf
+with the correct sign: T_n once n*arccosh|x| is above ~710, U_{n-1}
+= sinh(n theta)/sinh(theta) only once the quotient itself does.
 
 :func:`eval_pairs` evaluates the pair over an array of gaps, each branch on
 its own entries; :func:`cheb_pair_from_gap` and :func:`cheb_pair` are
@@ -64,6 +65,13 @@ def _sinh_safe(y: float) -> float:
         return math.copysign(math.inf, y)
 
 
+def _exp_safe(y: float) -> float:
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
+
+
 @np.errstate(all="ignore")
 def eval_pairs(n: int, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """(T_n(1 - gap), U_{n-1}(1 - gap)) over an array of gaps: (t, u, errors).
@@ -100,7 +108,14 @@ def eval_pairs(n: int, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         wide = np.isinf(sinh_theta)
         sinh_theta[wide] = np.sqrt(u_arg[wide]) * np.sqrt(u_arg[wide] + 2.0)
         t[rows] = call(_cosh_safe, rows, n_theta)
-        u[rows] = call(_sinh_safe, rows, n_theta) / sinh_theta
+        sinh_n_theta = call(_sinh_safe, rows, n_theta)
+        u[rows] = sinh_n_theta / sinh_theta
+        # Past N theta ~ 710 sinh(N theta) overflows before the quotient does:
+        # there sinh(N theta) = e^(N theta) / 2 to the last bit, taken in halves.
+        far = np.flatnonzero(np.isinf(sinh_n_theta))
+        if far.size:
+            half = call(_exp_safe, rows[far], 0.5 * n_theta[far])
+            u[rows[far]] = 0.5 * half / sinh_theta[far] * half
 
     rows = np.flatnonzero(~hyperbolic)
     if rows.size:

@@ -29,16 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .cell import unit_cell_elements, unit_cell_matrix
-from .core import NonFiniteMatrixError
-from .limits import (
-    convergence_study,
-    fit_loglog_slope,
-    generalized_limit_study,
-)
-from .oracle import incidence_scattering, integrate_transfer_matrix, slab_propagation_matrix
-from .scattering import transmission_surface
-from .stack import PeriodicSpec, build_alternating, cells_as_float, periodic_matrix
+
+# Each command imports the ptstack modules it uses when it runs, so a process
+# loads and compiles only those.  The names are taken from their defining
+# modules at call time: a function replaced there is the one called.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,6 +155,8 @@ def _resolve(args: argparse.Namespace, options: dict, preset: _Preset | None) ->
 
 
 def _n_grid(opt: dict) -> list[int]:
+    from .stack import cells_as_float
+
     lo, hi, count = opt["n_min"], opt["n_max"], opt["n_count"]
     if lo < 1 or hi < lo or count < 1:
         raise CliUsageError(f"bad N range: min={lo} max={hi} count={count}")
@@ -285,10 +281,16 @@ def _open_output(path: str):
 
 
 def _matrix_dev(a, b) -> float:
-    """Componentwise difference scaled by the larger entry magnitude (floor 1)."""
-    aa, bb = a.as_array(), b.as_array()
-    scale = max(1.0, float(np.max(np.abs(aa))), float(np.max(np.abs(bb))))
-    return float(np.max(np.abs(aa - bb))) / scale
+    """Componentwise difference scaled by the larger entry magnitude (floor 1).
+
+    Python's complex arithmetic, so the result does not depend on the SIMD
+    kernels numpy dispatches to; NaN if any difference is NaN.
+    """
+    aa, bb = (a.m11, a.m12, a.m21, a.m22), (b.m11, b.m12, b.m21, b.m22)
+    diffs = [abs(x - y) for x, y in zip(aa, bb)]
+    if any(map(math.isnan, diffs)):
+        return math.nan
+    return max(diffs) / max(1.0, *map(abs, aa), *map(abs, bb))
 
 
 # Each command takes the resolved options and the names left at their default,
@@ -299,6 +301,9 @@ _MATRIX_ENTRIES = ("m11", "m12", "m21", "m22", "absdet_err")
 
 
 def cmd_cell(opt: dict, defaulted: set):
+    from .cell import unit_cell_elements, unit_cell_matrix
+    from .core import NonFiniteMatrixError
+
     p = unit_cell_elements(opt["k"], opt["v"], opt["b"])
     m = unit_cell_matrix(opt["k"], opt["v"], opt["b"])
     row = [getattr(p, c) for c in _CELL_ELEMENTS] + [getattr(m, c) for c in _MATRIX_ENTRIES]
@@ -310,6 +315,8 @@ def cmd_cell(opt: dict, defaulted: set):
 
 
 def cmd_sweep(opt: dict, defaulted: set):
+    from .scattering import transmission_surface
+
     n_values = _n_grid(opt)
     k_values = _float_grid(opt["k_min"], opt["k_max"], opt["k_count"])
     table = transmission_surface(opt["v"], opt["total_length"], n_values, k_values)
@@ -329,6 +336,9 @@ def cmd_sweep(opt: dict, defaulted: set):
 
 
 def cmd_converge(opt: dict, defaulted: set):
+    from .core import NonFiniteMatrixError
+    from .limits import convergence_study, fit_loglog_slope
+
     records = convergence_study(opt["k"], opt["v"], opt["total_length"], _n_grid(opt))
     for r in records:
         # offdiag_ratio is NaN by design where the prediction is 0
@@ -355,6 +365,8 @@ def cmd_converge(opt: dict, defaulted: set):
 
 
 def cmd_general(opt: dict, defaulted: set):
+    from .limits import generalized_limit_study
+
     result = generalized_limit_study(
         opt["v1"], opt["v2"], opt["eps"], opt["total_length"], _n_grid(opt), opt["k"]
     )
@@ -374,6 +386,9 @@ def cmd_general(opt: dict, defaulted: set):
 
 
 def cmd_oracle_check(opt: dict, defaulted: set):
+    from .oracle import incidence_scattering, integrate_transfer_matrix, slab_propagation_matrix
+    from .stack import PeriodicSpec, build_alternating, periodic_matrix
+
     rows = []
     worst = (0.0, math.nan, math.nan, 0, "none")  # (deviation, k, v, N, column)
     for v in ORACLE_GRID_V:

@@ -7,7 +7,8 @@ Nothing here touches the closed forms.  Two independent tiers:
   segment by segment (the potential is constant inside each segment, so the
   step controller never straddles a discontinuity).  Interface continuity of
   psi and psi' is automatic; there is no manual wave matching anywhere.  The
-  integrator is the built-in DOP853 of :mod:`ptstack.dop853` (numpy only).
+  integrator is the built-in DOP853 of :mod:`ptstack.dop853` (numpy only);
+  the right-hand side of a segment is one product with a constant matrix.
 * :func:`slab_propagation_matrix` - exact analytic propagation of (psi, psi')
   across each slab, multiplied up and converted to plane-wave amplitudes only
   at the outer edges.  Exact for rectangles, O(layers), used to cross-check
@@ -74,16 +75,14 @@ def _integrate_through(
     if backward:
         segments = [(x1, x0, h) for (x0, x1, h) in reversed(segments)]
     y = np.asarray(y0, dtype=complex)
+    psi = np.arange(0, y.size, 2)
     for x_from, x_to, height in segments:
-        w2 = np.array(height - k * k)  # 0-d: numpy multiplies by it faster than by a complex
-
-        def rhs(x, state, w2=w2):
-            out = np.empty_like(state)
-            out[0::2] = state[1::2]
-            out[1::2] = w2 * state[0::2]
-            return out
-
-        sol = solve_ivp(rhs, (x_from, x_to), y)
+        # (psi, psi')' = (psi', w2 psi) for every pair of the state: one product
+        # with the block diagonal of [[0, 1], [w2, 0]].
+        matrix = np.zeros((y.size, y.size), dtype=complex)
+        matrix[psi, psi + 1] = 1.0
+        matrix[psi + 1, psi] = height - k * k
+        sol = solve_ivp(lambda x, state, matrix=matrix: matrix.dot(state), (x_from, x_to), y)
         if not sol.success:
             raise IntegrationFailureError(
                 f"integration failed on [{x_from}, {x_to}] "

@@ -203,3 +203,35 @@ def test_hyperbolic_gap_beyond_square_overflow():
     # gap * (gap - 2) overflows past |gap| ~ 1.3e154; sinh(theta), its root, does not.
     for gap in (-1e160, 2.0 + 1e160, -1e300):
         assert cheb_pair_from_gap(1, gap).u_n_minus_1 == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "n, gap",
+    [
+        (2, -1e160),
+        (4, -1e80),
+        (2, 2.0 + 1e160),  # x < -1: the parity sign of U_1 is -1
+        # either side of N theta = 710.48, where sinh(N theta) overflows
+        (2, -9.0e153),
+        (2, -1.1e154),
+        (1, -1.79e308),  # U_0 = 1 although sinh(theta) overflows
+        (2, -8.9e307),  # U_1 = 1.78e308, just inside the double range
+        (3, -6.7e153),
+        (20, -1e15),  # N theta = 718
+    ],
+)
+def test_hyperbolic_u_fits_past_sinh_overflow(n, gap):
+    # U_{N-1} = sinh(N theta) / sinh(theta) stays finite past the overflow of
+    # its numerator.  The relative error is that of e^(N theta): about
+    # N theta ulps, N theta <= 1420 where U_{N-1} fits.
+    mp.mp.dps = 40
+    expected = mp.chebyu(n - 1, 1 - mp.mpf(gap))
+    u = cheb_pair_from_gap(n, gap).u_n_minus_1
+    assert math.isfinite(u)
+    assert abs(mp.mpf(u) - expected) <= 1e-12 * abs(expected)
+
+
+def test_hyperbolic_u_past_the_double_range_is_inf():
+    assert cheb_pair_from_gap(2, -9e307).u_n_minus_1 == math.inf  # U_1 = 1.8e308
+    assert cheb_pair_from_gap(2, 2.0 + 9e307).u_n_minus_1 == -math.inf  # U_1 = -1.8e308
+    assert cheb_u(1, 1e160) == pytest.approx(2e160, rel=1e-13)

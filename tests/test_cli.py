@@ -335,13 +335,14 @@ def test_converge_free_space_floor(capsys):
 
 def test_numerical_failure_maps_to_exit_2(capsys, monkeypatch):
     # The pole/tolerance-failure contract: distinct exit code 2.
+    # The command imports transmission_surface from its module when it runs.
+    import ptstack.scattering
     from ptstack import SpectralPoleError
-    import ptstack.cli as cli_mod
 
     def boom(*args, **kwargs):
         raise SpectralPoleError("synthetic pole")
 
-    monkeypatch.setattr(cli_mod, "transmission_surface", boom)
+    monkeypatch.setattr(ptstack.scattering, "transmission_surface", boom)
     code, _, err = run_cli(capsys, "sweep", "--v", "40", "--n-min", "5", "--n-max", "10")
     assert code == 2
     assert "numerical failure" in err

@@ -1,8 +1,8 @@
 """Output bytes must not depend on the SIMD code numpy dispatches to.
 
 numpy picks its transcendental and complex kernels by CPU feature at import,
-and ``NPY_DISABLE_CPU_FEATURES`` switches the wider ones off.  A sweep run
-both ways must print the same bytes.  The variable is set only here (and in
+and ``NPY_DISABLE_CPU_FEATURES`` switches the wider ones off.  A sweep and
+``oracle-check --quick`` run both ways must print the same bytes.  The variable is set only here (and in
 CI); ptstack itself reads no environment variable.
 """
 
@@ -30,13 +30,22 @@ def _run(args, disable: bool) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=False)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_bytes_do_not_depend_on_numpy_dispatch(fmt):
+def _same_bytes_both_ways(args) -> None:
     probe = _run(["-c", "import numpy"], disable=True)
     if probe.returncode != 0:
         pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES={DISABLED!r}: {probe.stderr.decode()[-200:]}")
-    plain = _run(["-m", "ptstack.cli", *SWEEP, "--format", fmt], disable=False)
-    narrow = _run(["-m", "ptstack.cli", *SWEEP, "--format", fmt], disable=True)
+    plain = _run(["-m", "ptstack.cli", *args], disable=False)
+    narrow = _run(["-m", "ptstack.cli", *args], disable=True)
     assert (plain.returncode, plain.stderr) == (0, b"")
     assert (narrow.returncode, narrow.stderr) == (0, b"")
     assert plain.stdout == narrow.stdout
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_bytes_do_not_depend_on_numpy_dispatch(fmt):
+    _same_bytes_both_ways([*SWEEP, "--format", fmt])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_oracle_check_bytes_do_not_depend_on_numpy_dispatch(fmt):
+    _same_bytes_both_ways(["oracle-check", "--quick", "--format", fmt])

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ptstack
 
 PACKAGE_DIR = Path(ptstack.__file__).parent
@@ -27,6 +29,44 @@ def test_import_does_not_load_scipy():
     assert _run(f"import sys, ptstack; print({SCIPY_MODULES})") == "[]"
 
 
+def test_import_loads_no_submodule_and_no_numpy():
+    loaded = "sorted(m for m in sys.modules if m.startswith(('ptstack.', 'numpy')))"
+    assert _run(f"import sys, ptstack; print({loaded})") == "[]"
+
+
+def test_public_names_resolve_on_first_access():
+    assert set(ptstack.__all__) <= set(dir(ptstack))
+    for name in ptstack.__all__:
+        assert getattr(ptstack, name) is not None, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ptstack.no_such_name
+
+
+# The ptstack modules each subcommand loads besides the package and the CLI.
+COMMAND_MODULES = {
+    ("cell", "--k", "1", "--v", "40", "--b", "0.5"): {"core", "cell"},
+    ("sweep", "--v", "40", "--n-min", "1", "--n-max", "4", "--n-count", "2", "--k-count", "3"):
+        {"core", "cell", "chebyshev", "stack", "scattering"},
+    ("converge", "--k", "1", "--v", "40", "--n-max", "1000", "--n-count", "3"):
+        {"core", "cell", "chebyshev", "stack", "limits"},
+    ("general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3", "--n-max", "256", "--n-count", "2"):
+        {"core", "cell", "chebyshev", "stack", "limits"},
+    ("oracle-check", "--quick"): {"core", "cell", "chebyshev", "stack", "oracle", "dop853"},
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_MODULES), ids=lambda argv: argv[0])
+def test_subcommand_loads_only_its_modules(argv, tmp_path):
+    code = (
+        "import sys\n"
+        "from ptstack.cli import main\n"
+        f"code = main([*{argv!r}, '--output', {str(tmp_path / 'out.csv')!r}])\n"
+        "print(code, ' '.join(sorted(m for m in sys.modules if m.startswith('ptstack'))))"
+    )
+    expected = " ".join(sorted({"ptstack", "ptstack.cli", *(f"ptstack.{m}" for m in COMMAND_MODULES[argv])}))
+    assert _run(code) == f"0 {expected}"
+
+
 def test_oracle_check_runs_without_scipy(tmp_path):
     # A None entry in sys.modules makes any import of scipy fail.
     output = tmp_path / "oracle.csv"
@@ -42,7 +82,7 @@ def test_oracle_check_runs_without_scipy(tmp_path):
 
 def _package_imports(path: Path) -> set:
     """ptstack modules a source file imports from; "" is the package itself,
-    which loads every module."""
+    whose names load the modules that define them."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
