@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import importlib.util
 import json
 import math
 import sys
@@ -30,9 +31,32 @@ import numpy as np
 
 from . import __version__
 
-# Each command imports the ptstack modules it uses when it runs, so a process
-# loads and compiles only those.  The names are taken from their defining
-# modules at call time: a function replaced there is the one called.
+
+def _register_unexecuted(names) -> None:
+    """Put ptstack modules in ``sys.modules`` (and on the package) unexecuted.
+
+    importlib's LazyLoader compiles and runs such a module on the first
+    access to one of its attributes.  Each command imports the names it uses
+    from their defining modules when it runs, so a process runs only the
+    modules of its command, and a function replaced in its module before
+    :func:`main` is the one called.  A caller that replaces functions in
+    every loaded ptstack module, as ``perfbench/trace.py`` does, finds each
+    module a command can use.
+    """
+    package = sys.modules[__package__]
+    for name in names:
+        full_name = f"{__package__}.{name}"
+        if full_name in sys.modules:
+            continue
+        spec = importlib.util.find_spec(full_name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full_name] = module
+        spec.loader.exec_module(module)
+        setattr(package, name, module)
+
+
+_register_unexecuted(("core", "cell", "chebyshev", "stack", "scattering", "limits", "oracle"))
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -4,6 +4,11 @@ must resolve, so a refactor cannot silently break its traced run."""
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,3 +45,23 @@ def test_benchmark_name_resolves(module, name):
 def test_traced_names_are_functions():
     for module, name in _traced():
         assert callable(getattr(importlib.import_module(module), name)), f"{module}.{name}"
+
+
+def test_traced_run_wraps_every_layer(tmp_path):
+    # The tracer replaces functions in the ptstack modules loaded when it
+    # installs, right after importing ptstack.cli; modules a command runs
+    # later must already be there.
+    trace = tmp_path / "trace.json"
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "trace.py"), str(trace), "--",
+         "oracle-check", "--quick", "--output", str(tmp_path / "out.csv")],
+        check=True, env={**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")},
+    )
+    record = json.loads(trace.read_text(encoding="utf-8"))
+    calls = Counter()
+    for name, _parent, count, *_ in record["totals"]:
+        calls[name] += count
+    assert calls["oracle.solve_ivp"] == 300
+    assert record["counters"]["oracle.solve_ivp"] == {"nfev": 27372}
+    assert calls["stack.periodic_matrix"] == 40
+    assert calls["oracle.integrate_transfer_matrix"] == calls["oracle.incidence_scattering"] / 2 == 20
