@@ -2,8 +2,9 @@
 
 numpy picks its transcendental and complex kernels by CPU feature at import,
 and ``NPY_DISABLE_CPU_FEATURES`` switches the wider ones off.  A sweep and
-``oracle-check --quick`` run both ways must print the same bytes.  The variable is set only here (and in
-CI); ptstack itself reads no environment variable.
+``oracle-check --quick`` run both ways must print the same bytes.  The
+variable is set only here (and in CI); ptstack itself reads no environment
+variable.
 """
 
 import os
