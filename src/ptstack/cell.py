@@ -227,9 +227,10 @@ def _cell_pattern(
 
     The shared shape of the one-cell matrix (t = xi, u = 1, phase = e^{-2ikb})
     and the N-cell matrix (t = T_N(xi), u = U_{N-1}(xi), phase = e^{-ikL}),
-    with real elements for the balanced cell and complex ones for the
-    unbalanced cell of :func:`ptstack.stack.alternating_matrix`.  A length-1
-    call of :func:`cell_pattern_pairs`.
+    with real elements for the balanced cell and complex ones, read off the
+    (psi, psi') cell matrix, for any cell of slabs
+    (:func:`ptstack.stack._cell_power`).  A length-1 call of
+    :func:`cell_pattern_pairs`.
     """
     entries = cell_pattern_pairs(*map(scalar_pair, (t, u, chi, eta, tau, phase)))
     return TransferMatrix(*(complex(re[0], im[0]) for re, im in entries), k)

@@ -10,9 +10,10 @@ Three routes produce the N-cell matrix:
 
   O(1) in N, the only practical route for large N.  It evaluates a whole
   k grid at once (:func:`periodic_arrays`); one k is a length-1 call.
-* :func:`alternating_matrix` - the same Chebyshev power for the unbalanced
-  cell (v1 + i v2 then v1 - i eps v2), whose half-trace is complex.  O(1) in
-  N; it serves the generalized fine-layer study.
+* :func:`alternating_matrix` - the Chebyshev power of the unbalanced cell
+  (v1 + i v2 then v1 - i eps v2), whose half-trace is complex, through
+  :func:`_cell_power`, which powers any cell of slabs built in the
+  (psi, psi') basis.  O(1) in N; it serves the generalized fine-layer study.
 * :func:`compose_stack` - explicit product of positioned single-slab
   matrices, O(number of layers).  Works for arbitrary heterogeneous stacks
   and anchors both closed forms at small N.
@@ -169,57 +170,53 @@ def build_alternating(
     return PotentialStack(layers)
 
 
+def _cell_power(slabs, n_cells: int, total_length: float, k: float) -> TransferMatrix:
+    """N-cell matrix of a cell of (height, width) slabs, left to right, on [0, total_length].
+
+    In the (psi, psi') basis a slab is I + F with
+
+        F = [[c - 1, S], [-q^2 S, c - 1]],   c - 1 = -2 sin^2(q w/2),   S = sin(q w)/q,
+
+    and the cell A = I + E accumulates slab by slab as E <- E + F + F.E, so
+    neither the gap 1 - x = -tr(E)/2 nor A - x I = E - (tr(E)/2) I subtracts
+    two numbers near 1.  Cayley-Hamilton gives A^N = T_N(x) I + U_{N-1}(x) (A - x I);
+    the plane-wave basis at the outer edges turns it into the shape of
+    :func:`ptstack.cell._cell_pattern` with phase e^{-ikL} and
+
+        chi = (k E12 - E21/k)/2,   tau = (k E12 + E21/k)/2,   eta = -i (E11 - E22)/2.
+
+    O(1) in N.  Raises OverflowError, ValueError or ZeroDivisionError where
+    a value leaves the double range; the result may still hold inf or NaN.
+    """
+    e11 = e12 = e21 = e22 = 0j
+    for height, width in slabs:
+        q2 = k * k - height
+        _, s = _propagation_terms(q2, width)
+        f, g = -2.0 * cmath.sin(0.5 * width * cmath.sqrt(q2)) ** 2, -q2 * s
+        e11, e12, e21, e22 = (
+            e11 + (f + (f * e11 + s * e21)),
+            e12 + (s + (f * e12 + s * e22)),
+            e21 + (g + (g * e11 + f * e21)),
+            e22 + (f + (g * e12 + f * e22)),
+        )
+    t, u = cheb_pair_from_complex_gap(n_cells, -0.5 * (e11 + e22))
+    chi, tau = 0.5 * (k * e12 - e21 / k), 0.5 * (k * e12 + e21 / k)
+    return _cell_pattern(t, u, chi, -0.5j * (e11 - e22), tau, cmath.exp(-1j * k * total_length), k)
+
+
 def alternating_matrix(
     v1: float, v2: float, eps: float, n_cells: int, total_length: float, k: float
 ) -> TransferMatrix:
     """Closed-form matrix of ``build_alternating(v1, v2, eps, n_cells, total_length)``.
 
-    With b = L/(2N), heights h1 = v1 + i v2, h2 = v1 - i eps v2 and, per slab,
-    q_j^2 = k^2 - h_j, c_j = cos(q_j b), s_j = sin(q_j b)/q_j, the cell
-    referenced to its own left edge is A = S2 S1 with
-
-        S_j = [[c_j + i d_j, -i o_j], [i o_j, c_j - i d_j]],
-        d_j = (k^2 + q_j^2) s_j / (2k),   o_j = h_j s_j / (2k).
-
-    Stacking N cells gives diag(e^{-ikL}, e^{ikL}) A^N, and Cayley-Hamilton
-    gives A^N = T_N(x) I + U_{N-1}(x) (A - x I) with x = tr(A)/2.  A has the
-    shape of the balanced cell with complex elements
-
-        chi = c2 d1 + c1 d2,   eta = i (h2 - h1) s1 s2 / 2,   tau = c2 o1 + c1 o2,
-        A = [[x + i chi, i(eta - tau)], [i(eta + tau), x - i chi]],
-
-    so A - x I never subtracts two entries near 1.  The gap 1 - x comes from
-    the Kronig-Penney identity
-
-        1 - x = 2 sin^2((q1 + q2) b / 2) + (q1 - q2)^2 s1 s2 / 2,
-
-    with q1 - q2 = (h2 - h1)/(q1 + q2).  Both sides are even in q2, so q2
-    takes the sign that keeps |q1 + q2| >= |q1 - q2|.  Taking 1 - x from the
-    trace instead leaves an absolute error of ~1e-16 in a gap of order
-    (kL/N)^2, which at N = 65536 moves the matrix by ~4e-7.
-
-    O(1) in N.  Raises :class:`NonFiniteMatrixError` when a value leaves the
-    double range.
+    The Chebyshev power (:func:`_cell_power`) of the cell of slabs
+    v1 + i v2 then v1 - i eps v2, each b = L/(2N) wide.  O(1) in N.  Raises
+    :class:`NonFiniteMatrixError` when a value leaves the double range.
     """
     k = check_wave_number(k)
     h1, h2, n, b = _alternating_slabs(v1, v2, eps, n_cells, total_length)
     try:
-        c1, s1 = _propagation_terms(k * k - h1, b)
-        c2, s2 = _propagation_terms(k * k - h2, b)
-        q1 = cmath.sqrt(k * k - h1)
-        q2 = cmath.sqrt(k * k - h2)
-        if (q1 * q2.conjugate()).real < 0.0:
-            q2 = -q2
-        q_sum = q1 + q2
-        q_diff = (h2 - h1) / q_sum if q_sum else 0.0j
-        gap = 2.0 * cmath.sin(0.5 * q_sum * b) ** 2 + 0.5 * q_diff * q_diff * s1 * s2
-        d1 = 0.5 * (2.0 * k * k - h1) / k * s1
-        d2 = 0.5 * (2.0 * k * k - h2) / k * s2
-        chi = c2 * d1 + c1 * d2
-        eta = 0.5j * (h2 - h1) * s1 * s2
-        tau = 0.5 * (c2 * h1 * s1 + c1 * h2 * s2) / k
-        t, u = cheb_pair_from_complex_gap(n, gap)
-        m = _cell_pattern(t, u, chi, eta, tau, cmath.exp(-1j * k * float(total_length)), k)
+        m = _cell_power(((h1, b), (h2, b)), n, float(total_length), k)
     except (OverflowError, ValueError, ZeroDivisionError):
         pass
     else:

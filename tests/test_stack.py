@@ -19,6 +19,7 @@ from ptstack import (
     periodic_matrix,
     unit_cell_matrix,
 )
+from ptstack.stack import _cell_power
 from conftest import entry_diff, rel_diff, scaled_diff
 
 
@@ -166,23 +167,28 @@ def test_alternating_balanced_reduces_to_periodic(n):
             assert scaled_diff(balanced, periodic_matrix(PeriodicSpec(v, n, 1.0), k)) <= 1e-13
 
 
-def _mp_alternating(v1, v2, eps, n, total, k):
-    """The N-cell matrix with the cell power taken in 40-digit arithmetic."""
+def _mp_power(slabs, n, total, k):
+    """The N-cell matrix of a cell of (height, width) slabs, left to right,
+    with the cell power taken in 40-digit arithmetic."""
     with mp.workdps(40):
-        k, b = mp.mpf(k), mp.mpf(total) / (2 * n)
-
-        def slab(h):
+        k, cell = mp.mpf(k), mp.eye(2)
+        for h, w in slabs:
             q = mp.sqrt(k * k - h)
-            c, s = mp.cos(q * b), mp.sin(q * b) / q
+            c, s = mp.cos(q * w), mp.sin(q * w) / q
             d, o = (2 * k * k - h) / (2 * k) * s, h / (2 * k) * s
-            return mp.matrix([[c + 1j * d, -1j * o], [1j * o, c - 1j * d]])
-
-        power = (slab(mp.mpc(v1, -eps * v2)) * slab(mp.mpc(v1, v2))) ** n
+            cell = mp.matrix([[c + 1j * d, -1j * o], [1j * o, c - 1j * d]]) * cell
+        power = cell ** n
         phase = mp.exp(-1j * k * total)
         return TransferMatrix(
             complex(power[0, 0] * phase), complex(power[0, 1] * phase),
             complex(power[1, 0] / phase), complex(power[1, 1] / phase), float(k),
         )
+
+
+def _mp_alternating(v1, v2, eps, n, total, k):
+    with mp.workdps(40):
+        b = mp.mpf(total) / (2 * n)
+        return _mp_power([(mp.mpc(v1, v2), b), (mp.mpc(v1, -eps * v2), b)], n, total, k)
 
 
 @pytest.mark.parametrize(
@@ -197,14 +203,23 @@ def _mp_alternating(v1, v2, eps, n, total, k):
         (-100.0, 0.01, 1.5, 4096, 3.16, 0.1),
         # nearly equal gain slabs, entries ~2e15: the slab product drifts by 1.6e-10
         (0.1788, 115.709, -1.032, 1509, 4.0138, 0.03259),
-        # evanescent slabs with nearly opposite principal q: q1 + q2 would cancel
-        # without the sign choice for q2
+        # evanescent slabs with nearly opposite principal q, where q1 + q2 nearly cancels
         (100.0, 1e-3, 0.5, 10**5, 1.0, 1.0),
     ],
 )
 def test_alternating_matches_high_precision_power(v1, v2, eps, n, total, k):
     reference = _mp_alternating(v1, v2, eps, n, total, k)
     assert scaled_diff(alternating_matrix(v1, v2, eps, n, total, k), reference) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 10**5])
+@pytest.mark.parametrize("k", [0.5, 3.0])
+def test_cell_power_of_three_slabs_matches_high_precision_power(n, k):
+    # complex barrier, free gap, real barrier: the only cell past two slabs
+    total = 1.0
+    slabs = [(10.0 + 40.0j, 0.3 * total / n), (0.0j, 0.45 * total / n), (25.0 + 0.0j, 0.25 * total / n)]
+    reference = _mp_power([(mp.mpc(h), w) for h, w in slabs], n, total, k)
+    assert scaled_diff(_cell_power(slabs, n, total, k), reference) <= 1e-13
 
 
 def test_alternating_is_o1_in_n():
