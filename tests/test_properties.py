@@ -1,11 +1,13 @@
-"""Property tests of the unbalanced closed form over log-uniform inputs."""
+"""Property tests of the closed forms over log-uniform inputs."""
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptstack import alternating_matrix, build_alternating, compose_stack
+from ptstack import (
+    NonFiniteMatrixError, PeriodicSpec, alternating_matrix, build_alternating, compose_stack, periodic_matrix,
+)
 from conftest import scaled_diff
 
 
@@ -43,3 +45,27 @@ def test_alternating_matches_slab_product(v1, v2, eps, k, total_length, n):
     t_left, t_right = 1.0 / m.m22, m.det / m.m22
     resolvable = abs(m.m11 * m.m22) + abs(m.m12 * m.m21)
     assert abs(t_left - t_right) <= 1e-12 * resolvable * abs(t_left)
+
+
+def _matrix_or_overflow(closed_form, *args):
+    try:
+        return closed_form(*args)
+    except NonFiniteMatrixError:
+        return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    v=log_uniform(-2, 3.5),
+    k=log_uniform(-1, 2),
+    total_length=log_uniform(-1, 1),
+    n=st.floats(0.0, 6.0).map(lambda e: int(round(10.0 ** e))),
+)
+def test_balanced_closed_form_matches_cell_power(v, k, total_length, n):
+    # The paper's real closed form against the general cell power at v1 = 0,
+    # eps = 1: they agree, or both leave the double range.
+    balanced = _matrix_or_overflow(periodic_matrix, PeriodicSpec(v, n, total_length), k)
+    powered = _matrix_or_overflow(alternating_matrix, 0.0, v, 1.0, n, total_length, k)
+    assert (balanced is None) == (powered is None)
+    if balanced is not None:
+        assert scaled_diff(balanced, powered) <= 1e-10
