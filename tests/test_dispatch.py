@@ -1,10 +1,10 @@
 """Output bytes must not depend on the SIMD code numpy dispatches to.
 
 numpy picks its transcendental and complex kernels by CPU feature at import,
-and ``NPY_DISABLE_CPU_FEATURES`` switches the wider ones off.  A sweep and
-``oracle-check --quick`` run both ways must print the same bytes.  The
-variable is set only here (and in CI); ptstack itself reads no environment
-variable.
+and ``NPY_DISABLE_CPU_FEATURES`` switches the wider ones off.  A sweep,
+``oracle-check --quick`` and a million-cell ``general`` study run both ways
+must print the same bytes.  The variable is set only here (and in CI);
+ptstack itself reads no environment variable.
 """
 
 import os
@@ -21,6 +21,7 @@ SWEEP = (
     "sweep", "--v", "40", "--total-length", "1", "--n-min", "1", "--n-max", "1000000", "--n-count", "12",
     "--n-spacing", "log", "--k-min", "0.05", "--k-max", "20", "--k-count", "40",
 )
+GENERAL = ("general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3", "--n-max", "1000000")
 
 
 def _run(args, disable: bool) -> subprocess.CompletedProcess:
@@ -50,3 +51,8 @@ def test_sweep_bytes_do_not_depend_on_numpy_dispatch(fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_oracle_check_bytes_do_not_depend_on_numpy_dispatch(fmt):
     _same_bytes_both_ways(["oracle-check", "--quick", "--format", fmt])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_general_bytes_do_not_depend_on_numpy_dispatch(fmt):
+    _same_bytes_both_ways([*GENERAL, "--format", fmt])
