@@ -268,9 +268,6 @@ class TransferMatrix:
     def identity(cls, k: float) -> "TransferMatrix":
         return cls(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j, float(k))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=complex)
-
     @property
     def det(self) -> complex:
         return self.m11 * self.m22 - self.m12 * self.m21

@@ -2,21 +2,26 @@ import numpy as np
 import pytest
 
 
+def as_array(m):
+    """The entries of a transfer matrix as a 2x2 complex array."""
+    return np.array([[m.m11, m.m12], [m.m21, m.m22]], dtype=complex)
+
+
 def entry_diff(a, b):
     """Largest componentwise |a - b| between two transfer matrices."""
-    return float(np.max(np.abs(a.as_array() - b.as_array())))
+    return float(np.max(np.abs(as_array(a) - as_array(b))))
 
 
 def scaled_diff(a, b):
     """entry_diff normalized by the larger entry magnitude (floor 1)."""
-    aa, bb = a.as_array(), b.as_array()
+    aa, bb = as_array(a), as_array(b)
     scale = max(1.0, float(np.max(np.abs(aa))), float(np.max(np.abs(bb))))
     return float(np.max(np.abs(aa - bb))) / scale
 
 
 def rel_diff(a, b):
     """Largest componentwise |a - b| / max(|a|, |b|)."""
-    aa, bb = a.as_array(), b.as_array()
+    aa, bb = as_array(a), as_array(b)
     denom = np.maximum(np.abs(aa), np.abs(bb))
     return float(np.max(np.abs(aa - bb) / denom))
 

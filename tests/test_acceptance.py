@@ -30,6 +30,7 @@ from ptstack import (
     unit_cell_elements,
     unit_cell_matrix,
 )
+from conftest import as_array
 
 _DBL_MAX_LOG = math.log(1.7976931348623157e308)
 
@@ -40,11 +41,11 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 
 def _entry_diff(a: TransferMatrix, b: TransferMatrix) -> float:
-    return float(np.max(np.abs(a.as_array() - b.as_array())))
+    return float(np.max(np.abs(as_array(a) - as_array(b))))
 
 
 def _scaled_diff(a: TransferMatrix, b: TransferMatrix) -> float:
-    aa, bb = a.as_array(), b.as_array()
+    aa, bb = as_array(a), as_array(b)
     scale = max(1.0, float(np.max(np.abs(aa))), float(np.max(np.abs(bb))))
     return float(np.max(np.abs(aa - bb))) / scale
 
@@ -89,8 +90,8 @@ def test_criterion_3_chebyshev_composition():
     for k in (0.5, 1.0, 2.0, 5.0, 10.0):
         for v in (1.0, 40.0, 100.0):
             for n in (1, 2, 7, 32, 64):
-                cheb = periodic_matrix(PeriodicSpec(v=v, n_cells=n, total_length=1.0), k).as_array()
-                prod = compose_stack(build_alternating(0.0, v, 1.0, n, 1.0), k).as_array()
+                cheb = as_array(periodic_matrix(PeriodicSpec(v=v, n_cells=n, total_length=1.0), k))
+                prod = as_array(compose_stack(build_alternating(0.0, v, 1.0, n, 1.0), k))
                 rel = np.abs(cheb - prod) / np.maximum(np.abs(cheb), np.abs(prod))
                 worst = max(worst, float(np.max(rel)))
     elapsed = time.perf_counter() - t0

@@ -25,7 +25,7 @@ from ptstack.core import (
     absdet_errs, as_complex, check_count, check_finite, check_positive, cmul, cquot, libm, raise_first,
     scalar_pair,
 )
-from conftest import entry_diff, random_unimodular
+from conftest import as_array, entry_diff, random_unimodular
 
 
 def test_wave_number_validation():
@@ -134,7 +134,7 @@ def test_power_matches_periodic_closed_form():
     restore = TransferMatrix(np.exp(-1j * k * total), 0.0, 0.0, np.exp(1j * k * total), k)
     powered = mat_multiply(restore, mat_power_direct(local, n))
     reference = periodic_matrix(PeriodicSpec(v=v, n_cells=n, total_length=total), k)
-    scale = np.max(np.abs(reference.as_array()))
+    scale = np.max(np.abs(as_array(reference)))
     assert entry_diff(powered, reference) / scale <= 1e-9
 
 
