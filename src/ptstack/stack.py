@@ -10,10 +10,9 @@ Three routes produce the N-cell matrix:
 
   O(1) in N, the only practical route for large N.  It evaluates a whole
   k grid at once (:func:`periodic_arrays`); one k is a length-1 call.
-* :func:`alternating_matrix` - the Chebyshev power of the unbalanced cell
-  (v1 + i v2 then v1 - i eps v2), whose half-trace is complex, through
-  :func:`_cell_power`, which powers any cell of slabs built in the
-  (psi, psi') basis.  O(1) in N; it serves the generalized fine-layer study.
+* :func:`alternating_matrix` - the unbalanced cell (v1 + i v2 then
+  v1 - i eps v2), powered by :func:`_cell_power`, which takes any cell of
+  slabs.  O(1) in N; it serves the generalized fine-layer study.
 * :func:`compose_stack` - explicit product of positioned single-slab
   matrices, O(number of layers).  Works for arbitrary heterogeneous stacks
   and anchors both closed forms at small N.
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -170,23 +170,19 @@ def build_alternating(
     return PotentialStack(layers)
 
 
-def _cell_power(slabs, n_cells: int, total_length: float, k: float) -> TransferMatrix:
-    """N-cell matrix of a cell of (height, width) slabs, left to right, on [0, total_length].
+def _cell_power(slabs: Iterable[tuple[complex, float]], n_cells: int, total_length: float, k: float) -> TransferMatrix:
+    """N-cell matrix on [0, total_length] of a cell of (height, width) slabs, left to right.
 
-    In the (psi, psi') basis a slab is I + F with
+    In the (psi, psi') basis each slab is I + F, F = [[c - 1, S], [-q^2 S, c - 1]]
+    with c - 1 = -2 sin^2(q w/2) and S = sin(q w)/q, and the cell A = I + E
+    accumulates as E <- E + F + F.E.  Neither the gap 1 - x = -tr(E)/2 nor
+    A - x I = E - (tr(E)/2) I subtracts two numbers near 1, and Cayley-Hamilton
+    gives A^N = T_N(x) I + U_{N-1}(x) (A - x I).  In the plane-wave basis at the
+    outer edges this is :func:`ptstack.cell._cell_pattern` with phase e^{-ikL},
+    chi = (k E12 - E21/k)/2, tau = (k E12 + E21/k)/2 and eta = -i (E11 - E22)/2.
 
-        F = [[c - 1, S], [-q^2 S, c - 1]],   c - 1 = -2 sin^2(q w/2),   S = sin(q w)/q,
-
-    and the cell A = I + E accumulates slab by slab as E <- E + F + F.E, so
-    neither the gap 1 - x = -tr(E)/2 nor A - x I = E - (tr(E)/2) I subtracts
-    two numbers near 1.  Cayley-Hamilton gives A^N = T_N(x) I + U_{N-1}(x) (A - x I);
-    the plane-wave basis at the outer edges turns it into the shape of
-    :func:`ptstack.cell._cell_pattern` with phase e^{-ikL} and
-
-        chi = (k E12 - E21/k)/2,   tau = (k E12 + E21/k)/2,   eta = -i (E11 - E22)/2.
-
-    O(1) in N.  Raises OverflowError, ValueError or ZeroDivisionError where
-    a value leaves the double range; the result may still hold inf or NaN.
+    O(1) in N.  OverflowError, ValueError and ZeroDivisionError propagate, and
+    the result may still hold inf or NaN.
     """
     e11 = e12 = e21 = e22 = 0j
     for height, width in slabs:

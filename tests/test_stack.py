@@ -215,7 +215,7 @@ def test_alternating_matches_high_precision_power(v1, v2, eps, n, total, k):
 @pytest.mark.parametrize("n", [1, 7, 1000, 10**5])
 @pytest.mark.parametrize("k", [0.5, 3.0])
 def test_cell_power_of_three_slabs_matches_high_precision_power(n, k):
-    # complex barrier, free gap, real barrier: the only cell past two slabs
+    # complex barrier, free gap, real barrier: the only case with more than two slabs
     total = 1.0
     slabs = [(10.0 + 40.0j, 0.3 * total / n), (0.0j, 0.45 * total / n), (25.0 + 0.0j, 0.25 * total / n)]
     reference = _mp_power([(mp.mpc(h), w) for h, w in slabs], n, total, k)
