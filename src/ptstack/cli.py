@@ -5,6 +5,12 @@ Output is CSV (UTF-8, comma separated, ``#``-prefixed metadata lines) or
 JSON; ``--output -`` writes to standard output.  Runs are fully
 deterministic: identical invocations produce byte-identical output.
 
+``sweep`` spreads its N grid over the CPUs in its affinity mask: each forked
+worker computes and writes the rows of one contiguous N range, and the bytes
+do not depend on the CPU count.  ``taskset -c 0 ptstack sweep ...`` runs it
+in one process.  On Python >= 3.12 the fork emits a DeprecationWarning,
+because numpy's OpenBLAS thread pool makes the process multi-threaded.
+
 Option precedence: command-line flag > preset flag (``sweep --fig3``,
 ``oracle-check --quick``) > config file > built-in default.  The config file
 is a flat ``key = value`` text file whose keys match the long option names
@@ -21,9 +27,15 @@ import argparse
 import cmath
 import contextlib
 import importlib.util
+import io
 import json
 import math
+import os
+import pickle
+import shutil
+import signal
 import sys
+import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -245,16 +257,21 @@ def _json_fields(name: str, values: list) -> list:
     return [(name, [_json_token(v, "      ") for v in values])]
 
 
-def _one_block(rows: list) -> list:
+def _one_block(rows: list):
     """A table of row tuples as a single block (see :func:`_write_table`)."""
-    return [(len(rows), [list(column) for column in zip(*rows)])]
+    yield len(rows), [list(column) for column in zip(*rows)]
 
 
 def _block_fields(columns: tuple, blocks, fields_of):
     """The (header, fields) columns of each block, formatting a shared value
-    once and a column object repeated from the previous block not again."""
+    once and a column object repeated from the previous block not again.  A
+    block that is a file is passed through."""
     previous = {}
-    for count, values in blocks:
+    for block in blocks:
+        if isinstance(block, io.IOBase):
+            yield block
+            continue
+        count, values = block
         fields = []
         for j, (name, column) in enumerate(zip(columns, values)):
             if not isinstance(column, list):
@@ -266,42 +283,160 @@ def _block_fields(columns: tuple, blocks, fields_of):
         yield fields
 
 
+def _write_rows(out, fmt: str, columns: tuple, blocks, first: bool = True) -> bool:
+    """Write the rows of ``blocks`` as CSV lines or JSON row objects.
+
+    ``first`` says that nothing of the table's body precedes them: CSV then
+    starts with the header line, and JSON writes no separator before the
+    first row.  A block that is a file holds rows written by this function
+    with ``first=False`` and is copied.  Returns whether the body is still
+    empty.
+    """
+    template = "{\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in columns) + "\n    }"
+    for fields in _block_fields(columns, blocks, _json_fields if fmt == "json" else _csv_fields):
+        if isinstance(fields, io.IOBase):
+            shutil.copyfileobj(fields, out)
+            first = False
+        elif fmt == "json":
+            texts = [template % cells for cells in zip(*(f for _, f in fields))]
+            if texts:
+                out.write(("\n    " if first else ",\n    ") + ",\n    ".join(texts))
+                first = False
+        else:
+            if first:
+                out.write(",".join(name for name, _ in fields) + "\n")
+                first = False
+            lines = "\n".join(map(",".join, zip(*(f for _, f in fields))))
+            if lines:
+                out.write(lines + "\n")
+    return first
+
+
 def _write_table(out, fmt: str, meta: list, columns: tuple, blocks, summary: list) -> None:
     """Write one table as CSV or JSON, a block of rows at a time.
 
     ``blocks`` yields (row count, columns); a column is a list of values, or
-    one value shared by every row of the block.  The bytes are those of the
-    whole table's lines joined (CSV) or of ``json.dumps(doc, indent=2)``
-    (JSON); str(float) is the shortest round-trip repr.
+    one value shared by every row of the block.  A block may also be a file
+    of rows another process wrote (see :func:`_write_rows`).  The bytes are
+    those of the whole table's lines joined (CSV) or of
+    ``json.dumps(doc, indent=2)`` (JSON); str(float) is the shortest
+    round-trip repr.
     """
     if fmt == "json":
         out.write('{\n  "metadata": ' + _json_object(meta, "  ") + ',\n  "rows": [')
-        row = "{\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in columns) + "\n    }"
-        separator = "\n    "
-        for fields in _block_fields(columns, blocks, _json_fields):
-            texts = [row % cells for cells in zip(*(f for _, f in fields))]
-            if texts:
-                out.write(separator + ",\n    ".join(texts))
-                separator = ",\n    "
-        out.write("]" if separator == "\n    " else "\n  ]")
+        out.write("]" if _write_rows(out, fmt, columns, blocks) else "\n  ]")
         if summary:
             out.write(',\n  "summary": ' + _json_object(summary, "  "))
         out.write("\n}\n")
         return
     out.write("".join(f"# {k} = {v}\n" for k, v in meta))
-    header = None
-    for fields in _block_fields(columns, blocks, _csv_fields):
-        if header is None:
-            header = ",".join(name for name, _ in fields)
-            out.write(header + "\n")
-        lines = "\n".join(map(",".join, zip(*(f for _, f in fields))))
-        if lines:
-            out.write(lines + "\n")
+    _write_rows(out, fmt, columns, blocks)
     out.write("".join(f"# {k} = {v}\n" for k, v in _flatten(summary)))
 
 
 def _open_output(path: str):
     return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+
+
+def _ranges(values: list, count: int) -> list:
+    """``values`` cut into ``count`` contiguous ranges of near-equal length,
+    or one range per value if there are fewer values."""
+    count = min(count, len(values))
+    return [values[len(values) * i // count:len(values) * (i + 1) // count] for i in range(count)]
+
+
+def _work(report, rows, values: list, compute, render):
+    """A forked worker's whole life: compute ``values``, report None or the
+    exception raised through ``report``, then render the rows into ``rows``.
+
+    It leaves only through ``os._exit``, so it flushes no stream it
+    inherited and runs no exit handler; exit code 0 means the rows are
+    complete.
+    """
+    code = 1
+    try:
+        try:
+            blocks, error = compute(values), None
+        except Exception as exc:
+            blocks, error = None, exc
+        report.write(pickle.dumps(error))
+        report.close()
+        if error is None:
+            render(rows, blocks)
+            rows.flush()
+            code = 0
+    finally:
+        os._exit(code)
+
+
+class _ForkedRanges:
+    """The blocks of rows of an N grid split into contiguous ranges.
+
+    The first range is computed here; each later one by a forked worker
+    (:func:`_work`), which renders its rows into an unlinked temporary file.
+    The constructor returns once every range has computed and raises the
+    error of the earliest range that failed, so nothing is written after a
+    failure.  Iterating yields this process's blocks, then each worker's
+    file once the worker has exited cleanly.  :meth:`close` kills and reaps
+    the workers left and closes the files.
+    """
+
+    def __init__(self, ranges: list, compute, render):
+        self._cleanup = contextlib.ExitStack()
+        self._workers = []  # (pid, range, status pipe, rows file), in range order
+        self._exit_codes = {}
+        try:
+            for values in ranges[1:]:
+                self._start(values, compute, render)
+            self._blocks = compute(ranges[0])
+            for pid, values, status, _ in self._workers:
+                payload = status.read()
+                if not payload:
+                    code = self._reap(pid)
+                    raise ChildProcessError(
+                        f"sweep worker for N = {values[0]}..{values[-1]} ended without a status (exit code {code})"
+                    )
+                error = pickle.loads(payload)
+                if error is not None:
+                    raise error
+        except BaseException:
+            self.close()
+            raise
+
+    def _start(self, values: list, compute, render) -> None:
+        rows = self._cleanup.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+        read_end, write_end = os.pipe()
+        status = self._cleanup.enter_context(os.fdopen(read_end, "rb"))
+        with os.fdopen(write_end, "wb") as report:
+            # numpy's OpenBLAS thread pool makes this process multi-threaded,
+            # and a forked child must not touch what another thread may hold
+            # locked: the worker calls no BLAS routine and starts no thread.
+            pid = os.fork()
+            if pid == 0:
+                _work(report, rows, values, compute, render)
+        self._cleanup.callback(self._reap, pid, signal.SIGKILL)
+        self._workers.append((pid, values, status, rows))
+
+    def _reap(self, pid: int, kill=None) -> int:
+        if pid not in self._exit_codes:
+            if kill is not None:
+                os.kill(pid, kill)
+            self._exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return self._exit_codes[pid]
+
+    def __iter__(self):
+        yield from self._blocks
+        for pid, values, _, rows in self._workers:
+            code = self._reap(pid)
+            if code != 0:
+                raise ChildProcessError(
+                    f"sweep worker for N = {values[0]}..{values[-1]} failed writing its rows (exit code {code})"
+                )
+            rows.seek(0)
+            yield rows
+
+    def close(self) -> None:
+        self._cleanup.close()
 
 
 def _matrix_dev(a, b) -> float:
@@ -319,6 +454,8 @@ def _matrix_dev(a, b) -> float:
 
 # Each command takes the resolved options and the names left at their default,
 # and returns (columns, blocks of rows, summary, extra metadata, exit code).
+# main closes the blocks once written or on failure, which stops any worker
+# process a command left running.
 
 _CELL_ELEMENTS = ("k", "v", "b", "rho", "phi", "alpha", "beta", "u_plus", "u_minus", "xi", "chi", "eta", "tau")
 _MATRIX_ENTRIES = ("m11", "m12", "m21", "m22", "absdet_err")
@@ -341,22 +478,33 @@ def cmd_cell(opt: dict, defaulted: set):
 def cmd_sweep(opt: dict, defaulted: set):
     from .scattering import transmission_surface
 
+    columns = ("N", "k", "T", "R_left", "R_right", "absdet_err")
     n_values = _n_grid(opt)
     k_values = _float_grid(opt["k_min"], opt["k_max"], opt["k_count"])
-    table = transmission_surface(opt["v"], opt["total_length"], n_values, k_values)
-    k_column = table.k_values.tolist()
-    results = (table.big_t, table.big_r_left, table.big_r_right, table.absdet_err)
-    # One block per N: the N is one shared value and the k column one list.
-    blocks = (
-        (len(k_column), [n, k_column, *(column[i].tolist() for column in results)])
-        for i, n in enumerate(table.n_values)
-    )
+
+    def compute(n_range: list):
+        table = transmission_surface(opt["v"], opt["total_length"], n_range, k_values)
+        k_column = table.k_values.tolist()
+        results = (table.big_t, table.big_r_left, table.big_r_right, table.absdet_err)
+        # One block per N: the N is one shared value and the k column one list.
+        return (
+            (len(k_column), [n, k_column, *(column[i].tolist() for column in results)])
+            for i, n in enumerate(table.n_values)
+        )
+
+    def render(out, blocks) -> None:
+        _write_rows(out, opt["format"], columns, blocks, first=False)
+
+    # One N range per CPU this process may run on; a platform without
+    # affinity masks runs one range.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    blocks = _ForkedRanges(_ranges(n_values, cpus), compute, render)
     k_is_default = {"k_min", "k_max", "k_count"} <= defaulted
     extra = [
         ("fig3_preset", opt["fig3"]),
         ("k_grid_provenance", "tool default (no externally specified range)" if k_is_default else "user"),
     ]
-    return ("N", "k", "T", "R_left", "R_right", "absdet_err"), blocks, [], extra, EXIT_OK
+    return columns, blocks, [], extra, EXIT_OK
 
 
 def cmd_converge(opt: dict, defaulted: set):
@@ -518,7 +666,7 @@ def main(argv=None) -> int:
         columns, blocks, summary, extra, code = fn(opt, defaulted)
         meta = [("tool", "ptstack"), ("tool_version", __version__), ("command", args.command)]
         meta += [(name, opt[name]) for name in options] + extra
-        with _open_output(opt["output"]) as out:
+        with contextlib.closing(blocks), _open_output(opt["output"]) as out:
             _write_table(out, opt["format"], meta, columns, blocks, summary)
         return code
     except (CliUsageError, ValueError, OSError) as exc:
