@@ -8,13 +8,16 @@ diff.
 import io
 import json
 import math
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from ptstack import PeriodicSpec, convergence_study, periodic_matrix, scattering_from_matrix, unit_cell_elements
+from ptstack import (
+    NonFiniteMatrixError, PeriodicSpec, convergence_study, periodic_matrix, scattering_from_matrix, unit_cell_elements,
+)
 from ptstack.cli import main
 
 
@@ -348,6 +351,125 @@ def test_numerical_failure_maps_to_exit_2(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def _on_cpus(monkeypatch, count):
+    # sweep starts one worker per CPU in its affinity mask after the first.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counting_forks(monkeypatch) -> list:
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "n_count, cpus, workers", [(7, 3, 2), (7, 1, 0), (1, 3, 0)], ids=["7N-3cpu", "7N-1cpu", "1N-3cpu"]
+)
+def test_sweep_bytes_do_not_depend_on_cpu_count(capsys, monkeypatch, fmt, n_count, cpus, workers):
+    # 7 N on 3 CPUs: ranges of 2, 2 and 3 N, the last two run by workers.
+    args = ("sweep", "--v", "40", "--n-min", "1", "--n-max", "1000", "--n-count", str(n_count),
+            "--n-spacing", "log", "--k-min", "1", "--k-max", "5", "--k-count", "3", "--format", fmt)
+    _on_cpus(monkeypatch, 1)
+    expected = run_cli(capsys, *args)
+    code, out, err = expected
+    rows = json.loads(out)["rows"] if fmt == "json" else parse_csv(out)[2]
+    assert (code, err, len(rows)) == (0, "", 3 * n_count)
+    _on_cpus(monkeypatch, cpus)
+    forks, fds = _counting_forks(monkeypatch), _open_fds()
+    assert run_cli(capsys, *args) == expected
+    assert len(forks) == workers
+    assert _open_fds() == fds
+    _assert_no_worker_left()
+
+
+def _sweep_failing(monkeypatch, first=None, later=None):
+    """transmission_surface runs ``first`` before the first N range of
+    FAILING_SWEEP and ``later`` before a later one; a forked worker inherits
+    the replacement."""
+    import ptstack.scattering
+
+    surface = ptstack.scattering.transmission_surface
+
+    def failing_surface(v, total_length, n_values, k_values):
+        action = first if n_values[0] == 5 else later
+        if action:
+            action()
+        return surface(v, total_length, n_values, k_values)
+
+    monkeypatch.setattr(ptstack.scattering, "transmission_surface", failing_surface)
+    _on_cpus(monkeypatch, 2)
+
+
+# N = 5..10 on 2 CPUs: this process runs N = 5..7, a worker N = 8..10.
+FAILING_SWEEP = ("sweep", "--v", "40", "--n-min", "5", "--n-max", "10")
+
+
+def _raises(exc):
+    def action():
+        raise exc
+
+    return action
+
+
+@pytest.mark.parametrize(
+    "first, later, code, err",
+    [
+        (None, _raises(NonFiniteMatrixError("later range")), 2, "ptstack: numerical failure: later range\n"),
+        (None, _raises(ValueError("later range")), 1, "ptstack: error: later range\n"),
+        (_raises(NonFiniteMatrixError("first range")), _raises(NonFiniteMatrixError("later range")), 2,
+         "ptstack: numerical failure: first range\n"),
+        (None, lambda: os._exit(1), 1,
+         "ptstack: error: sweep worker for N = 8..10 ended without a status (exit code 1)\n"),
+    ],
+    ids=["numerical", "value", "first-range-wins", "no-status"],
+)
+def test_failing_worker_writes_nothing(capsys, monkeypatch, tmp_path, first, later, code, err):
+    _sweep_failing(monkeypatch, first, later)
+    assert run_cli(capsys, *FAILING_SWEEP) == (code, "", err)
+    _assert_no_worker_left()
+    path = tmp_path / "rows.csv"
+    assert run_cli(capsys, *FAILING_SWEEP, "--output", str(path)) == (code, "", err)
+    assert not path.exists()
+    _assert_no_worker_left()
+
+
+def test_worker_failing_to_write_its_rows(capsys, monkeypatch):
+    # Every range has computed, so this process has written its own rows; the
+    # worker's rows are missing and the run fails with one line.
+    import ptstack.cli
+
+    write_rows = ptstack.cli._write_rows
+
+    def failing_write_rows(out, fmt, columns, blocks, first=True):
+        if not first:  # a worker's rows
+            os._exit(3)
+        return write_rows(out, fmt, columns, blocks, first)
+
+    monkeypatch.setattr(ptstack.cli, "_write_rows", failing_write_rows)
+    _on_cpus(monkeypatch, 2)
+    code, out, err = run_cli(capsys, *FAILING_SWEEP)
+    assert (code, err) == (1, "ptstack: error: sweep worker for N = 8..10 failed writing its rows (exit code 3)\n")
+    assert "\n7," in out and "\n8," not in out
+    _assert_no_worker_left()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -486,13 +608,28 @@ def _golden_run(name, fmt):
     return out.getvalue(), err.getvalue(), code
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_output(name, fmt):
+def _check_golden(name, fmt):
     out, err, code = _golden_run(name, fmt)
     expected = json.loads((GOLDEN_DIR / "results.json").read_text(encoding="utf-8"))[f"{name}.{fmt}"]
     assert out.encode("utf-8") == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
     assert (err, code) == (expected["stderr"], expected["exit"])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(name, fmt):
+    _check_golden(name, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN if name.startswith("sweep")))
+def test_golden_sweep_on_one_cpu(monkeypatch, name, fmt):
+    # The same files as test_golden_output, which forks where the host has
+    # several CPUs; on one CPU no worker starts.
+    _on_cpus(monkeypatch, 1)
+    forks = _counting_forks(monkeypatch)
+    _check_golden(name, fmt)
+    assert forks == []
 
 
 def _record_golden():
