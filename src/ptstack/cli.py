@@ -31,7 +31,6 @@ import io
 import json
 import math
 import os
-import pickle
 import shutil
 import signal
 import sys
@@ -288,9 +287,9 @@ def _write_rows(out, fmt: str, columns: tuple, blocks, first: bool = True) -> bo
 
     ``first`` says that nothing of the table's body precedes them: CSV then
     starts with the header line, and JSON writes no separator before the
-    first row.  A block that is a file holds rows written by this function
-    with ``first=False`` and is copied.  Returns whether the body is still
-    empty.
+    first row.  A block that is a file holds rows this function wrote there,
+    with ``first`` as it stands at that block, and is copied.  Returns
+    whether the body is still empty.
     """
     template = "{\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in columns) + "\n    }"
     for fields in _block_fields(columns, blocks, _json_fields if fmt == "json" else _csv_fields):
@@ -345,24 +344,22 @@ def _ranges(values: list, count: int) -> list:
     return [values[len(values) * i // count:len(values) * (i + 1) // count] for i in range(count)]
 
 
-def _work(report, rows, values: list, compute, render):
-    """A forked worker's whole life: compute ``values``, report None or the
-    exception raised through ``report``, then render the rows into ``rows``.
+def _render_range(rows, values: list, compute, render):
+    """A forked worker's whole life: compute ``values`` and render their rows
+    into ``rows``.
 
     It leaves only through ``os._exit``, so it flushes no stream it
-    inherited and runs no exit handler; exit code 0 means the rows are
-    complete.
+    inherited and runs no exit handler.  The exit code says what happened:
+    0 the rows are complete, 2 the computation raised, 1 anything else.
     """
     code = 1
     try:
         try:
-            blocks, error = compute(values), None
-        except Exception as exc:
-            blocks, error = None, exc
-        report.write(pickle.dumps(error))
-        report.close()
-        if error is None:
-            render(rows, blocks)
+            blocks = compute(values)
+        except Exception:
+            code = 2
+        else:
+            render(rows, blocks, False)
             rows.flush()
             code = 0
     finally:
@@ -370,73 +367,60 @@ def _work(report, rows, values: list, compute, render):
 
 
 class _ForkedRanges:
-    """The blocks of rows of an N grid split into contiguous ranges.
+    """The rows of an N grid split into contiguous ranges, each rendered into
+    its own unlinked temporary file.
 
-    The first range is computed here; each later one by a forked worker
-    (:func:`_work`), which renders its rows into an unlinked temporary file.
-    The constructor returns once every range has computed and raises the
+    The first range is computed and rendered here; each later one by a
+    forked worker (:func:`_render_range`).  The constructor returns once
+    every range has rendered and every worker is reaped, and raises the
     error of the earliest range that failed, so nothing is written after a
-    failure.  Iterating yields this process's blocks, then each worker's
-    file once the worker has exited cleanly.  :meth:`close` kills and reaps
-    the workers left and closes the files.
+    failure.  A worker whose computation raised is not asked why: the range
+    is computed again here, which raises the same exception because the
+    computation is deterministic.  Iterating yields the files in range
+    order; :meth:`close` closes them.
     """
 
     def __init__(self, ranges: list, compute, render):
-        self._cleanup = contextlib.ExitStack()
-        self._workers = []  # (pid, range, status pipe, rows file), in range order
-        self._exit_codes = {}
+        self._files = contextlib.ExitStack()
+        workers = {}  # pid -> range, in range order
         try:
-            for values in ranges[1:]:
-                self._start(values, compute, render)
-            self._blocks = compute(ranges[0])
-            for pid, values, status, _ in self._workers:
-                payload = status.read()
-                if not payload:
-                    code = self._reap(pid)
+            self._rows = [
+                self._files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+                for _ in ranges
+            ]
+            for values, rows in zip(ranges[1:], self._rows[1:]):
+                # numpy's OpenBLAS thread pool makes this process
+                # multi-threaded, and a forked child must not touch what
+                # another thread may hold locked: the worker calls no BLAS
+                # routine and starts no thread.
+                pid = os.fork()
+                if pid == 0:
+                    _render_range(rows, values, compute, render)
+                workers[pid] = values
+            render(self._rows[0], compute(ranges[0]), True)
+            for pid, values in list(workers.items()):
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del workers[pid]
+                if code == 2:
+                    compute(values)
+                if code != 0:
                     raise ChildProcessError(
-                        f"sweep worker for N = {values[0]}..{values[-1]} ended without a status (exit code {code})"
+                        f"sweep worker for N = {values[0]}..{values[-1]} failed (exit code {code})"
                     )
-                error = pickle.loads(payload)
-                if error is not None:
-                    raise error
         except BaseException:
+            for pid in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
             self.close()
             raise
 
-    def _start(self, values: list, compute, render) -> None:
-        rows = self._cleanup.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-        read_end, write_end = os.pipe()
-        status = self._cleanup.enter_context(os.fdopen(read_end, "rb"))
-        with os.fdopen(write_end, "wb") as report:
-            # numpy's OpenBLAS thread pool makes this process multi-threaded,
-            # and a forked child must not touch what another thread may hold
-            # locked: the worker calls no BLAS routine and starts no thread.
-            pid = os.fork()
-            if pid == 0:
-                _work(report, rows, values, compute, render)
-        self._cleanup.callback(self._reap, pid, signal.SIGKILL)
-        self._workers.append((pid, values, status, rows))
-
-    def _reap(self, pid: int, kill=None) -> int:
-        if pid not in self._exit_codes:
-            if kill is not None:
-                os.kill(pid, kill)
-            self._exit_codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        return self._exit_codes[pid]
-
     def __iter__(self):
-        yield from self._blocks
-        for pid, values, _, rows in self._workers:
-            code = self._reap(pid)
-            if code != 0:
-                raise ChildProcessError(
-                    f"sweep worker for N = {values[0]}..{values[-1]} failed writing its rows (exit code {code})"
-                )
+        for rows in self._rows:
             rows.seek(0)
             yield rows
 
     def close(self) -> None:
-        self._cleanup.close()
+        self._files.close()
 
 
 def _matrix_dev(a, b) -> float:
@@ -492,8 +476,8 @@ def cmd_sweep(opt: dict, defaulted: set):
             for i, n in enumerate(table.n_values)
         )
 
-    def render(out, blocks) -> None:
-        _write_rows(out, opt["format"], columns, blocks, first=False)
+    def render(out, blocks, first: bool) -> None:
+        _write_rows(out, opt["format"], columns, blocks, first)
 
     # One N range per CPU this process may run on; a platform without
     # affinity masks runs one range.

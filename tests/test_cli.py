@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import signal
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -428,6 +429,16 @@ def _raises(exc):
     return action
 
 
+def _raises_in_worker(exc):
+    parent = os.getpid()
+
+    def action():
+        if os.getpid() != parent:
+            raise exc
+
+    return action
+
+
 @pytest.mark.parametrize(
     "first, later, code, err",
     [
@@ -436,9 +447,13 @@ def _raises(exc):
         (_raises(NonFiniteMatrixError("first range")), _raises(NonFiniteMatrixError("later range")), 2,
          "ptstack: numerical failure: first range\n"),
         (None, lambda: os._exit(1), 1,
-         "ptstack: error: sweep worker for N = 8..10 ended without a status (exit code 1)\n"),
+         "ptstack: error: sweep worker for N = 8..10 failed (exit code 1)\n"),
+        # The range computes here without raising: the computation is not
+        # deterministic, and no exception can be reproduced.
+        (None, _raises_in_worker(ValueError("worker only")), 1,
+         "ptstack: error: sweep worker for N = 8..10 failed (exit code 2)\n"),
     ],
-    ids=["numerical", "value", "first-range-wins", "no-status"],
+    ids=["numerical", "value", "first-range-wins", "no-status", "not-reproduced"],
 )
 def test_failing_worker_writes_nothing(capsys, monkeypatch, tmp_path, first, later, code, err):
     _sweep_failing(monkeypatch, first, later)
@@ -450,24 +465,42 @@ def test_failing_worker_writes_nothing(capsys, monkeypatch, tmp_path, first, lat
     _assert_no_worker_left()
 
 
-def test_worker_failing_to_write_its_rows(capsys, monkeypatch):
-    # Every range has computed, so this process has written its own rows; the
-    # worker's rows are missing and the run fails with one line.
+def _assert_rendering_failure_writes_nothing(capsys, monkeypatch, tmp_path, action, err):
+    """A worker that runs ``action`` where it would render its rows fails the
+    run with ``err``, although every range has computed and this process has
+    rendered its own rows: no row is written and no --output file created."""
     import ptstack.cli
 
     write_rows = ptstack.cli._write_rows
 
     def failing_write_rows(out, fmt, columns, blocks, first=True):
         if not first:  # a worker's rows
-            os._exit(3)
+            action()
         return write_rows(out, fmt, columns, blocks, first)
 
     monkeypatch.setattr(ptstack.cli, "_write_rows", failing_write_rows)
     _on_cpus(monkeypatch, 2)
-    code, out, err = run_cli(capsys, *FAILING_SWEEP)
-    assert (code, err) == (1, "ptstack: error: sweep worker for N = 8..10 failed writing its rows (exit code 3)\n")
-    assert "\n7," in out and "\n8," not in out
+    fds = _open_fds()
+    assert run_cli(capsys, *FAILING_SWEEP) == (1, "", err)
+    path = tmp_path / "rows.csv"
+    assert run_cli(capsys, *FAILING_SWEEP, "--output", str(path)) == (1, "", err)
+    assert not path.exists()
+    assert _open_fds() == fds
     _assert_no_worker_left()
+
+
+def test_worker_failing_to_write_its_rows(capsys, monkeypatch, tmp_path):
+    _assert_rendering_failure_writes_nothing(
+        capsys, monkeypatch, tmp_path, lambda: os._exit(3),
+        "ptstack: error: sweep worker for N = 8..10 failed (exit code 3)\n",
+    )
+
+
+def test_worker_killed_while_rendering(capsys, monkeypatch, tmp_path):
+    _assert_rendering_failure_writes_nothing(
+        capsys, monkeypatch, tmp_path, lambda: os.kill(os.getpid(), signal.SIGKILL),
+        "ptstack: error: sweep worker for N = 8..10 failed (exit code -9)\n",
+    )
 
 
 @pytest.mark.parametrize(
