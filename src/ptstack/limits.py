@@ -26,8 +26,6 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .cell import barrier_matrix
 from .core import TransferMatrix, check_count, check_positive, check_wave_number
 from .stack import PeriodicSpec, alternating_matrix, periodic_matrix
@@ -142,12 +140,17 @@ def fit_loglog_slope(ns: Sequence[int], deviations: Sequence[float]) -> float:
     """Least-squares slope of log(deviation) against log(N).
 
     Deviations are floored at 1e-300 so an exact zero (a matrix that rounds
-    to the identity) cannot poison the fit with -inf.
+    to the identity) cannot poison the fit with -inf.  The centred closed
+    form with correctly rounded sums: no BLAS or LAPACK kernel, so the bytes
+    do not depend on the host's.
     """
     if len(ns) != len(deviations) or len(ns) < 2:
         raise ValueError("need at least two (N, deviation) pairs")
-    devs = np.maximum(np.asarray(deviations, float), 1e-300)
-    return float(np.polyfit(np.log(np.asarray(ns, float)), np.log(devs), 1)[0])
+    xs = [math.log(n) for n in ns]
+    ys = [math.log(max(d, 1e-300)) for d in deviations]
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    return math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,26 @@ def test_fit_loglog_slope_validation():
         fit_loglog_slope([10], [0.1])
 
 
+def test_fit_loglog_slope_matches_polyfit():
+    # The closed form against LAPACK least squares on noisy power laws, with
+    # an exact zero deviation (floored at 1e-300) in the last case.
+    rng = np.random.default_rng(11)
+    for case in range(20):
+        ns = np.unique(rng.integers(1, 10**6, size=rng.integers(2, 30)))
+        if len(ns) < 2:
+            continue
+        devs = ns ** rng.uniform(-3.0, 1.0) * np.exp(rng.normal(0.0, 0.3, len(ns)))
+        if case == 19:
+            devs[-1] = 0.0
+        expected = np.polyfit(np.log(ns), np.log(np.maximum(devs, 1e-300)), 1)[0]
+        assert fit_loglog_slope(ns.tolist(), devs.tolist()) == pytest.approx(expected, rel=1e-12)
+
+
+def test_fit_loglog_slope_of_exact_power_law():
+    ns = [100, 215, 464, 1000, 2154, 4642, 10000, 21544, 46416, 100000]
+    assert fit_loglog_slope(ns, [3.0 / n for n in ns]) == pytest.approx(-1.0, rel=4 * 2.0**-52)
+
+
 def test_generalized_balanced_case_gives_free_space():
     res = generalized_limit_study(0.0, 40.0, 1.0, 1.0, [64, 128, 256, 512], 3.0)
     assert abs(res.effective_height) <= 1e-3
