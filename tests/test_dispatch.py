@@ -3,8 +3,16 @@
 numpy picks its transcendental and complex kernels by CPU feature at import,
 and ``NPY_DISABLE_CPU_FEATURES`` switches the wider ones off.  A sweep,
 ``oracle-check --quick`` and a million-cell ``general`` study run both ways
-must print the same bytes.  The variable is set only here (and in CI);
-ptstack itself reads no environment variable.
+must print the same bytes.
+
+OpenBLAS likewise picks its BLAS and LAPACK kernels by CPU, and
+``OPENBLAS_CORETYPE`` forces one.  ``cell``, a sweep, ``converge`` and
+``general`` must print the same bytes under each kernel listed in
+``CORETYPES``.  ``oracle-check`` is not among them: its integrator's stage
+sums are still BLAS calls.
+
+The variables are set only here (and in CI); ptstack itself reads no
+environment variable.
 """
 
 import os
@@ -24,11 +32,18 @@ SWEEP = (
 GENERAL = ("general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3", "--n-max", "1000000")
 
 
-def _run(args, disable: bool) -> subprocess.CompletedProcess:
-    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+# None leaves the choice to OpenBLAS.
+CORETYPES = (None, "Haswell", "Zen", "Prescott")
+
+
+def _run(args, disable: bool = False, coretype: str | None = None) -> subprocess.CompletedProcess:
+    unset = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+    env = {key: value for key, value in os.environ.items() if key not in unset}
     env["PYTHONPATH"] = str(SRC)
     if disable:
         env["NPY_DISABLE_CPU_FEATURES"] = DISABLED
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=False)
 
 
@@ -56,3 +71,21 @@ def test_oracle_check_bytes_do_not_depend_on_numpy_dispatch(fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_general_bytes_do_not_depend_on_numpy_dispatch(fmt):
     _same_bytes_both_ways([*GENERAL, "--format", fmt])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("cell", "--k", "1", "--v", "40", "--b", "0.05"),
+        SWEEP,
+        ("converge", "--k", "5", "--v", "40"),
+        ("converge", "--k", "5", "--v", "40", "--n-min", "100", "--n-max", "10000", "--n-count", "5"),
+        GENERAL,
+    ],
+    ids=["cell", "sweep", "converge", "converge-golden", "general"],
+)
+def test_bytes_do_not_depend_on_blas_kernel(args):
+    runs = [_run(["-m", "ptstack.cli", *args], coretype=coretype) for coretype in CORETYPES]
+    assert (runs[0].returncode, runs[0].stderr) == (0, b"")
+    for coretype, run in zip(CORETYPES[1:], runs[1:]):
+        assert (coretype, run.returncode, run.stdout) == (coretype, 0, runs[0].stdout)
