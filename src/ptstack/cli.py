@@ -4,12 +4,16 @@ studies, the generalized alternating-stack fit, and oracle cross-checks.
 Output is CSV (UTF-8, comma separated, ``#``-prefixed metadata lines) or
 JSON; ``--output -`` writes to standard output.  Runs are fully
 deterministic: identical invocations produce byte-identical output.
+Nothing is written before the whole output is computed.
 
-``sweep`` spreads its N grid over the CPUs in its affinity mask: each forked
-worker computes and writes the rows of one contiguous N range, and the bytes
-do not depend on the CPU count.  ``taskset -c 0 ptstack sweep ...`` runs it
-in one process.  On Python >= 3.12 the fork emits a DeprecationWarning,
-because numpy's OpenBLAS thread pool makes the process multi-threaded.
+``sweep`` spreads its N grid over the CPUs in its affinity mask: every
+contiguous N range, the first one included, renders into a temporary file
+before the output is opened, a forked worker rendering each range after the
+first, and the bytes do not depend on the CPU count.  A failure in any range
+writes no row, and every sweep needs a writable temporary directory, also on
+one CPU.  ``taskset -c 0 ptstack sweep ...`` runs it in one process.  On
+Python >= 3.12 the fork emits a DeprecationWarning, because numpy's OpenBLAS
+thread pool makes the process multi-threaded.
 
 Option precedence: command-line flag > preset flag (``sweep --fig3``,
 ``oracle-check --quick``) > config file > built-in default.  The config file
@@ -438,8 +442,8 @@ def _matrix_dev(a, b) -> float:
 
 # Each command takes the resolved options and the names left at their default,
 # and returns (columns, blocks of rows, summary, extra metadata, exit code).
-# main closes the blocks once written or on failure, which stops any worker
-# process a command left running.
+# main closes the blocks once written or on failure, which closes the files a
+# sweep rendered its rows into.
 
 _CELL_ELEMENTS = ("k", "v", "b", "rho", "phi", "alpha", "beta", "u_plus", "u_minus", "xi", "chi", "eta", "tau")
 _MATRIX_ENTRIES = ("m11", "m12", "m21", "m22", "absdet_err")
