@@ -7,8 +7,9 @@ Nothing here touches the closed forms.  Two independent tiers:
   segment by segment (the potential is constant inside each segment, so the
   step controller never straddles a discontinuity).  Interface continuity of
   psi and psi' is automatic; there is no manual wave matching anywhere.  The
-  integrator is the built-in DOP853 of :mod:`ptstack.dop853` (numpy only);
-  the right-hand side of a segment is one product with a constant matrix.
+  integrator is the built-in DOP853 of :mod:`ptstack.dop853`, on plain
+  Python complex numbers like the right-hand side, so no BLAS or SIMD kernel
+  enters the tier and its bytes are the same on any host.
 * :func:`slab_propagation_matrix` - exact analytic propagation of (psi, psi')
   across each slab, multiplied up and converted to plane-wave amplitudes only
   at the outer edges.  Exact for rectangles, O(layers), used to cross-check
@@ -21,8 +22,6 @@ Both tiers share the global-coordinate amplitude convention of
 from __future__ import annotations
 
 import cmath
-
-import numpy as np
 
 from .core import PotentialStack, TransferMatrix, check_wave_number
 
@@ -64,25 +63,30 @@ def _segments(stack: PotentialStack) -> list[tuple[float, float, complex]]:
     return segments
 
 
+def _wave_equation(w2: complex):
+    """Right-hand side of psi'' = w2 psi for every (psi, psi') pair of the state."""
+
+    def rhs(x, state):
+        derivative = []
+        for i in range(0, len(state), 2):
+            derivative += (state[i + 1], w2 * state[i])
+        return derivative
+
+    return rhs
+
+
 def _integrate_through(
     stack: PotentialStack,
     k: float,
-    y0: np.ndarray,
+    y: list,
     backward: bool = False,
-) -> np.ndarray:
+) -> list:
     """Chain the state vector through every segment (pairs of psi, psi')."""
     segments = _segments(stack)
     if backward:
         segments = [(x1, x0, h) for (x0, x1, h) in reversed(segments)]
-    y = np.asarray(y0, dtype=complex)
-    psi = np.arange(0, y.size, 2)
     for x_from, x_to, height in segments:
-        # (psi, psi')' = (psi', w2 psi) for every pair of the state: one product
-        # with the block diagonal of [[0, 1], [w2, 0]].
-        matrix = np.zeros((y.size, y.size), dtype=complex)
-        matrix[psi, psi + 1] = 1.0
-        matrix[psi + 1, psi] = height - k * k
-        sol = solve_ivp(lambda x, state, matrix=matrix: matrix.dot(state), (x_from, x_to), y)
+        sol = solve_ivp(_wave_equation(height - k * k), (x_from, x_to), y)
         if not sol.success:
             raise IntegrationFailureError(
                 f"integration failed on [{x_from}, {x_to}] "
@@ -112,12 +116,11 @@ def integrate_transfer_matrix(stack: PotentialStack, k: float) -> TransferMatrix
     x_l, x_r = stack.left_edge, stack.right_edge
     right_mover = cmath.exp(1j * k * x_l)
     left_mover = cmath.exp(-1j * k * x_l)
-    y0 = np.array(
-        [right_mover, 1j * k * right_mover, left_mover, -1j * k * left_mover], dtype=complex
+    y = _integrate_through(
+        stack, k, [right_mover, 1j * k * right_mover, left_mover, -1j * k * left_mover]
     )
-    y = _integrate_through(stack, k, y0)
-    a1, b1 = _amplitudes_at(complex(y[0]), complex(y[1]), k, x_r)
-    a2, b2 = _amplitudes_at(complex(y[2]), complex(y[3]), k, x_r)
+    a1, b1 = _amplitudes_at(y[0], y[1], k, x_r)
+    a2, b2 = _amplitudes_at(y[2], y[3], k, x_r)
     return TransferMatrix(a1, a2, b1, b2, k)
 
 
@@ -139,14 +142,12 @@ def incidence_scattering(
     x_l, x_r = stack.left_edge, stack.right_edge
     if side == "left":
         out = cmath.exp(1j * k * x_r)
-        y0 = np.array([out, 1j * k * out], dtype=complex)
-        y = _integrate_through(stack, k, y0, backward=True)
-        incoming, reflected = _amplitudes_at(complex(y[0]), complex(y[1]), k, x_l)
+        y = _integrate_through(stack, k, [out, 1j * k * out], backward=True)
+        incoming, reflected = _amplitudes_at(y[0], y[1], k, x_l)
     else:
         out = cmath.exp(-1j * k * x_l)
-        y0 = np.array([out, -1j * k * out], dtype=complex)
-        y = _integrate_through(stack, k, y0)
-        reflected, incoming = _amplitudes_at(complex(y[0]), complex(y[1]), k, x_r)
+        y = _integrate_through(stack, k, [out, -1j * k * out])
+        reflected, incoming = _amplitudes_at(y[0], y[1], k, x_r)
     return 1.0 / incoming, reflected / incoming
 
 

@@ -83,17 +83,20 @@ def test_oracle_check_runs_without_scipy(tmp_path):
     assert "# verdict = ok" in output.read_text(encoding="utf-8")
 
 
-def _package_imports(path: Path) -> set:
-    """ptstack modules a source file imports from; "" is the package itself,
-    whose names load the modules that define them."""
+def _package_imports(path: Path, package: str = "ptstack") -> set:
+    """Modules of ``package`` a source file imports from; "" is the package
+    itself, whose names load the modules that define them.  Relative imports
+    count as ptstack's."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
             parts = (node.module or "").split(".")
             if node.level == 0:
-                if parts[0] != "ptstack":
+                if parts[0] != package:
                     continue
                 parts = parts[1:]
+            elif package != "ptstack":
+                continue
             if parts in ([], [""]):  # from . import cell
                 found.update({"", *(alias.name for alias in node.names)})
             else:
@@ -101,7 +104,7 @@ def _package_imports(path: Path) -> set:
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 parts = alias.name.split(".")
-                if parts[0] == "ptstack":
+                if parts[0] == package:
                     found.add(parts[1] if len(parts) > 1 else "")
     return found
 
@@ -112,3 +115,7 @@ def test_oracle_is_independent_of_the_closed_forms():
     assert "core" in imported
     assert not imported & {"", "cell", "chebyshev", "stack", "scattering", "limits"}
     assert not _package_imports(PACKAGE_DIR / "dop853.py")
+    # Nor numpy: the ODE tier runs on Python complex numbers, with no BLAS or
+    # SIMD kernel that could change its bytes from host to host.
+    for module in ("oracle.py", "dop853.py"):
+        assert not _package_imports(PACKAGE_DIR / module, "numpy"), module

@@ -116,7 +116,7 @@ def test_end_to_end_pt_stack_n500():
     assert abs(r_l - coeffs.r_left) <= 1e-7
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_integration_failure_raises():
     # A potential this stiff pushes the required step below the spacing of
     # floating-point numbers, which the controller reports as failure.
@@ -142,13 +142,25 @@ def test_overflowing_evanescent_segment_fails_fast():
 
 
 def _rhs(w2):
+    # (psi, psi')' = (psi', w2 psi) for every pair; the state is a list (ours)
+    # or an array (scipy's), the result a list, which scipy takes as well.
     def rhs(x, state):
-        out = np.empty_like(state)
-        out[0::2] = state[1::2]
-        out[1::2] = w2 * state[0::2]
+        out = []
+        for psi, dpsi in zip(state[0::2], state[1::2]):
+            out += (dpsi, w2 * psi)
         return out
 
     return rhs
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_modulus_fails_without_an_exception():
+    # Python's abs of this start state raises OverflowError (|y| is past the
+    # double range although both parts are finite); the integrator reports it
+    # as the step-size failure its docstring promises.
+    sol = oracle.solve_ivp(_rhs(1e4), (0.0, 1.0), [1.3e308 * (1 + 1j), 0j])
+    assert not sol.success
+    assert "step size" in sol.message
 
 
 def _oracle_grid_chains():
