@@ -6,10 +6,9 @@ and ``NPY_DISABLE_CPU_FEATURES`` switches the wider ones off.  A sweep,
 must print the same bytes.
 
 OpenBLAS likewise picks its BLAS and LAPACK kernels by CPU, and
-``OPENBLAS_CORETYPE`` forces one.  ``cell``, a sweep, ``converge`` and
-``general`` must print the same bytes under each kernel listed in
-``CORETYPES``.  ``oracle-check`` is not among them: its integrator's stage
-sums are still BLAS calls.
+``OPENBLAS_CORETYPE`` forces one.  ``cell``, a sweep, ``converge``,
+``general`` and ``oracle-check --quick`` must print the same bytes under each
+kernel listed in ``CORETYPES``.
 
 The variables are set only here (and in CI); ptstack itself reads no
 environment variable.
@@ -81,8 +80,10 @@ def test_general_bytes_do_not_depend_on_numpy_dispatch(fmt):
         ("converge", "--k", "5", "--v", "40"),
         ("converge", "--k", "5", "--v", "40", "--n-min", "100", "--n-max", "10000", "--n-count", "5"),
         GENERAL,
+        ("oracle-check", "--quick", "--format", "csv"),
+        ("oracle-check", "--quick", "--format", "json"),
     ],
-    ids=["cell", "sweep", "converge", "converge-golden", "general"],
+    ids=["cell", "sweep", "converge", "converge-golden", "general", "oracle-check-csv", "oracle-check-json"],
 )
 def test_bytes_do_not_depend_on_blas_kernel(args):
     runs = [_run(["-m", "ptstack.cli", *args], coretype=coretype) for coretype in CORETYPES]
