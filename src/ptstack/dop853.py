@@ -8,9 +8,10 @@ controller, so the right-hand-side calls are scipy's and the end states
 agree to within 1e-14 (scaled).  The state is a list of Python complex
 numbers.  Every weighted sum of stages is taken entry by entry, its nonzero
 terms added in stage order with plain ``+``, and every norm is
-``math.hypot`` of the real and imaginary parts, so the result is the same
-on any host: no BLAS call, no SIMD kernel, no summation that changes with
-the Python version.  No dense output, no step limit, no method choice.
+``math.hypot`` of the real and imaginary parts: no BLAS call, no SIMD
+kernel and no ``sum()`` (whose float summation changed in Python 3.12), so
+the result does not depend on the CPU, numpy or OpenBLAS.  No dense output,
+no step limit, no method choice.
 
 Nothing here imports ptstack or numpy; :mod:`ptstack.oracle` loads this
 module on its first integration.

@@ -9,7 +9,7 @@ Nothing here touches the closed forms.  Two independent tiers:
   psi and psi' is automatic; there is no manual wave matching anywhere.  The
   integrator is the built-in DOP853 of :mod:`ptstack.dop853`, on plain
   Python complex numbers like the right-hand side, so no BLAS or SIMD kernel
-  enters the tier and its bytes are the same on any host.
+  enters the tier.
 * :func:`slab_propagation_matrix` - exact analytic propagation of (psi, psi')
   across each slab, multiplied up and converted to plane-wave amplitudes only
   at the outer edges.  Exact for rectangles, O(layers), used to cross-check
