@@ -169,8 +169,9 @@ def integrate(fun, x_span, y0, rtol: float, atol: float) -> OdeResult:
     the same starting step, error norm and controller.  A step whose error
     norm is NaN or inf, or that raises an ``ArithmeticError`` (Python's
     ``abs`` of a complex past the double range, say), is rejected like any
-    other; when the step has to fall below 10 ulps of x, the result has
-    ``success`` False.  A state that overflows shows up as that failure.
+    other, and a starting step that raises one is NaN; when the step has to
+    fall below 10 ulps of x, the result has ``success`` False.  A state that
+    overflows shows up as that failure.
     """
     x, x_end = float(x_span[0]), float(x_span[1])
     y = list(map(complex, y0))
