@@ -30,14 +30,10 @@ used here,
 is an exact rewrite of the xi definition (half-angle identities), worst-case
 amplification rho^2/k^2 in the first factor.
 
-The elements are evaluated over a k array: :func:`wave_terms` holds what
-depends on k and V only, :func:`cell_arrays` the rest at one slab width, and
-:func:`unit_cell_elements` is a length-1 call of both.  numpy does only the
-IEEE-exact real arithmetic there; sin, sinh, atan and the powers run through
-Python's ``math`` on the elements (:func:`ptstack.core.libm`), because numpy's
-own transcendental functions round differently from the C library's and
-change with the SIMD code numpy picks for the CPU, which would make printed
-digits depend on the host.
+The elements are evaluated one point at a time: :func:`wave_terms` holds
+what depends on k and V only, so a sweep computes it once per k, and
+:func:`cell_terms` the rest at one slab width.  :func:`unit_cell_elements`
+is a call of both.
 """
 
 from __future__ import annotations
@@ -45,13 +41,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
 
 from .core import (
-    NonFiniteMatrixError, TransferMatrix, cadd, check_finite, check_positive, check_wave_number, cmul, cquot,
-    csub, error_mask, libm, mat_multiply, scalar_pair,
+    NonFiniteMatrixError, TransferMatrix, check_finite, check_positive, check_wave_number, mat_multiply,
 )
 
 # Below this |q*width| the slab propagation uses the series form of
@@ -79,44 +71,6 @@ class CellParams:
     one_minus_xi: float
 
 
-class WaveTerms(NamedTuple):
-    """The cell terms that depend on k and V only, one entry per k.
-
-    ``failed`` marks the k where one of them left the double range: ``k**4``
-    overflowed, or ``k*k`` or ``rho`` underflowed to 0 under a division.
-    """
-
-    k: np.ndarray
-    rho: np.ndarray
-    phi: np.ndarray
-    cos_phi: np.ndarray
-    sin_phi: np.ndarray
-    sin_2phi: np.ndarray
-    u_plus: np.ndarray
-    u_minus: np.ndarray
-    failed: np.ndarray
-
-
-class CellArrays(NamedTuple):
-    """The terms of the cell at one slab width b, one entry per k.
-
-    ``failed`` adds to :attr:`WaveTerms.failed` the k where ``sin`` met an
-    infinite ``alpha`` or ``sinh`` overflowed.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    xi: np.ndarray
-    chi: np.ndarray
-    eta: np.ndarray
-    tau: np.ndarray
-    one_minus_xi: np.ndarray
-    failed: np.ndarray
-
-
-_CELL_TERMS = ("rho", "phi", "alpha", "beta", "u_plus", "u_minus", "xi", "chi", "eta", "tau", "one_minus_xi")
-
-
 def _check_cell(k: float, v: float, b: float) -> tuple[float, float, float]:
     return (
         check_wave_number(k),
@@ -129,55 +83,63 @@ def cell_error(k: float, v: float, b: float) -> NonFiniteMatrixError:
     return NonFiniteMatrixError(f"cell elements leave the double range at k = {k}, V = {v}, b = {b}")
 
 
-@np.errstate(all="ignore")
-def wave_terms(k: np.ndarray, v: float) -> WaveTerms:
-    """rho, phi, u_plus, u_minus and the trigonometric terms of phi over a k array."""
-    k4, k4_errors = libm(lambda x: x ** 4, k)
-    rho, rho_errors = libm(lambda x: x ** 0.25, k4 + v * v)
+def wave_terms(k: float, v: float) -> tuple | None:
+    """(rho, phi, cos_phi, sin_phi, sin_2phi, u_plus, u_minus) at (k, V), or
+    None where one of them leaves the double range: ``k**4`` overflows, or
+    ``k*k`` or ``rho`` underflows to 0 under a division."""
+    try:
+        rho = (k ** 4 + v * v) ** 0.25
+    except OverflowError:
+        return None
     kk = k * k
-    phi = 0.5 * libm(math.atan, v / kk)[0]
-    u_plus = k / rho + rho / k
-    u_minus = k / rho - rho / k
-    failed = error_mask({**k4_errors, **rho_errors}, len(k)) | (kk == 0.0) | (rho == 0.0)
-    cos_phi, sin_phi, sin_2phi = (libm(math.cos, phi)[0], libm(math.sin, phi)[0], libm(math.sin, 2.0 * phi)[0])
-    return WaveTerms(k, rho, phi, cos_phi, sin_phi, sin_2phi, u_plus, u_minus, failed)
+    if kk == 0.0 or rho == 0.0:
+        return None
+    phi = 0.5 * math.atan(v / kk)
+    return rho, phi, math.cos(phi), math.sin(phi), math.sin(2.0 * phi), k / rho + rho / k, k / rho - rho / k
 
 
-@np.errstate(all="ignore")
-def _slab_phases(w: WaveTerms, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """alpha = b rho cos(phi) and beta = b rho sin(phi)."""
-    b_rho = b * w.rho
-    return b_rho * w.cos_phi, b_rho * w.sin_phi
+def _slab_phases(w: tuple, b: float) -> tuple[float, float]:
+    """alpha = b rho cos(phi) and beta = b rho sin(phi), from the :func:`wave_terms` ``w``."""
+    rho, _, cos_phi, sin_phi, _, _, _ = w
+    b_rho = b * rho
+    return b_rho * cos_phi, b_rho * sin_phi
 
 
-@np.errstate(all="ignore")
-def cell_arrays(w: WaveTerms, b: float) -> CellArrays:
-    """xi, chi, eta, tau and 1 - xi at slab width b over the k of ``w``."""
+def cell_terms(k: float, v: float, b: float, w: tuple | None) -> tuple:
+    """(alpha, beta, xi, chi, eta, tau, 1 - xi) at slab width b, from the
+    :func:`wave_terms` ``w`` of (k, V).
+
+    Raises :func:`cell_error` where ``w`` is None, ``sin`` meets an infinite
+    ``alpha`` or ``sinh`` overflows.
+    """
+    if w is None:
+        raise cell_error(k, v, b)
+    _, _, cos_phi, sin_phi, sin_2phi, u_plus, u_minus = w
     alpha, beta = _slab_phases(w, b)
-    sin_a, e1 = libm(math.sin, alpha)
-    sin_2a, e2 = libm(math.sin, 2.0 * alpha)
-    sinh_b, e3 = libm(math.sinh, beta)
-    sinh_2b, e4 = libm(math.sinh, 2.0 * beta)
-    failed = w.failed | error_mask({**e1, **e2, **e3, **e4}, len(alpha))
-    cos_sin_a = w.cos_phi * sin_a
-    sin_sinh_b = w.sin_phi * sinh_b
+    try:
+        sin_a, sin_2a = math.sin(alpha), math.sin(2.0 * alpha)
+        sinh_b, sinh_2b = math.sinh(beta), math.sinh(2.0 * beta)
+    except (OverflowError, ValueError):
+        raise cell_error(k, v, b) from None
+    cos_sin_a = cos_phi * sin_a
+    sin_sinh_b = sin_phi * sinh_b
     one_minus_xi = 2.0 * (cos_sin_a - sin_sinh_b) * (cos_sin_a + sin_sinh_b)
-    chi = 0.5 * (w.u_plus * w.cos_phi * sin_2a + w.u_minus * w.sin_phi * sinh_2b)
+    chi = 0.5 * (u_plus * cos_phi * sin_2a + u_minus * sin_phi * sinh_2b)
     # (cosh(2b) - cos(2a))/2 == sin(a)^2 + sinh(b)^2, which avoids the 1 - 1
     # cancellation at small widths.
-    eta = (sin_a * sin_a + sinh_b * sinh_b) * w.sin_2phi
-    tau = 0.5 * (w.u_plus * w.sin_phi * sinh_2b + w.u_minus * w.cos_phi * sin_2a)
-    return CellArrays(alpha, beta, 1.0 - one_minus_xi, chi, eta, tau, one_minus_xi, failed)
+    eta = (sin_a * sin_a + sinh_b * sinh_b) * sin_2phi
+    tau = 0.5 * (u_plus * sin_phi * sinh_2b + u_minus * cos_phi * sin_2a)
+    return alpha, beta, 1.0 - one_minus_xi, chi, eta, tau, one_minus_xi
 
 
 def wave_params(k: float, v: float, b: float) -> tuple[float, float, float, float, float, float]:
     """(rho, phi, alpha, beta, u_plus, u_minus) for a cell at (k, V, b)."""
     k, v, b = _check_cell(k, v, b)
-    w = wave_terms(np.array([k]), v)
-    if w.failed[0]:
+    w = wave_terms(k, v)
+    if w is None:
         raise cell_error(k, v, b)
-    alpha, beta = _slab_phases(w, b)
-    return tuple(float(x[0]) for x in (w.rho, w.phi, alpha, beta, w.u_plus, w.u_minus))
+    rho, phi, _, _, _, u_plus, u_minus = w
+    return (rho, phi, *_slab_phases(w, b), u_plus, u_minus)
 
 
 def unit_cell_elements(k: float, v: float, b: float) -> CellParams:
@@ -188,58 +150,37 @@ def unit_cell_elements(k: float, v: float, b: float) -> CellParams:
     ``k*k`` underflowing to 0).
     """
     k, v, b = _check_cell(k, v, b)
-    w = wave_terms(np.array([k]), v)
-    c = cell_arrays(w, b)
-    if c.failed[0]:
-        raise cell_error(k, v, b)
-    terms = {**w._asdict(), **c._asdict()}
-    return CellParams(k=k, v=v, b=b, **{f: float(terms[f][0]) for f in _CELL_TERMS})
+    w = wave_terms(k, v)
+    alpha, beta, xi, chi, eta, tau, one_minus_xi = cell_terms(k, v, b, w)
+    rho, phi, _, _, _, u_plus, u_minus = w
+    return CellParams(k, v, b, rho, phi, alpha, beta, u_plus, u_minus, xi, chi, eta, tau, one_minus_xi)
 
 
-_I = (0.0, 1.0)
-
-
-@np.errstate(all="ignore")
-def cell_pattern_pairs(t, u, chi, eta, tau, phase) -> tuple:
-    """The four entries of the cell pattern below as (re, im) pairs.
-
-    Each argument is a (re, im) pair; a real argument is (x, 0.0).  The
-    products and quotients follow Python's evaluation of
+def _cell_pattern(t, u, chi, eta, tau, phase) -> tuple[complex, complex, complex, complex]:
+    """The entries of the plain complex expression
 
         [[(t + 1j*chi*u) * phase, 1j*(eta - tau)*u * phase],
          [1j*(eta + tau)*u / phase, (t - 1j*chi*u) / phase]]
-
-    step by step, so the entries are the bits the complex expression gives.
-    """
-    i_chi_u = cmul(cmul(_I, chi), u)
-    return (
-        cmul(cadd(t, i_chi_u), phase),
-        cmul(cmul(cmul(_I, csub(eta, tau)), u), phase),
-        cquot(cmul(cmul(_I, cadd(eta, tau)), u), phase),
-        cquot(csub(t, i_chi_u), phase),
-    )
-
-
-def _cell_pattern(
-    t: complex, u: complex, chi: complex, eta: complex, tau: complex, phase: complex, k: float
-) -> TransferMatrix:
-    """[[(t + i chi u) phase, i(eta - tau) u phase], [i(eta + tau) u / phase, (t - i chi u) / phase]].
 
     The shared shape of the one-cell matrix (t = xi, u = 1, phase = e^{-2ikb})
     and the N-cell matrix (t = T_N(xi), u = U_{N-1}(xi), phase = e^{-ikL}),
     with real elements for the balanced cell and complex ones, read off the
     (psi, psi') cell matrix, for any cell of slabs
-    (:func:`ptstack.stack._cell_power`).  A length-1 call of
-    :func:`cell_pattern_pairs`.
+    (:func:`ptstack.stack._cell_power`).
     """
-    entries = cell_pattern_pairs(*map(scalar_pair, (t, u, chi, eta, tau, phase)))
-    return TransferMatrix(*(complex(re[0], im[0]) for re, im in entries), k)
+    i_chi_u = 1j * chi * u
+    return (
+        (t + i_chi_u) * phase,
+        1j * (eta - tau) * u * phase,
+        1j * (eta + tau) * u / phase,
+        (t - i_chi_u) / phase,
+    )
 
 
 def unit_cell_matrix(k: float, v: float, b: float) -> TransferMatrix:
     """Transfer matrix of one gain/loss cell occupying [0, 2b]."""
     p = unit_cell_elements(k, v, b)
-    return _cell_pattern(p.xi, 1.0, p.chi, p.eta, p.tau, cmath.exp(-2j * p.k * p.b), p.k)
+    return TransferMatrix(*_cell_pattern(p.xi, 1.0, p.chi, p.eta, p.tau, cmath.exp(-2j * p.k * p.b)), p.k)
 
 
 def _propagation_terms(q2: complex, width: float) -> tuple[complex, complex]:

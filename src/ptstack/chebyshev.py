@@ -21,9 +21,8 @@ Values whose true magnitude exceeds the double range overflow to +/-inf
 with the correct sign: T_n once n*arccosh|x| is above ~710, U_{n-1}
 = sinh(n theta)/sinh(theta) only once the quotient itself does.
 
-:func:`eval_pairs` evaluates the pair over an array of gaps, each branch on
-its own entries; :func:`cheb_pair_from_gap` and :func:`cheb_pair` are
-length-1 calls of it.
+:func:`cheb_pair_from_gap` and :func:`cheb_pair` validate their arguments
+and call :func:`_pair`, which a sweep calls directly at every point.
 
 :func:`cheb_pair_from_complex_gap` evaluates the pair at a complex argument
 through the same half-angle form; it serves the power of a cell that is not
@@ -36,9 +35,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import check_count, libm
+from .core import check_count
 
 
 @dataclass(frozen=True)
@@ -72,67 +69,47 @@ def _exp_safe(y: float) -> float:
         return math.inf
 
 
-@np.errstate(all="ignore")
-def eval_pairs(n: int, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(T_n(1 - gap), U_{n-1}(1 - gap)) over an array of gaps: (t, u, errors).
-
-    ``errors`` maps each failing entry to its exception, as
-    :func:`ptstack.core.libm` does; a NaN gap is a ValueError.  Each branch
-    evaluates only its own entries.
-    """
-    errors = {i: ValueError("gap must not be NaN") for i in np.flatnonzero(np.isnan(gap)).tolist()}
-    if n == 0:
-        return np.ones_like(gap), np.zeros_like(gap), errors
-    n_float = float(n)  # what n * theta rounds n to
-
-    def call(fn, rows, x):
-        values, failed = libm(fn, x)
-        for j, exc in failed.items():
-            errors.setdefault(int(rows[j]), exc)
-        return values
-
-    # x < 0: reflect to x' = -x = gap - 1, i.e. gap' = 2 - gap (exact).
-    reflected = gap > 1.0
-    gap = np.where(reflected, 2.0 - gap, gap)
-    sign_t = np.where(reflected & bool(n % 2), -1.0, 1.0)
-    sign_u = np.where(reflected & (not n % 2), -1.0, 1.0)
-    t, u = np.empty_like(gap), np.empty_like(gap)
-    hyperbolic = gap < 0.0
-
-    rows = np.flatnonzero(hyperbolic)
-    if rows.size:
-        u_arg = -gap[rows]
-        n_theta = n_float * (2.0 * call(math.asinh, rows, np.sqrt(0.5 * u_arg)))
-        sinh_theta = np.sqrt(u_arg * (u_arg + 2.0))
-        # Past |gap| ~ 1.3e154 the product overflows although its root does not.
-        wide = np.isinf(sinh_theta)
-        sinh_theta[wide] = np.sqrt(u_arg[wide]) * np.sqrt(u_arg[wide] + 2.0)
-        t[rows] = call(_cosh_safe, rows, n_theta)
-        sinh_n_theta = call(_sinh_safe, rows, n_theta)
-        u[rows] = sinh_n_theta / sinh_theta
-        # Past N theta ~ 710 sinh(N theta) overflows before the quotient does:
-        # there sinh(N theta) = e^(N theta) / 2 to the last bit, taken in halves.
-        far = np.flatnonzero(np.isinf(sinh_n_theta))
-        if far.size:
-            half = call(_exp_safe, rows[far], 0.5 * n_theta[far])
-            u[rows[far]] = 0.5 * half / sinh_theta[far] * half
-
-    rows = np.flatnonzero(~hyperbolic)
-    if rows.size:
-        g = gap[rows]
-        n_theta = n_float * (2.0 * call(math.asin, rows, np.sqrt(0.5 * g)))
-        sin_theta = np.sqrt(g * (2.0 - g))
-        t[rows] = call(math.cos, rows, n_theta)
-        u[rows] = np.where(sin_theta == 0.0, n_float, call(math.sin, rows, n_theta) / sin_theta)
-    return sign_t * t, sign_u * u, errors
-
-
 def _pair(n: int, gap: float) -> tuple[float, float]:
-    """A length-1 call of :func:`eval_pairs`, raising its error."""
-    t, u, errors = eval_pairs(n, np.array([gap]))
-    if errors:
-        raise errors[0]
-    return float(t[0]), float(u[0])
+    """(T_n(1 - gap), U_{n-1}(1 - gap)) for a validated degree ``n``.
+
+    Raises ValueError for a NaN gap, and the error of ``math.cos`` where
+    n*theta leaves the double range in the oscillatory branch.
+    """
+    if gap != gap:
+        raise ValueError("gap must not be NaN")
+    if n == 0:
+        return 1.0, 0.0
+    n_float = float(n)  # what n * theta rounds n to
+    # x < 0: reflect to x' = -x = gap - 1, i.e. gap' = 2 - gap (exact).
+    sign_t = sign_u = 1.0
+    if gap > 1.0:
+        gap = 2.0 - gap
+        if n % 2:
+            sign_t = -1.0
+        else:
+            sign_u = -1.0
+    if gap < 0.0:
+        u_arg = -gap
+        n_theta = n_float * (2.0 * math.asinh(math.sqrt(0.5 * u_arg)))
+        sinh_theta = math.sqrt(u_arg * (u_arg + 2.0))
+        if sinh_theta == math.inf:
+            # Past |gap| ~ 1.3e154 the product overflows although its root does not.
+            sinh_theta = math.sqrt(u_arg) * math.sqrt(u_arg + 2.0)
+        t = _cosh_safe(n_theta)
+        sinh_n_theta = _sinh_safe(n_theta)
+        if sinh_n_theta == math.inf:
+            # Past N theta ~ 710 sinh(N theta) overflows before the quotient does:
+            # there sinh(N theta) = e^(N theta) / 2 to the last bit, taken in halves.
+            half = _exp_safe(0.5 * n_theta)
+            u = 0.5 * half / sinh_theta * half
+        else:
+            u = sinh_n_theta / sinh_theta
+    else:
+        n_theta = n_float * (2.0 * math.asin(math.sqrt(0.5 * gap)))
+        sin_theta = math.sqrt(gap * (2.0 - gap))
+        t = math.cos(n_theta)
+        u = n_float if sin_theta == 0.0 else math.sin(n_theta) / sin_theta
+    return sign_t * t, sign_u * u
 
 
 def cheb_pair_from_gap(n: int, gap: float) -> ChebyshevPair:

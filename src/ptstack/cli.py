@@ -11,9 +11,7 @@ contiguous N range, the first one included, renders into a temporary file
 before the output is opened, a forked worker rendering each range after the
 first, and the bytes do not depend on the CPU count.  A failure in any range
 writes no row, and every sweep needs a writable temporary directory, also on
-one CPU.  ``taskset -c 0 ptstack sweep ...`` runs it in one process.  On
-Python >= 3.12 the fork emits a DeprecationWarning, because numpy's OpenBLAS
-thread pool makes the process multi-threaded.
+one CPU.  ``taskset -c 0 ptstack sweep ...`` runs it in one process.
 
 Option precedence: command-line flag > preset flag (``sweep --fig3``,
 ``oracle-check --quick``) > config file > built-in default.  The config file
@@ -41,8 +39,6 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from . import __version__
 
@@ -193,24 +189,43 @@ def _resolve(args: argparse.Namespace, options: dict, preset: _Preset | None) ->
     return values, defaulted
 
 
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """numpy's ``linspace(start, stop, count)`` to the bit: ``i*step + start``,
+    the last value ``stop``, and numpy's branch for a step that is 0."""
+    div = count - 1
+    delta = stop - start
+    if div <= 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(count)]
+    else:
+        values = [i * step + start for i in range(count)]
+    values[-1] = stop
+    return values
+
+
 def _n_grid(opt: dict) -> list[int]:
     from .stack import cells_as_float
 
     lo, hi, count = opt["n_min"], opt["n_max"], opt["n_count"]
     if lo < 1 or hi < lo or count < 1:
         raise CliUsageError(f"bad N range: min={lo} max={hi} count={count}")
-    cells_as_float(hi)  # an N beyond the double range is a numerical failure, named
+    lo, hi = float(lo), cells_as_float(hi)  # an N beyond the double range is a numerical failure, named
     if opt["n_spacing"] == "log":
-        xs = np.geomspace(lo, hi, count)
+        # As numpy's geomspace: 10 to the power of the linspace of the
+        # logs, with the two ends pinned to lo and hi.
+        exponents = _linspace(math.log10(lo), math.log10(hi), count)
+        xs = [lo, *(10.0 ** e for e in exponents[1:-1]), hi][:count]
     else:
-        xs = np.linspace(lo, hi, count)
+        xs = _linspace(lo, hi, count)
     return sorted({int(round(x)) for x in xs})
 
 
 def _float_grid(lo: float, hi: float, count: int) -> list[float]:
     if not (lo > 0.0 and hi >= lo and count >= 1):
         raise CliUsageError(f"bad k range: min={lo} max={hi} count={count}")
-    return [float(x) for x in np.linspace(lo, hi, count)]
+    return _linspace(lo, hi, count)
 
 
 def _flatten(pairs):
@@ -393,10 +408,8 @@ class _ForkedRanges:
                 for _ in ranges
             ]
             for values, rows in zip(ranges[1:], self._rows[1:]):
-                # numpy's OpenBLAS thread pool makes this process
-                # multi-threaded, and a forked child must not touch what
-                # another thread may hold locked: the worker calls no BLAS
-                # routine and starts no thread.
+                # This process starts no thread, so the forked worker can
+                # inherit no lock that another thread holds.
                 pid = os.fork()
                 if pid == 0:
                     _render_range(rows, values, compute, render)
@@ -430,8 +443,7 @@ class _ForkedRanges:
 def _matrix_dev(a, b) -> float:
     """Componentwise difference scaled by the larger entry magnitude (floor 1).
 
-    Python's complex arithmetic, so the result does not depend on the SIMD
-    kernels numpy dispatches to; NaN if any difference is NaN.
+    NaN if any difference is NaN.
     """
     aa, bb = (a.m11, a.m12, a.m21, a.m22), (b.m11, b.m12, b.m21, b.m22)
     diffs = [abs(x - y) for x, y in zip(aa, bb)]
@@ -472,11 +484,10 @@ def cmd_sweep(opt: dict, defaulted: set):
 
     def compute(n_range: list):
         table = transmission_surface(opt["v"], opt["total_length"], n_range, k_values)
-        k_column = table.k_values.tolist()
         results = (table.big_t, table.big_r_left, table.big_r_right, table.absdet_err)
         # One block per N: the N is one shared value and the k column one list.
         return (
-            (len(k_column), [n, k_column, *(column[i].tolist() for column in results)])
+            (len(table.k_values), [n, table.k_values, *(column[i] for column in results)])
             for i, n in enumerate(table.n_values)
         )
 

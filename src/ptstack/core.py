@@ -17,30 +17,19 @@ Every matrix produced from a physical potential is unimodular (det = 1) up to
 rounding; unimodularity is asserted in tests rather than enforced here so that
 numerical drift stays measurable.
 
-The closed forms evaluate a whole k grid at once, and their scalar entry
-points are length-1 calls of the same arrays, so every printed digit must be
-the one Python's scalar arithmetic gives, on any host.  numpy's
-transcendental ufuncs and its complex arithmetic are not the C library's and
-change with the CPU's SIMD dispatch, so the array code keeps to one rule:
-
-* numpy does only IEEE-exact elementwise work on real float64 arrays:
-  ``+ - * /``, ``sqrt``, comparisons and masks;
-* every other libm call (sin, sinh, asin, atan, ``**``, ``abs`` of a complex)
-  runs through Python on the array's elements (:func:`libm`);
-* complex values travel as (re, im) pairs of float arrays, combined in the
-  order of CPython 3.10/3.11's own complex product and quotient
-  (:func:`cmul`, :func:`cquot`).  A Python float meeting a complex is the
-  pair (x, 0.0), as those versions convert it.
+The closed forms evaluate one point at a time on Python floats and complex
+numbers, so every printed digit is the one CPython's own arithmetic and the
+C library's ``math`` functions give; the package imports no numpy.  The
+recorded outputs in ``tests/data`` assume CPython 3.10/3.11's rule that a
+float meeting a complex is converted to (x, 0.0) first; Python 3.14 changed
+that mixed-mode arithmetic.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 # Relative slack when checking that stacked layers do not overlap; offsets
 # built as i*width can differ from accumulated sums by a few ulps.
@@ -96,109 +85,6 @@ def check_finite(value: complex, name: str) -> complex:
     if not cmath.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
-
-
-def libm(fn, *columns: np.ndarray) -> tuple[np.ndarray, dict]:
-    """``fn`` applied through Python to each row of float arrays: (values, errors).
-
-    The values are bit-identical to scalar calls because they are scalar
-    calls.  ``errors`` maps the index of each row where ``fn`` raised to the
-    exception it raised; those rows hold NaN.
-    """
-    args = [c.tolist() for c in columns]
-    size = len(args[0])
-    try:
-        return np.fromiter(map(fn, *args), float, size), {}
-    except (ArithmeticError, ValueError):
-        pass
-    values, errors = np.empty(size), {}
-    for i, row in enumerate(zip(*args)):
-        try:
-            values[i] = fn(*row)
-        except (ArithmeticError, ValueError) as exc:
-            values[i], errors[i] = math.nan, exc
-    return values, errors
-
-
-def error_mask(errors: dict, size: int) -> np.ndarray:
-    """Boolean mask of the rows that :func:`libm` reported in ``errors``."""
-    mask = np.zeros(size, dtype=bool)
-    mask[list(errors)] = True
-    return mask
-
-
-def raise_first(stages) -> None:
-    """Raise the error of the first failing row, if any row fails.
-
-    ``stages`` lists (mask, make_error) in the order a scalar evaluation of
-    one row meets them; a row's error is that of its first failing stage,
-    built by ``make_error(row)``.
-    """
-    stages = list(stages)
-    failed = functools.reduce(np.logical_or, (mask for mask, _ in stages))
-    if failed.any():
-        row = int(np.argmax(failed))
-        raise next(make_error(row) for mask, make_error in stages if mask[row])
-
-
-def scalar_pair(z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """A number as a length-1 (re, im) pair; a real x is (x, 0.0), as CPython converts it."""
-    z = complex(z)
-    return np.array([z.real]), np.array([z.imag])
-
-
-def cadd(a, b):
-    """a + b for (re, im) pairs, as CPython's _Py_c_sum."""
-    return a[0] + b[0], a[1] + b[1]
-
-
-def csub(a, b):
-    """a - b for (re, im) pairs, as CPython's _Py_c_diff."""
-    return a[0] - b[0], a[1] - b[1]
-
-
-def cmul(a, b):
-    """a * b for (re, im) pairs, as CPython's _Py_c_prod."""
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-@np.errstate(all="ignore")
-def cquot(a, b):
-    """a / b for (re, im) pairs of arrays, as CPython 3.10/3.11's _Py_c_quot.
-
-    Smith's method: divide through by the larger of |b.re| and |b.im|.
-    Where b == 0, for which CPython raises ZeroDivisionError, the result is
-    NaN; callers reject a zero divisor before dividing.
-    """
-    (ar, ai), (br, bi) = a, b
-    by_real = np.abs(br) >= np.abs(bi)
-    ratio = np.where(by_real, bi / br, br / bi)
-    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    return re, im
-
-
-def pairs_finite(*pairs) -> np.ndarray:
-    """Mask of the rows where every (re, im) pair is finite."""
-    return functools.reduce(np.logical_and, (np.isfinite(part) for pair in pairs for part in pair))
-
-
-def as_complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex numbers (re, im), stored without arithmetic, for :func:`libm`
-    to hand Python complex values to ``abs``: CPython's hypot with its own
-    inf/NaN rules and OverflowError, which no numpy function reproduces."""
-    z = np.empty(len(re), dtype=complex)
-    z.real, z.imag = re, im
-    return z
-
-
-@np.errstate(all="ignore")
-def absdet_errs(m11, m12, m21, m22) -> tuple[np.ndarray, dict]:
-    """:attr:`TransferMatrix.absdet_err` over (re, im)-pair entries, as :func:`libm` returns it."""
-    det = csub(cmul(m11, m22), cmul(m12, m21))
-    return libm(abs, as_complex(det[0] - 1.0, det[1] - 0.0))
 
 
 @dataclass(frozen=True)

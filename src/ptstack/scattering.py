@@ -1,26 +1,19 @@
 """Transmission and reflection coefficients extracted from a transfer matrix.
 
-:func:`transmission_surface` evaluates the balanced stack over a whole k grid
-per N through the array kernels of :mod:`ptstack.stack`, and
-:func:`scattering_from_matrix` is a length-1 call of the same amplitude
-arrays.  As everywhere in the package, numpy does only IEEE-exact real
-arithmetic on them and every libm call (here ``abs`` of a complex and its
-square) runs through Python, so a sweep prints the digits the scalar
-formulas give, whatever SIMD code numpy dispatches to on the host.
+:func:`transmission_surface` evaluates the balanced stack point by point over
+its (N, k) grid through the per-point kernel of :mod:`ptstack.stack`, and
+:func:`scattering_from_matrix` wraps the same amplitude step
+(:func:`_amplitudes`) that every point of a sweep takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .core import (
-    NonFiniteMatrixError, TransferMatrix, absdet_errs, as_complex, check_wave_number, cquot, error_mask, libm,
-    raise_first, scalar_pair,
-)
-from .stack import PeriodicSpec, periodic_arrays, sweep_terms
+from .core import NonFiniteMatrixError, TransferMatrix, check_positive, check_wave_number
+from .stack import PeriodicSpec, periodic_entries, sweep_terms
 
 # Below this |m22| the amplitudes 1/m22 are treated as a pole (a spectral
 # singularity of the potential) instead of returned as huge numbers.
@@ -57,21 +50,15 @@ class ScatteringCoefficients:
         return abs(self.r_right) ** 2
 
 
-def _amplitudes(m12: tuple, m21: tuple, m22: tuple, k: Sequence[float]) -> tuple[tuple, list]:
-    """(t, r_left, r_right) as (re, im) pairs of arrays, with the stages at
-    which entries fail, for :func:`ptstack.core.raise_first`."""
-    abs_m22, errors = libm(abs, as_complex(*m22))
-    with np.errstate(invalid="ignore"):
-        pole = abs_m22 < POLE_TOLERANCE
-    amplitudes = (cquot((1.0, 0.0), m22), cquot((-m21[0], -m21[1]), m22), cquot(m12, m22))
-    stages = [
-        (error_mask(errors, len(k)), errors.__getitem__),
-        (pole, lambda i: SpectralPoleError(
-            f"|m22| = {float(abs_m22[i]):.3e} below {POLE_TOLERANCE}; "
-            f"scattering amplitudes diverge at k = {k[i]}"
-        )),
-    ]
-    return amplitudes, stages
+def _amplitudes(m12: complex, m21: complex, m22: complex, k: float) -> tuple[complex, complex, complex]:
+    """(t, r_left, r_right); OverflowError where |m22| leaves the double
+    range, :class:`SpectralPoleError` where it is below POLE_TOLERANCE."""
+    abs_m22 = abs(m22)
+    if abs_m22 < POLE_TOLERANCE:
+        raise SpectralPoleError(
+            f"|m22| = {abs_m22:.3e} below {POLE_TOLERANCE}; scattering amplitudes diverge at k = {k}"
+        )
+    return 1.0 / m22, -m21 / m22, m12 / m22
 
 
 def scattering_from_matrix(m: TransferMatrix) -> ScatteringCoefficients:
@@ -84,9 +71,7 @@ def scattering_from_matrix(m: TransferMatrix) -> ScatteringCoefficients:
     boundary-value integration in :mod:`ptstack.oracle` reproduces exactly
     this assignment.
     """
-    amplitudes, stages = _amplitudes(*map(scalar_pair, (m.m12, m.m21, m.m22)), [m.k])
-    raise_first(stages)
-    return ScatteringCoefficients(*(complex(re[0], im[0]) for re, im in amplitudes))
+    return ScatteringCoefficients(*_amplitudes(m.m12, m.m21, m.m22, m.k))
 
 
 @dataclass(frozen=True)
@@ -103,19 +88,19 @@ class TransmissionRow:
 
 @dataclass(frozen=True, eq=False)
 class TransmissionTable:
-    """A transmission sweep by columns: row i of each array is N = n_values[i],
-    column j is k = k_values[j].
+    """A transmission sweep by columns: ``big_t[i][j]`` (and likewise each
+    column) is the point N = n_values[i], k = k_values[j].
 
     As a sequence it is the rows in N-major, then k, order: ``len`` counts
     the points and ``table[i]`` is a :class:`TransmissionRow`.
     """
 
     n_values: tuple
-    k_values: np.ndarray
-    big_t: np.ndarray
-    big_r_left: np.ndarray
-    big_r_right: np.ndarray
-    absdet_err: np.ndarray
+    k_values: list
+    big_t: list
+    big_r_left: list
+    big_r_right: list
+    absdet_err: list
 
     def __len__(self) -> int:
         return len(self.n_values) * len(self.k_values)
@@ -124,41 +109,31 @@ class TransmissionTable:
         i, j = divmod(range(len(self))[index], len(self.k_values))
         return TransmissionRow(
             self.n_values[i],
-            float(self.k_values[j]),
-            *(float(column[i, j]) for column in (self.big_t, self.big_r_left, self.big_r_right, self.absdet_err)),
+            self.k_values[j],
+            *(column[i][j] for column in (self.big_t, self.big_r_left, self.big_r_right, self.absdet_err)),
         )
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
 
-def _surface_rows(spec: PeriodicSpec, terms, k_list: list) -> list:
-    """T, R_left, R_right and |det - 1| of one N over the sweep's k grid.
+def _surface_point(spec: PeriodicSpec, b: float, terms: tuple) -> tuple[float, float, float, float]:
+    """T, R_left, R_right and |det - 1| at one (N, k) point.
 
-    Raises the error of the first failing k, which is the one the scalar
-    chain periodic_matrix -> scattering_from_matrix -> big_t, big_r_left,
-    big_r_right, absdet_err meets first, or NonFiniteMatrixError for a row
-    that computes but is not finite.
+    Raises the error that the scalar chain periodic_matrix ->
+    scattering_from_matrix -> big_t, big_r_left, big_r_right, absdet_err
+    meets first, or NonFiniteMatrixError for a point that computes but is
+    not finite.
     """
-    (m11, m12, m21, m22), stages = periodic_arrays(spec, terms)
-    amplitudes, scattering_stages = _amplitudes(m12, m21, m22, k_list)
-    stages += scattering_stages
-    columns = []
-
-    def stage(values_errors):
-        values, errors = values_errors
-        stages.append((error_mask(errors, len(k_list)), errors.__getitem__))
-        return values
-
-    squares = np.full(len(k_list), 2)
-    for amplitude in amplitudes:  # abs(t) ** 2, abs(r_left) ** 2, abs(r_right) ** 2
-        columns.append(stage(libm(pow, stage(libm(abs, as_complex(*amplitude))), squares)))
-    columns.append(stage(absdet_errs(m11, m12, m21, m22)))
-    stages.append((~np.isfinite(columns).all(axis=0), lambda i: NonFiniteMatrixError(
-        f"T, R or absdet_err leaves the double range at N = {spec.n_cells}, k = {k_list[i]}"
-    )))
-    raise_first(stages)
-    return columns
+    m11, m12, m21, m22 = periodic_entries(spec, b, terms)
+    t, r_left, r_right = _amplitudes(m12, m21, m22, terms[0])
+    big_t, big_r_left, big_r_right = abs(t) ** 2, abs(r_left) ** 2, abs(r_right) ** 2
+    absdet_err = abs(m11 * m22 - m12 * m21 - 1.0)
+    if not (isfinite(big_t) and isfinite(big_r_left) and isfinite(big_r_right) and isfinite(absdet_err)):
+        raise NonFiniteMatrixError(
+            f"T, R or absdet_err leaves the double range at N = {spec.n_cells}, k = {terms[0]}"
+        )
+    return big_t, big_r_left, big_r_right, absdet_err
 
 
 def transmission_surface(
@@ -171,21 +146,22 @@ def transmission_surface(
 
     Rows are emitted in deterministic order; |det - 1| rides along so
     unimodularity drift stays visible in exported tables.  The k-only terms
-    are computed once, then each N costs one array evaluation over the k
-    grid.  A failing point raises the error a point-by-point evaluation in
-    the same order would raise first; a point whose T, R or |det - 1| is not
-    finite raises :class:`NonFiniteMatrixError` instead of becoming a row.
+    are computed once, then each point runs the per-point kernel.  A failing
+    point raises its error, and the first one in N-major, then k, order is
+    raised; a point whose T, R or |det - 1| is not finite raises
+    :class:`NonFiniteMatrixError` instead of becoming a row.
     """
     k_list = [check_wave_number(k) for k in k_values]
-    k = np.array(k_list, dtype=float)
-    n_cells, rows, terms = [], [], None
+    n_cells, columns, terms = [], ([], [], [], []), None
     for n in n_values:
         spec = PeriodicSpec(v=v, n_cells=n, total_length=total_length)
         n_cells.append(spec.n_cells)
+        rows = []
         if k_list:
             if terms is None:
-                terms = sweep_terms(spec.v, spec.total_length, k)
-            rows.append(_surface_rows(spec, terms, k_list))
-    shape = (len(n_cells), len(k_list))
-    columns = [np.array([row[c] for row in rows]).reshape(shape) for c in range(4)]
-    return TransmissionTable(tuple(n_cells), k, *columns)
+                terms = [sweep_terms(spec.v, spec.total_length, k) for k in k_list]
+            b = check_positive(spec.slab_width, "slab width b")
+            rows = [_surface_point(spec, b, point) for point in terms]
+        for c, column in enumerate(columns):
+            column.append([row[c] for row in rows])
+    return TransmissionTable(tuple(n_cells), k_list, *columns)

@@ -8,8 +8,9 @@ Three routes produce the N-cell matrix:
       [[(T_N(xi) + i*chi*U_{N-1}(xi)) e^{-ikL},  i(eta - tau) U_{N-1}(xi) e^{-ikL}],
        [ i(eta + tau) U_{N-1}(xi) e^{ikL},      (T_N(xi) - i*chi*U_{N-1}(xi)) e^{ikL}]]
 
-  O(1) in N, the only practical route for large N.  It evaluates a whole
-  k grid at once (:func:`periodic_arrays`); one k is a length-1 call.
+  O(1) in N, the only practical route for large N.  A sweep calls its
+  per-point kernel (:func:`sweep_terms` once per k, then
+  :func:`periodic_entries`) directly.
 * :func:`alternating_matrix` - the unbalanced cell (v1 + i v2 then
   v1 - i eps v2), powered by :func:`_cell_power`, which takes any cell of
   slabs.  O(1) in N; it serves the generalized fine-layer study.
@@ -25,20 +26,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from cmath import isfinite
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
 
-import numpy as np
-
-from .cell import (
-    WaveTerms, _cell_pattern, _propagation_terms, barrier_matrix, cell_arrays, cell_error, cell_pattern_pairs,
-    wave_terms,
-)
-from .chebyshev import cheb_pair_from_complex_gap, eval_pairs
+from .cell import _cell_pattern, _propagation_terms, barrier_matrix, cell_terms, wave_terms
+from .chebyshev import _pair, cheb_pair_from_complex_gap
 from .core import (
     Layer, NonFiniteMatrixError, PotentialStack, TransferMatrix, check_count, check_finite,
-    check_positive, check_wave_number, error_mask, libm, mat_multiply, pairs_finite, raise_first,
+    check_positive, check_wave_number, mat_multiply,
 )
 
 
@@ -75,55 +71,46 @@ class PeriodicSpec:
         return self.total_length / (2.0 * self.n_cells)
 
 
-class SweepTerms(NamedTuple):
-    """What every N of a sweep at fixed (V, L) shares, one entry per k."""
-
-    wave: WaveTerms
-    phase: tuple  # e^{-ikL} as (re, im); NaN where kL leaves the double range
-
-
-@np.errstate(all="ignore")
-def sweep_terms(v: float, total_length: float, k: np.ndarray) -> SweepTerms:
-    """The k-only terms of a sweep: the cell's wave terms and the phase e^{-ikL}.
+def sweep_terms(v: float, total_length: float, k: float) -> tuple:
+    """What every N of a sweep at fixed (V, L) shares at one k: (k, the cell's
+    :func:`ptstack.cell.wave_terms`, the phase e^{-ikL}).
 
     cmath.exp(-1j*k*L) is exp(0) * (cos(-kL), sin(-kL)), and raises a
-    ValueError where kL is infinite; that phase is NaN.
+    ValueError where kL is infinite; that phase is NaN, so every entry it
+    multiplies is not finite.
     """
     kl = -(k * total_length)
-    phase_re, _ = libm(math.cos, kl)
-    phase_im, _ = libm(math.sin, kl)
-    phase_im[np.isinf(kl)] = 0.0  # a float NaN meets a complex as (nan, 0.0)
-    return SweepTerms(wave_terms(k, v), (phase_re, phase_im))
+    try:
+        phase = complex(math.cos(kl), math.sin(kl))
+    except ValueError:
+        phase = complex(math.nan, 0.0)
+    return k, wave_terms(k, v), phase
 
 
-def periodic_arrays(spec: PeriodicSpec, terms: SweepTerms) -> tuple[tuple, list]:
-    """Entries of the N-cell matrix over the k of ``terms`` as (re, im) pairs,
-    with the stages at which entries fail, for :func:`ptstack.core.raise_first`."""
-    k, b = terms.wave.k, check_positive(spec.slab_width, "slab width b")
-    cell = cell_arrays(terms.wave, b)
-    t, u, cheb_errors = eval_pairs(spec.n_cells, cell.one_minus_xi)
-    real = [(x, 0.0) for x in (t, u, cell.chi, cell.eta, cell.tau)]
-    entries = cell_pattern_pairs(*real, terms.phase)
-    stages = [
-        (cell.failed, lambda i: cell_error(float(k[i]), spec.v, b)),
-        (error_mask(cheb_errors, len(k)), cheb_errors.__getitem__),
-        (~pairs_finite(*entries), lambda i: NonFiniteMatrixError(
-            f"N-cell matrix overflows the double range at k = {float(k[i])}, {spec}"
-        )),
-    ]
-    return entries, stages
+def periodic_entries(spec: PeriodicSpec, b: float, terms: tuple) -> tuple[complex, complex, complex, complex]:
+    """The entries m11, m12, m21, m22 of the N-cell matrix at slab width
+    ``b`` and the k of ``terms`` (:func:`sweep_terms`).
+
+    Raises the error of the cell elements, then that of the Chebyshev pair,
+    then :class:`NonFiniteMatrixError` where an entry is not finite.
+    """
+    k, w, phase = terms
+    _, _, _, chi, eta, tau, one_minus_xi = cell_terms(k, spec.v, b, w)
+    t, u = _pair(spec.n_cells, one_minus_xi)
+    m11, m12, m21, m22 = _cell_pattern(t, u, chi, eta, tau, phase)
+    if not (isfinite(m11) and isfinite(m12) and isfinite(m21) and isfinite(m22)):
+        raise NonFiniteMatrixError(f"N-cell matrix overflows the double range at k = {k}, {spec}")
+    return m11, m12, m21, m22
 
 
 def periodic_matrix(spec: PeriodicSpec, k: float) -> TransferMatrix:
     """Closed-form transfer matrix of the N-cell stack on [0, total_length].
 
-    A length-1 call of :func:`periodic_arrays`.  Raises
-    :class:`NonFiniteMatrixError` if an entry overflows to inf or NaN.
+    Raises :class:`NonFiniteMatrixError` if an entry overflows to inf or NaN.
     """
     k = check_wave_number(k)
-    entries, stages = periodic_arrays(spec, sweep_terms(spec.v, spec.total_length, np.array([k])))
-    raise_first(stages)
-    return TransferMatrix(*(complex(re[0], im[0]) for re, im in entries), k)
+    b = check_positive(spec.slab_width, "slab width b")
+    return TransferMatrix(*periodic_entries(spec, b, sweep_terms(spec.v, spec.total_length, k)), k)
 
 
 def compose_stack(stack: PotentialStack, k: float) -> TransferMatrix:
@@ -197,7 +184,7 @@ def _cell_power(slabs: Iterable[tuple[complex, float]], n_cells: int, total_leng
         )
     t, u = cheb_pair_from_complex_gap(n_cells, -0.5 * (e11 + e22))
     chi, tau = 0.5 * (k * e12 - e21 / k), 0.5 * (k * e12 + e21 / k)
-    return _cell_pattern(t, u, chi, -0.5j * (e11 - e22), tau, cmath.exp(-1j * k * total_length), k)
+    return TransferMatrix(*_cell_pattern(t, u, chi, -0.5j * (e11 - e22), tau, cmath.exp(-1j * k * total_length)), k)
 
 
 def alternating_matrix(

@@ -582,6 +582,63 @@ def test_cell_count_beyond_double_range_exits_2(capsys):
     assert err == "ptstack: numerical failure: n_cells = 1.000e+400 is beyond the double range\n"
 
 
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("converge", "--k", "1", "--v", "40"),
+        ("general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3"),
+        ("sweep", "--v", "40", "--n-min", "1", "--k-count", "3"),
+    ],
+    ids=lambda command: command[0],
+)
+def test_n_max_beyond_64_bits_runs(capsys, command, spacing):
+    # An N past 2**64 is still within the double range, so the grid is
+    # computed like any other and ends at the exact N_max.
+    for n_max in (2**64, 10**20):
+        code, out, err = run_cli(capsys, *command, "--n-max", str(n_max), "--n-spacing", spacing)
+        assert (code, err) == (0, "")
+        assert int(parse_csv(out)[2][-1]["N"]) == n_max
+
+
+def _perfbench_n_grids(monkeypatch):
+    """The (n-min, n-max, n-count) log grids the benchmark's workloads run."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return [module.SURFACE_N, module.UNBALANCED_N, module.GENERAL_DEFAULT_N, module.CONVERGE_DEFAULT_N]
+
+
+def test_grids_match_numpy(monkeypatch):
+    # The CLI computes numpy's linspace and geomspace in plain Python: the
+    # float grid to the bit and the N grid after rounding.  N stays below
+    # 1e7 here; far above it the floats are spaced so widely that a one-ulp
+    # difference from numpy's own log10 and power can change a rounded N.
+    import random
+
+    import numpy as np
+    from ptstack.cli import _float_grid, _n_grid
+
+    rng = random.Random(20261018)
+    grids = [(*grid, "log") for grid in _perfbench_n_grids(monkeypatch)]
+    for _ in range(2000):
+        lo = max(1, int(10 ** rng.uniform(0, 6)))
+        grids.append((lo, lo + int(10 ** rng.uniform(0, 7)), rng.randint(1, 200), rng.choice(["log", "linear"])))
+    for lo, hi, count, spacing in grids:
+        spaced = np.geomspace(lo, hi, count) if spacing == "log" else np.linspace(lo, hi, count)
+        expected = sorted({int(round(x)) for x in spaced})
+        assert _n_grid({"n_min": lo, "n_max": hi, "n_count": count, "n_spacing": spacing}) == expected
+    for _ in range(2000):
+        lo = 10 ** rng.uniform(-5, 5)
+        hi = lo + rng.choice([0.0, 5e-324, 10 ** rng.uniform(-20, 5)])
+        count = rng.randint(1, 300)
+        assert list(map(repr, _float_grid(lo, hi, count))) == list(map(repr, np.linspace(lo, hi, count).tolist()))
+
+
 def test_json_writer_matches_json_dumps():
     # The streamed writer must print what json.dumps(doc, indent=2) prints,
     # with complex values as [re, im] and a NaN row or summary value as null.

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -21,10 +20,7 @@ from ptstack import (
     transmission_surface,
     unit_cell_matrix,
 )
-from ptstack.core import (
-    absdet_errs, as_complex, check_count, check_finite, check_positive, cmul, cquot, libm, raise_first,
-    scalar_pair,
-)
+from ptstack.core import check_count, check_finite, check_positive
 from conftest import as_array, entry_diff, random_unimodular
 
 
@@ -176,56 +172,3 @@ def test_unimodularity_over_physical_grid(rng):
             flat_checked += 1
     assert flat_checked > 100
 
-
-# Zeros of both signs, extremes, subnormals, infinities and NaN.
-SPECIAL = (0.0, -0.0, 1.0, -2.5, 1e308, -1e308, 5e-324, 3.7e-200, 1.3e200, math.inf, -math.inf, math.nan)
-
-
-def _bits(values):
-    """Comparable form of floats: NaN equals NaN, 0.0 differs from -0.0."""
-    return [("nan",) if math.isnan(x) else (x, math.copysign(1.0, x)) for x in values]
-
-
-def test_complex_pairs_match_cpython():
-    quads = list(itertools.product(SPECIAL, repeat=4))
-    ar, ai, br, bi = (np.array(column) for column in zip(*quads))
-    a, b = [complex(x, y) for x, y in zip(ar, ai)], [complex(x, y) for x, y in zip(br, bi)]
-    product = [x * y for x, y in zip(a, b)]
-    with np.errstate(all="ignore"):
-        re, im = cmul((ar, ai), (br, bi))
-    assert _bits(re) == _bits(z.real for z in product)
-    assert _bits(im) == _bits(z.imag for z in product)
-    re, im = cquot((ar, ai), (br, bi))
-    for i, (x, y) in enumerate(zip(a, b)):
-        if y == 0:  # CPython raises; the pair form leaves NaN for the caller to reject
-            assert math.isnan(re[i]) and math.isnan(im[i])
-            continue
-        assert _bits([re[i], im[i]]) == _bits([(x / y).real, (x / y).imag]), (x, y)
-
-
-def test_libm_collects_errors_per_row():
-    values, errors = libm(math.sinh, np.array([1.0, 1000.0, -2.0]))
-    assert values[0] == math.sinh(1.0) and values[2] == math.sinh(-2.0)
-    assert math.isnan(values[1]) and list(errors) == [1]
-    assert isinstance(errors[1], OverflowError)
-    magnitudes, errors = libm(abs, as_complex(np.array([3.0, 1.5e308]), np.array([4.0, 1.5e308])))
-    assert magnitudes[0] == 5.0
-    assert str(errors[1]) == "absolute value too large"
-
-
-def test_absdet_errs_match_the_property():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        m = TransferMatrix(*(complex(*rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3)) for _ in range(4)), 1.0)
-        values, errors = absdet_errs(*map(scalar_pair, (m.m11, m.m12, m.m21, m.m22)))
-        assert not errors and values[0] == m.absdet_err
-
-
-def test_raise_first_takes_the_first_row_then_its_first_stage():
-    stages = [
-        (np.array([False, False, True]), lambda i: ValueError(f"stage 1 row {i}")),
-        (np.array([False, True, True]), lambda i: OverflowError(f"stage 2 row {i}")),
-    ]
-    with pytest.raises(OverflowError, match="stage 2 row 1"):
-        raise_first(stages)
-    raise_first([(np.zeros(3, dtype=bool), None)])

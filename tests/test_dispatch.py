@@ -1,9 +1,10 @@
-"""Output bytes must not depend on the SIMD code numpy dispatches to.
+"""Output bytes must not depend on the SIMD or BLAS kernels numpy picks.
 
-numpy picks its transcendental and complex kernels by CPU feature at import,
-and ``NPY_DISABLE_CPU_FEATURES`` switches the wider ones off.  A sweep,
-``oracle-check --quick`` and a million-cell ``general`` study run both ways
-must print the same bytes.
+ptstack imports no numpy, so these runs guard against numpy coming back
+into a command.  numpy picks its transcendental and complex kernels by CPU
+feature at import, and ``NPY_DISABLE_CPU_FEATURES`` switches the wider ones
+off; a sweep, ``oracle-check --quick`` and a million-cell ``general`` study
+run both ways must print the same bytes.
 
 OpenBLAS likewise picks its BLAS and LAPACK kernels by CPU, and
 ``OPENBLAS_CORETYPE`` forces one.  ``cell``, a sweep, ``converge``,

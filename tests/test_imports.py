@@ -64,10 +64,11 @@ def test_subcommand_runs_only_its_modules(argv, tmp_path):
         "from ptstack.cli import main\n"
         f"code = main([*{argv!r}, '--output', {str(tmp_path / 'out.csv')!r}])\n"
         "print(code, ' '.join(sorted(name for name, m in sys.modules.items()\n"
-        "                            if name.startswith('ptstack') and type(m) is types.ModuleType)))"
+        "                            if name.startswith('ptstack') and type(m) is types.ModuleType)))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))"
     )
     expected = " ".join(sorted({"ptstack", "ptstack.cli", *(f"ptstack.{m}" for m in COMMAND_MODULES[argv])}))
-    assert _run(code) == f"0 {expected}"
+    assert _run(code) == f"0 {expected}\n[]"
 
 
 def test_oracle_check_runs_without_scipy(tmp_path):
@@ -115,7 +116,12 @@ def test_oracle_is_independent_of_the_closed_forms():
     assert "core" in imported
     assert not imported & {"", "cell", "chebyshev", "stack", "scattering", "limits"}
     assert not _package_imports(PACKAGE_DIR / "dop853.py")
-    # Nor numpy: the ODE tier runs on Python complex numbers, with no BLAS or
-    # SIMD kernel that could change its bytes from host to host.
-    for module in ("oracle.py", "dop853.py"):
-        assert not _package_imports(PACKAGE_DIR / module, "numpy"), module
+
+
+def test_package_does_not_import_numpy():
+    # The kernels run on Python floats and complex numbers, with no BLAS or
+    # SIMD kernel that could change the output bytes from host to host.
+    sources = sorted(PACKAGE_DIR.rglob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        assert not _package_imports(path, "numpy"), path.name

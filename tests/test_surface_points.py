@@ -9,13 +9,14 @@ Rewrite the file only after a deliberate numerical change, with
 ``PYTHONPATH=src python tests/test_surface_points.py --record``.
 """
 
+import itertools
 import json
 import math
 import random
 import sys
 from pathlib import Path
 
-from ptstack import transmission_surface, unit_cell_elements
+from ptstack import PeriodicSpec, periodic_matrix, scattering_from_matrix, transmission_surface, unit_cell_elements
 
 DATA = Path(__file__).parent / "data" / "surface_points.json"
 FIELDS = ("big_t", "big_r_left", "big_r_right", "absdet_err")
@@ -43,6 +44,15 @@ def test_surface_points_reproduce_exactly():
         assert got == case["rows"], case
         points += len(got)
     assert points >= 300
+
+
+def test_surface_points_match_the_scalar_chain():
+    # The sweep's per-point kernel and the public wrappers must not drift apart.
+    for case in _cases():
+        for (n, k), row in zip(itertools.product(case["n"], case["k"]), case["rows"], strict=True):
+            m = periodic_matrix(PeriodicSpec(v=case["v"], n_cells=n, total_length=case["total_length"]), k)
+            s = scattering_from_matrix(m)
+            assert [repr(x) for x in (s.big_t, s.big_r_left, s.big_r_right, m.absdet_err)] == row, (case["v"], n, k)
 
 
 def test_surface_points_cover_every_regime():
