@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     NonFiniteMatrixError, TransferMatrix, check_finite, check_positive, check_wave_number, mat_multiply,
@@ -51,8 +51,7 @@ from .core import (
 _SINC_SWITCH = 1e-4
 
 
-@dataclass(frozen=True)
-class CellParams:
+class CellParams(NamedTuple):
     """Derived real quantities of one gain/loss cell at a given (k, V, b)."""
 
     k: float

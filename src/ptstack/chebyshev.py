@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import check_count
 
 
-@dataclass(frozen=True)
-class ChebyshevPair:
+class ChebyshevPair(NamedTuple):
     """T_n(x) and U_{n-1}(x) evaluated together from one angle."""
 
     n: int

@@ -30,11 +30,9 @@ import cmath
 import contextlib
 import importlib.util
 import io
-import json
 import math
 import os
 import shutil
-import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -238,6 +236,13 @@ def _flatten(pairs):
             yield name, value
 
 
+def _json_dumps(value) -> str:
+    """``json.dumps(value)``; only JSON output loads the json module."""
+    import json
+
+    return json.dumps(value)
+
+
 # How json.dumps spells the floats that have no JSON literal.
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -255,12 +260,12 @@ def _json_token(value, indent: str) -> str:
         return f"[\n{inner}{_json_float(value.real)},\n{inner}{_json_float(value.imag)}\n{indent}]"
     if isinstance(value, float):
         return "null" if math.isnan(value) else _json_float(value)
-    return json.dumps(value)
+    return _json_dumps(value)
 
 
 def _json_object(pairs: list, indent: str) -> str:
     inner = indent + "  "
-    items = [f"{inner}{json.dumps(k)}: {_json_token(v, inner)}" for k, v in dict(pairs).items()]
+    items = [f"{inner}{_json_dumps(k)}: {_json_token(v, inner)}" for k, v in dict(pairs).items()]
     return "{\n" + ",\n".join(items) + f"\n{indent}}}" if items else "{}"
 
 
@@ -310,7 +315,8 @@ def _write_rows(out, fmt: str, columns: tuple, blocks, first: bool = True) -> bo
     with ``first`` as it stands at that block, and is copied.  Returns
     whether the body is still empty.
     """
-    template = "{\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in columns) + "\n    }"
+    if fmt == "json":
+        template = "{\n" + ",\n".join(f"      {_json_dumps(c)}: %s" for c in columns) + "\n    }"
     for fields in _block_fields(columns, blocks, _json_fields if fmt == "json" else _csv_fields):
         if isinstance(fields, io.IOBase):
             shutil.copyfileobj(fields, out)
@@ -425,6 +431,8 @@ class _ForkedRanges:
                         f"sweep worker for N = {values[0]}..{values[-1]} failed (exit code {code})"
                     )
         except BaseException:
+            import signal
+
             for pid in workers:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
@@ -510,7 +518,12 @@ def cmd_converge(opt: dict, defaulted: set):
     from .core import NonFiniteMatrixError
     from .limits import convergence_study, fit_loglog_slope
 
-    records = convergence_study(opt["k"], opt["v"], opt["total_length"], _n_grid(opt))
+    n_values = _n_grid(opt)
+    if len(n_values) < 2:
+        raise CliUsageError(
+            f"converge fits a slope over at least two distinct N; --n-min/--n-max/--n-count give N = {n_values}"
+        )
+    records = convergence_study(opt["k"], opt["v"], opt["total_length"], n_values)
     for r in records:
         # offdiag_ratio is NaN by design where the prediction is 0
         if not all(map(math.isfinite, (r.deviation_inf, r.diag_measured_err, r.offdiag_measured, r.absdet_err))):
@@ -560,6 +573,8 @@ def cmd_oracle_check(opt: dict, defaulted: set):
     from .oracle import incidence_scattering, integrate_transfer_matrix, slab_propagation_matrix
     from .stack import PeriodicSpec, build_alternating, periodic_matrix
 
+    if opt["ode_n_max"] < 0:
+        raise CliUsageError(f"--ode-n-max must be >= 0 (0 runs no ODE tier), got {opt['ode_n_max']}")
     rows = []
     worst = (0.0, math.nan, math.nan, 0, "none")  # (deviation, k, v, N, column)
     for v in ORACLE_GRID_V:
@@ -629,7 +644,7 @@ _COMMANDS = {
     ),
     "oracle-check": (
         cmd_oracle_check, "closed form vs integration oracles on a fixed grid",
-        {"ode_n_max": _Opt(int, 64, "largest N run through the ODE tier")},
+        {"ode_n_max": _Opt(int, 64, "largest N run through the ODE tier, 0 for none (default 64)")},
         _Preset("quick", "restrict the ODE tier to N <= 4", {"ode_n_max": 4}),
     ),
 }

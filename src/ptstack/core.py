@@ -20,16 +20,22 @@ numerical drift stays measurable.
 The closed forms evaluate one point at a time on Python floats and complex
 numbers, so every printed digit is the one CPython's own arithmetic and the
 C library's ``math`` functions give; the package imports no numpy.  The
-recorded outputs in ``tests/data`` assume CPython 3.10/3.11's rule that a
-float meeting a complex is converted to (x, 0.0) first; Python 3.14 changed
-that mixed-mode arithmetic.
+recorded outputs in ``tests/data`` hold byte for byte on CPython 3.10 to
+3.13, whose rule is that a float meeting a complex is converted to
+(x, 0.0) first; Python 3.14 changed that mixed-mode arithmetic.
+
+The records are ``typing.NamedTuple`` classes: immutable, unpackable and
+equal to a tuple of the same values.  :class:`Layer` and
+:class:`~ptstack.stack.PeriodicSpec` check their values in ``__new__``;
+:class:`PotentialStack` and :class:`~ptstack.scattering.TransmissionTable`,
+which have a length of their own, are ``__slots__`` classes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Relative slack when checking that stacked layers do not overlap; offsets
 # built as i*width can differ from accumulated sums by a few ulps.
@@ -87,29 +93,58 @@ def check_finite(value: complex, name: str) -> complex:
     return value
 
 
-@dataclass(frozen=True)
-class Layer:
-    """One rectangular slab: complex height over [offset, offset + width)."""
+class _SlotRecord:
+    """Base of the records that are not tuples: fields in ``__slots__``, set
+    once by ``__init__``.  Assigning or deleting a field raises
+    AttributeError, the repr is ``Name(field=value, ...)`` and a copy or
+    pickle is rebuilt through the constructor."""
 
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class _LayerFields(NamedTuple):
     height: complex
     width: float
     offset: float = 0.0
 
-    def __post_init__(self) -> None:
-        check_positive(self.width, "layer width")
-        check_finite(float(self.offset), "layer offset")
-        check_finite(complex(self.height), "layer height")
+
+class Layer(_LayerFields):
+    """One rectangular slab: complex height over [offset, offset + width)."""
+
+    __slots__ = ()
+
+    def __new__(cls, height: complex, width: float, offset: float = 0.0) -> "Layer":
+        check_positive(width, "layer width")
+        check_finite(float(offset), "layer offset")
+        check_finite(complex(height), "layer height")
+        return tuple.__new__(cls, (height, width, offset))
+
+    @classmethod
+    def _make(cls, iterable) -> "Layer":
+        return cls(*iterable)
 
     @property
     def right_edge(self) -> float:
         return self.offset + self.width
 
 
-@dataclass(frozen=True)
-class PotentialStack:
+class PotentialStack(_SlotRecord):
     """Ordered, non-overlapping layers; gaps between layers are free space."""
 
-    layers: tuple[Layer, ...]
+    __slots__ = ("layers",)
 
     def __init__(self, layers) -> None:
         ordered = tuple(sorted(layers, key=lambda layer: layer.offset))
@@ -122,6 +157,14 @@ class PotentialStack:
                     f"[{right.offset}, {right.right_edge}]"
                 )
         object.__setattr__(self, "layers", ordered)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.layers == other.layers
+
+    def __hash__(self) -> int:
+        return hash(self.layers)
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -140,8 +183,7 @@ class PotentialStack:
         return self.right_edge - self.left_edge
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
+class TransferMatrix(NamedTuple):
     """2x2 complex transfer matrix tagged with the wave number it was built at."""
 
     m11: complex

@@ -23,16 +23,14 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cell import barrier_matrix
 from .core import TransferMatrix, check_count, check_positive, check_wave_number
 from .stack import PeriodicSpec, alternating_matrix, periodic_matrix
 
 
-@dataclass(frozen=True)
-class AsymptoticPrediction:
+class AsymptoticPrediction(NamedTuple):
     """Leading-order values of the cell and stack quantities at one (k, N)."""
 
     k: float
@@ -50,8 +48,7 @@ class AsymptoticPrediction:
     offdiag_scale_pred: float
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(NamedTuple):
     """Deviation of the N-cell matrix from its limit at one schedule point."""
 
     n: int
@@ -153,8 +150,7 @@ def fit_loglog_slope(ns: Sequence[int], deviations: Sequence[float]) -> float:
     return math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
 
 
-@dataclass(frozen=True)
-class GeneralizedLimitResult:
+class GeneralizedLimitResult(NamedTuple):
     """Fitted constant-barrier equivalent of an unbalanced alternating stack.
 
     ``effective_height`` minimizes the entrywise least-squares distance

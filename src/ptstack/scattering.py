@@ -8,11 +8,10 @@ its (N, k) grid through the per-point kernel of :mod:`ptstack.stack`, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .core import NonFiniteMatrixError, TransferMatrix, check_positive, check_wave_number
+from .core import NonFiniteMatrixError, TransferMatrix, _SlotRecord, check_positive, check_wave_number
 from .stack import PeriodicSpec, periodic_entries, sweep_terms
 
 # Below this |m22| the amplitudes 1/m22 are treated as a pole (a spectral
@@ -24,8 +23,7 @@ class SpectralPoleError(ArithmeticError):
     """|m22| fell below POLE_TOLERANCE: scattering amplitudes diverge."""
 
 
-@dataclass(frozen=True)
-class ScatteringCoefficients:
+class ScatteringCoefficients(NamedTuple):
     """Amplitudes t, r and intensity coefficients for both incidence sides.
 
     The transmission amplitude is side-independent by construction; the
@@ -74,8 +72,7 @@ def scattering_from_matrix(m: TransferMatrix) -> ScatteringCoefficients:
     return ScatteringCoefficients(*_amplitudes(m.m12, m.m21, m.m22, m.k))
 
 
-@dataclass(frozen=True)
-class TransmissionRow:
+class TransmissionRow(NamedTuple):
     """One (N, k) point of a transmission sweep over a periodic stack."""
 
     n: int
@@ -86,21 +83,22 @@ class TransmissionRow:
     absdet_err: float
 
 
-@dataclass(frozen=True, eq=False)
-class TransmissionTable:
+class TransmissionTable(_SlotRecord):
     """A transmission sweep by columns: ``big_t[i][j]`` (and likewise each
     column) is the point N = n_values[i], k = k_values[j].
 
     As a sequence it is the rows in N-major, then k, order: ``len`` counts
-    the points and ``table[i]`` is a :class:`TransmissionRow`.
+    the points and ``table[i]`` is a :class:`TransmissionRow`.  Two tables
+    are equal only if they are the same object.
     """
 
-    n_values: tuple
-    k_values: list
-    big_t: list
-    big_r_left: list
-    big_r_right: list
-    absdet_err: list
+    __slots__ = ("n_values", "k_values", "big_t", "big_r_left", "big_r_right", "absdet_err")
+
+    def __init__(
+        self, n_values: tuple, k_values: list, big_t: list, big_r_left: list, big_r_right: list, absdet_err: list
+    ) -> None:
+        for name, value in zip(self.__slots__, (n_values, k_values, big_t, big_r_left, big_r_right, absdet_err)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.n_values) * len(self.k_values)

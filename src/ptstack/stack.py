@@ -28,7 +28,7 @@ import cmath
 import math
 from cmath import isfinite
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cell import _cell_pattern, _propagation_terms, barrier_matrix, cell_terms, wave_terms
 from .chebyshev import _pair, cheb_pair_from_complex_gap
@@ -51,19 +51,27 @@ def cells_as_float(n_cells: int) -> float:
         ) from None
 
 
-@dataclass(frozen=True)
-class PeriodicSpec:
-    """N gain/loss cells of magnitude V filling total_length without gaps."""
-
+class _PeriodicFields(NamedTuple):
     v: float
     n_cells: int
     total_length: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v", check_positive(self.v, "V"))
-        object.__setattr__(self, "n_cells", check_count(self.n_cells, "n_cells", 1))
-        object.__setattr__(self, "total_length", check_positive(self.total_length, "total_length"))
-        cells_as_float(self.n_cells)
+
+class PeriodicSpec(_PeriodicFields):
+    """N gain/loss cells of magnitude V filling total_length without gaps."""
+
+    __slots__ = ()
+
+    def __new__(cls, v: float, n_cells: int, total_length: float) -> "PeriodicSpec":
+        v = check_positive(v, "V")
+        n_cells = check_count(n_cells, "n_cells", 1)
+        total_length = check_positive(total_length, "total_length")
+        cells_as_float(n_cells)
+        return tuple.__new__(cls, (v, n_cells, total_length))
+
+    @classmethod
+    def _make(cls, iterable) -> "PeriodicSpec":
+        return cls(*iterable)
 
     @property
     def slab_width(self) -> float:

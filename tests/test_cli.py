@@ -221,6 +221,37 @@ def test_oracle_check_quick(capsys):
     assert float(meta["max_deviation"]) == max(gated)
 
 
+def test_oracle_check_rejects_negative_ode_n_max(capsys, tmp_path):
+    cfg = tmp_path / "ode.cfg"
+    cfg.write_text("ode_n_max = -1\n")
+    for args in (("--ode-n-max", "-1"), ("--config", str(cfg))):
+        code, out, err = run_cli(capsys, "oracle-check", *args)
+        assert (code, out) == (1, "")
+        assert err == "ptstack: error: --ode-n-max must be >= 0 (0 runs no ODE tier), got -1\n"
+
+
+def test_oracle_check_ode_n_max_0_runs_no_ode_tier(capsys):
+    code, out, _ = run_cli(capsys, "oracle-check", "--ode-n-max", "0")
+    assert code == 0
+    meta, _, rows = parse_csv(out)
+    assert meta["ode_n_max"] == "0" and meta["max_deviation_column"] == "slab_vs_closed"
+    assert {r[c] for r in rows for c in ("ode_vs_closed", "ode_vs_slab", "t_lr_diff")} == {"nan"}
+
+
+def test_converge_needs_two_distinct_n_before_the_study(capsys, monkeypatch):
+    def study(*args):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr("ptstack.limits.convergence_study", study)
+    code, out, err = run_cli(capsys, "converge", "--k", "5", "--v", "40",
+                             "--n-min", "100", "--n-max", "100", "--n-count", "3")
+    assert (code, out) == (1, "")
+    assert err == (
+        "ptstack: error: converge fits a slope over at least two distinct N; "
+        "--n-min/--n-max/--n-count give N = [100]\n"
+    )
+
+
 def test_general_at_a_million_cells(capsys):
     code, out, _ = run_cli(
         capsys, "general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3", "--n-max", "1000000",
@@ -530,7 +561,7 @@ def test_worker_killed_while_rendering(capsys, monkeypatch, tmp_path):
         # 2*alpha alone reaches inf; k*L alone reaches inf
         ("cell", "--k", "1e77", "--v", "1e-300", "--b", "1e231"),
         ("converge", "--k", "1e10", "--v", "1e-300", "--total-length", "1e299",
-         "--n-min", "1000", "--n-max", "1000", "--n-count", "1"),
+         "--n-min", "1000", "--n-max", "2000", "--n-count", "2"),
         # the matrix fits, but det (cell) or |det - 1| and T, R (sweep) do not
         ("cell", "--k", "0.5", "--v", "40", "--b", "50"),
         ("sweep", "--v", "40", "--total-length", "100", "--n-min", "1", "--n-max", "1",

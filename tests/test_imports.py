@@ -57,18 +57,42 @@ COMMAND_MODULES = {
 }
 
 
+# Standard modules no command loads for CSV output: dataclasses and inspect
+# alone cost about 10 ms of start-up, signal serves only a failing sweep and
+# json only --format json.
+STARTUP_FREE = ("dataclasses", "inspect", "signal", "json")
+
+
 @pytest.mark.parametrize("argv", list(COMMAND_MODULES), ids=lambda argv: argv[0])
 def test_subcommand_runs_only_its_modules(argv, tmp_path):
+    # Only the modules loaded after ptstack.cli's import count, so a site
+    # hook that loads some of them at start-up does not break the test.
     code = (
         "import sys, types\n"
+        "before = set(sys.modules)\n"
         "from ptstack.cli import main\n"
         f"code = main([*{argv!r}, '--output', {str(tmp_path / 'out.csv')!r}])\n"
         "print(code, ' '.join(sorted(name for name, m in sys.modules.items()\n"
         "                            if name.startswith('ptstack') and type(m) is types.ModuleType)))\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n"
+        f"print(sorted(name for name in set(sys.modules) - before if name.split('.')[0] in {STARTUP_FREE!r}))"
     )
     expected = " ".join(sorted({"ptstack", "ptstack.cli", *(f"ptstack.{m}" for m in COMMAND_MODULES[argv])}))
-    assert _run(code) == f"0 {expected}\n[]"
+    assert _run(code) == f"0 {expected}\n[]\n[]"
+
+
+def test_json_loads_only_for_json_output(tmp_path):
+    # The other side of the guard above.  json is dropped first in case a
+    # site hook loaded it.
+    code = (
+        "import sys\n"
+        "from ptstack.cli import main\n"
+        "sys.modules.pop('json', None)\n"
+        "for fmt in ('csv', 'json'):\n"
+        f"    main(['cell', '--k', '1', '--v', '40', '--b', '1', '--format', fmt, '--output', {str(tmp_path / 'out')!r}])\n"
+        "    print('json' in sys.modules)"
+    )
+    assert _run(code) == "False\nTrue"
 
 
 def test_oracle_check_runs_without_scipy(tmp_path):
@@ -116,6 +140,13 @@ def test_oracle_is_independent_of_the_closed_forms():
     assert "core" in imported
     assert not imported & {"", "cell", "chebyshev", "stack", "scattering", "limits"}
     assert not _package_imports(PACKAGE_DIR / "dop853.py")
+
+
+def test_package_does_not_import_dataclasses():
+    # Records are NamedTuples or __slots__ classes: importing dataclasses
+    # would load inspect, ast and dis into every process.
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        assert not _package_imports(path, "dataclasses"), path.name
 
 
 def test_package_does_not_import_numpy():
