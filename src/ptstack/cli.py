@@ -4,7 +4,9 @@ studies, the generalized alternating-stack fit, and oracle cross-checks.
 Output is CSV (UTF-8, comma separated, ``#``-prefixed metadata lines) or
 JSON; ``--output -`` writes to standard output.  Runs are fully
 deterministic: identical invocations produce byte-identical output.
-Nothing is written before the whole output is computed.
+Nothing is written before the whole output is computed: each command
+renders its rows as text first, and the output gets the metadata, those
+rows and the summary.
 
 ``sweep`` spreads its N grid over the CPUs in its affinity mask: every
 contiguous N range, the first one included, renders into a temporary file
@@ -29,7 +31,6 @@ import argparse
 import cmath
 import contextlib
 import importlib.util
-import io
 import math
 import os
 import shutil
@@ -221,19 +222,9 @@ def _n_grid(opt: dict) -> list[int]:
 
 
 def _float_grid(lo: float, hi: float, count: int) -> list[float]:
-    if not (lo > 0.0 and hi >= lo and count >= 1):
+    if not (lo > 0.0 and hi >= lo and math.isfinite(hi) and count >= 1):
         raise CliUsageError(f"bad k range: min={lo} max={hi} count={count}")
     return _linspace(lo, hi, count)
-
-
-def _flatten(pairs):
-    """(name, value) pairs with every complex value split into name_re and name_im."""
-    for name, value in pairs:
-        if isinstance(value, complex):
-            yield f"{name}_re", value.real
-            yield f"{name}_im", value.imag
-        else:
-            yield name, value
 
 
 def _json_dumps(value) -> str:
@@ -269,93 +260,61 @@ def _json_object(pairs: list, indent: str) -> str:
     return "{\n" + ",\n".join(items) + f"\n{indent}}}" if items else "{}"
 
 
-def _csv_fields(name: str, values: list) -> list:
-    """(header, fields) of one column; a complex column splits into _re and _im."""
+def _column(fmt: str, name: str, values) -> list:
+    """(header, texts) of one column: in CSV a complex column splits into
+    name_re and name_im, and in JSON a text is the value in a row object."""
+    if fmt == "json":
+        return [(name, [_json_token(v, "      ") for v in values])]
     if values and isinstance(values[0], complex):
         return [(f"{name}_re", [str(v.real) for v in values]), (f"{name}_im", [str(v.imag) for v in values])]
     return [(name, list(map(str, values)))]
 
 
-def _json_fields(name: str, values: list) -> list:
-    return [(name, [_json_token(v, "      ") for v in values])]
+def _render_rows(fmt: str, fields: list, first: bool) -> str:
+    """The rows of ``fields``, (header, texts) columns, as CSV lines, or as
+    JSON row objects that each follow a newline, with a comma between two.
 
-
-def _one_block(rows: list):
-    """A table of row tuples as a single block (see :func:`_write_table`)."""
-    yield len(rows), [list(column) for column in zip(*rows)]
-
-
-def _block_fields(columns: tuple, blocks, fields_of):
-    """The (header, fields) columns of each block, formatting a shared value
-    once and a column object repeated from the previous block not again.  A
-    block that is a file is passed through."""
-    previous = {}
-    for block in blocks:
-        if isinstance(block, io.IOBase):
-            yield block
-            continue
-        count, values = block
-        fields = []
-        for j, (name, column) in enumerate(zip(columns, values)):
-            if not isinstance(column, list):
-                fields += [(header, texts * count) for header, texts in fields_of(name, [column])]
-                continue
-            if j not in previous or previous[j][0] is not column:
-                previous[j] = (column, fields_of(name, column))
-            fields += previous[j][1]
-        yield fields
-
-
-def _write_rows(out, fmt: str, columns: tuple, blocks, first: bool = True) -> bool:
-    """Write the rows of ``blocks`` as CSV lines or JSON row objects.
-
-    ``first`` says that nothing of the table's body precedes them: CSV then
-    starts with the header line, and JSON writes no separator before the
-    first row.  A block that is a file holds rows this function wrote there,
-    with ``first`` as it stands at that block, and is copied.  Returns
-    whether the body is still empty.
+    ``first`` says the rows start the table: CSV then starts with the header
+    line, and JSON with no comma.  Texts rendered one after another join
+    into the table's rows.
     """
+    rows = zip(*(texts for _, texts in fields))
     if fmt == "json":
-        template = "{\n" + ",\n".join(f"      {_json_dumps(c)}: %s" for c in columns) + "\n    }"
-    for fields in _block_fields(columns, blocks, _json_fields if fmt == "json" else _csv_fields):
-        if isinstance(fields, io.IOBase):
-            shutil.copyfileobj(fields, out)
-            first = False
-        elif fmt == "json":
-            texts = [template % cells for cells in zip(*(f for _, f in fields))]
-            if texts:
-                out.write(("\n    " if first else ",\n    ") + ",\n    ".join(texts))
-                first = False
-        else:
-            if first:
-                out.write(",".join(name for name, _ in fields) + "\n")
-                first = False
-            lines = "\n".join(map(",".join, zip(*(f for _, f in fields))))
-            if lines:
-                out.write(lines + "\n")
-    return first
+        template = "\n    {\n" + ",\n".join(f"      {_json_dumps(name)}: %s" for name, _ in fields) + "\n    }"
+        return ("" if first else ",") + ",".join(map(template.__mod__, rows))
+    header = ",".join(name for name, _ in fields) + "\n" if first else ""
+    return header + "\n".join(map(",".join, rows)) + "\n"
 
 
-def _write_table(out, fmt: str, meta: list, columns: tuple, blocks, summary: list) -> None:
-    """Write one table as CSV or JSON, a block of rows at a time.
+def _rows_text(fmt: str, columns: tuple, rows: list) -> str:
+    """A whole table of row tuples under ``columns`` as text (see :func:`_render_rows`)."""
+    fields = [field for name, values in zip(columns, zip(*rows)) for field in _column(fmt, name, values)]
+    return _render_rows(fmt, fields, True)
 
-    ``blocks`` yields (row count, columns); a column is a list of values, or
-    one value shared by every row of the block.  A block may also be a file
-    of rows another process wrote (see :func:`_write_rows`).  The bytes are
-    those of the whole table's lines joined (CSV) or of
-    ``json.dumps(doc, indent=2)`` (JSON); str(float) is the shortest
-    round-trip repr.
+
+def _write_table(out, fmt: str, meta: list, rows, summary: list) -> None:
+    """Write one table, with at least one row, as CSV or JSON.
+
+    ``rows`` is the table's rows as text (see :func:`_render_rows`): one
+    string, or a list of files whose texts follow one another, each read
+    from the start.  The bytes are those of the whole table's lines joined
+    (CSV) or of ``json.dumps(doc, indent=2)`` (JSON); str(float) is the
+    shortest round-trip repr.
     """
     if fmt == "json":
         out.write('{\n  "metadata": ' + _json_object(meta, "  ") + ',\n  "rows": [')
-        out.write("]" if _write_rows(out, fmt, columns, blocks) else "\n  ]")
-        if summary:
-            out.write(',\n  "summary": ' + _json_object(summary, "  "))
-        out.write("\n}\n")
-        return
-    out.write("".join(f"# {k} = {v}\n" for k, v in meta))
-    _write_rows(out, fmt, columns, blocks)
-    out.write("".join(f"# {k} = {v}\n" for k, v in _flatten(summary)))
+    else:
+        out.write("".join(f"# {k} = {v}\n" for k, v in meta))
+    if isinstance(rows, str):
+        out.write(rows)
+    else:
+        for part in rows:
+            shutil.copyfileobj(part, out)
+    if fmt == "json":
+        out.write("\n  ]" + (',\n  "summary": ' + _json_object(summary, "  ") if summary else "") + "\n}\n")
+    else:
+        fields = [field for name, value in summary for field in _column("csv", name, [value])]
+        out.write("".join(f"# {name} = {text}\n" for name, (text,) in fields))
 
 
 def _open_output(path: str):
@@ -380,72 +339,71 @@ def _render_range(rows, values: list, compute, render):
     code = 1
     try:
         try:
-            blocks = compute(values)
+            result = compute(values)
         except Exception:
             code = 2
         else:
-            render(rows, blocks, False)
+            render(rows, result, False)
             rows.flush()
             code = 0
     finally:
         os._exit(code)
 
 
-class _ForkedRanges:
+def _forked_ranges(ranges: list, compute, render) -> list:
     """The rows of an N grid split into contiguous ranges, each rendered into
-    its own unlinked temporary file.
+    its own unlinked temporary file; the files in range order, each at its
+    start.  The caller closes them.
 
-    The first range is computed and rendered here; each later one by a
-    forked worker (:func:`_render_range`).  The constructor returns once
-    every range has rendered and every worker is reaped, and raises the
-    error of the earliest range that failed, so nothing is written after a
-    failure.  A worker whose computation raised is not asked why: the range
-    is computed again here, which raises the same exception because the
-    computation is deterministic.  Iterating yields the files in range
-    order; :meth:`close` closes them.
+    ``render(file, compute(range), first)`` renders a range.  The first
+    range is computed and rendered here; each later one by a forked worker
+    (:func:`_render_range`).  This returns once every range has rendered and
+    every worker is reaped.  It raises the error of the earliest range that
+    failed, with every file closed, so nothing is written after a failure.
+    A worker whose computation raised is not asked why: the range is
+    computed again here, which raises the same exception because the
+    computation is deterministic.
     """
+    files, workers = [], {}  # pid -> range, in range order
+    try:
+        for _ in ranges:
+            files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+        for values, rows in zip(ranges[1:], files[1:]):
+            # This process starts no thread, so the forked worker can
+            # inherit no lock that another thread holds.
+            pid = os.fork()
+            if pid == 0:
+                _render_range(rows, values, compute, render)
+            workers[pid] = values
+        render(files[0], compute(ranges[0]), True)
+        for pid, values in list(workers.items()):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
+            if code == 2:
+                compute(values)
+            if code != 0:
+                raise ChildProcessError(f"sweep worker for N = {values[0]}..{values[-1]} failed (exit code {code})")
+    except BaseException:
+        import signal
 
-    def __init__(self, ranges: list, compute, render):
-        self._files = contextlib.ExitStack()
-        workers = {}  # pid -> range, in range order
-        try:
-            self._rows = [
-                self._files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-                for _ in ranges
-            ]
-            for values, rows in zip(ranges[1:], self._rows[1:]):
-                # This process starts no thread, so the forked worker can
-                # inherit no lock that another thread holds.
-                pid = os.fork()
-                if pid == 0:
-                    _render_range(rows, values, compute, render)
-                workers[pid] = values
-            render(self._rows[0], compute(ranges[0]), True)
-            for pid, values in list(workers.items()):
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del workers[pid]
-                if code == 2:
-                    compute(values)
-                if code != 0:
-                    raise ChildProcessError(
-                        f"sweep worker for N = {values[0]}..{values[-1]} failed (exit code {code})"
-                    )
-        except BaseException:
-            import signal
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for rows in files:
+            rows.close()
+        raise
+    for rows in files:
+        rows.seek(0)
+    return files
 
-            for pid in workers:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            self.close()
-            raise
 
-    def __iter__(self):
-        for rows in self._rows:
-            rows.seek(0)
-            yield rows
-
-    def close(self) -> None:
-        self._files.close()
+def _study_n_grid(opt: dict, what: str) -> list[int]:
+    """The N grid of a study, which needs at least two distinct N; ``what``
+    the study does over them starts the message of a grid with fewer."""
+    n_values = _n_grid(opt)
+    if len(n_values) < 2:
+        raise CliUsageError(f"{what} over at least two distinct N; --n-min/--n-max/--n-count give N = {n_values}")
+    return n_values
 
 
 def _matrix_dev(a, b) -> float:
@@ -461,9 +419,9 @@ def _matrix_dev(a, b) -> float:
 
 
 # Each command takes the resolved options and the names left at their default,
-# and returns (columns, blocks of rows, summary, extra metadata, exit code).
-# main closes the blocks once written or on failure, which closes the files a
-# sweep rendered its rows into.
+# and returns (rows as text, summary, extra metadata, exit code).  The rows are
+# one string, or the files a sweep rendered its N ranges into, which main
+# closes once written or on failure.
 
 _CELL_ELEMENTS = ("k", "v", "b", "rho", "phi", "alpha", "beta", "u_plus", "u_minus", "xi", "chi", "eta", "tau")
 _MATRIX_ENTRIES = ("m11", "m12", "m21", "m22", "absdet_err")
@@ -480,50 +438,47 @@ def cmd_cell(opt: dict, defaulted: set):
         raise NonFiniteMatrixError(
             f"cell matrix or absdet_err leaves the double range at k = {p.k}, V = {p.v}, b = {p.b}"
         )
-    return _CELL_ELEMENTS + _MATRIX_ENTRIES, _one_block([row]), [], [], EXIT_OK
+    return _rows_text(opt["format"], _CELL_ELEMENTS + _MATRIX_ENTRIES, [row]), [], [], EXIT_OK
 
 
 def cmd_sweep(opt: dict, defaulted: set):
     from .scattering import transmission_surface
 
-    columns = ("N", "k", "T", "R_left", "R_right", "absdet_err")
+    fmt = opt["format"]
     n_values = _n_grid(opt)
     k_values = _float_grid(opt["k_min"], opt["k_max"], opt["k_count"])
 
     def compute(n_range: list):
-        table = transmission_surface(opt["v"], opt["total_length"], n_range, k_values)
-        results = (table.big_t, table.big_r_left, table.big_r_right, table.absdet_err)
-        # One block per N: the N is one shared value and the k column one list.
-        return (
-            (len(table.k_values), [n, table.k_values, *(column[i] for column in results)])
-            for i, n in enumerate(table.n_values)
-        )
+        return transmission_surface(opt["v"], opt["total_length"], n_range, k_values)
 
-    def render(out, blocks, first: bool) -> None:
-        _write_rows(out, opt["format"], columns, blocks, first)
+    def render(out, table, first: bool) -> None:
+        # The k texts are formatted once per range, and each N's once per N.
+        k_fields = _column(fmt, "k", table.k_values)
+        results = (("T", table.big_t), ("R_left", table.big_r_left), ("R_right", table.big_r_right),
+                   ("absdet_err", table.absdet_err))
+        for i, n in enumerate(table.n_values):
+            fields = [(name, texts * len(table.k_values)) for name, texts in _column(fmt, "N", [n])] + k_fields
+            for name, column in results:
+                fields += _column(fmt, name, column[i])
+            out.write(_render_rows(fmt, fields, first and i == 0))
 
     # One N range per CPU this process may run on; a platform without
     # affinity masks runs one range.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    blocks = _ForkedRanges(_ranges(n_values, cpus), compute, render)
+    rows = _forked_ranges(_ranges(n_values, cpus), compute, render)
     k_is_default = {"k_min", "k_max", "k_count"} <= defaulted
     extra = [
         ("fig3_preset", opt["fig3"]),
         ("k_grid_provenance", "tool default (no externally specified range)" if k_is_default else "user"),
     ]
-    return columns, blocks, [], extra, EXIT_OK
+    return rows, [], extra, EXIT_OK
 
 
 def cmd_converge(opt: dict, defaulted: set):
     from .core import NonFiniteMatrixError
     from .limits import convergence_study, fit_loglog_slope
 
-    n_values = _n_grid(opt)
-    if len(n_values) < 2:
-        raise CliUsageError(
-            f"converge fits a slope over at least two distinct N; --n-min/--n-max/--n-count give N = {n_values}"
-        )
-    records = convergence_study(opt["k"], opt["v"], opt["total_length"], n_values)
+    records = convergence_study(opt["k"], opt["v"], opt["total_length"], _study_n_grid(opt, "converge fits a slope"))
     for r in records:
         # offdiag_ratio is NaN by design where the prediction is 0
         if not all(map(math.isfinite, (r.deviation_inf, r.diag_measured_err, r.offdiag_measured, r.absdet_err))):
@@ -545,15 +500,14 @@ def cmd_converge(opt: dict, defaulted: set):
         "N", "k", "deviation_inf", "diag_err", "offdiag_measured", "offdiag_predicted",
         "offdiag_ratio", "absdet_err",
     )
-    return columns, _one_block(rows), summary, [], EXIT_OK
+    return _rows_text(opt["format"], columns, rows), summary, [], EXIT_OK
 
 
 def cmd_general(opt: dict, defaulted: set):
     from .limits import generalized_limit_study
 
-    result = generalized_limit_study(
-        opt["v1"], opt["v2"], opt["eps"], opt["total_length"], _n_grid(opt), opt["k"]
-    )
+    n_values = _study_n_grid(opt, "general judges convergence")
+    result = generalized_limit_study(opt["v1"], opt["v2"], opt["eps"], opt["total_length"], n_values, opt["k"])
     rows = [
         (r.n, r.k, r.deviation_inf, r.diag_measured_err, r.offdiag_measured, r.absdet_err)
         for r in result.records
@@ -566,7 +520,7 @@ def cmd_general(opt: dict, defaulted: set):
         )
     ]
     columns = ("N", "k", "deviation_inf", "diag_err", "offdiag_dev", "absdet_err")
-    return columns, _one_block(rows), summary, [], EXIT_OK if result.converged else EXIT_NONCONVERGED
+    return _rows_text(opt["format"], columns, rows), summary, [], EXIT_OK if result.converged else EXIT_NONCONVERGED
 
 
 def cmd_oracle_check(opt: dict, defaulted: set):
@@ -608,7 +562,7 @@ def cmd_oracle_check(opt: dict, defaulted: set):
         ("verdict", "ok" if ok else "deviation above threshold"),
     ]
     columns = ("k", "v", "N", "slab_vs_closed", "ode_vs_closed", "ode_vs_slab", "t_lr_diff", "absdet_err")
-    return columns, _one_block(rows), summary, [], EXIT_OK if ok else EXIT_NUMERICAL
+    return _rows_text(opt["format"], columns, rows), summary, [], EXIT_OK if ok else EXIT_NUMERICAL
 
 
 # subcommand -> (function, help, options, preset); --help lists the options in
@@ -677,11 +631,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         fn, _, options, preset = _COMMANDS[args.command]
         opt, defaulted = _resolve(args, {**options, **_IO_OPTIONS}, preset)
-        columns, blocks, summary, extra, code = fn(opt, defaulted)
+        rows, summary, extra, code = fn(opt, defaulted)
         meta = [("tool", "ptstack"), ("tool_version", __version__), ("command", args.command)]
         meta += [(name, opt[name]) for name in options] + extra
-        with contextlib.closing(blocks), _open_output(opt["output"]) as out:
-            _write_table(out, opt["format"], meta, columns, blocks, summary)
+        try:
+            with _open_output(opt["output"]) as out:
+                _write_table(out, opt["format"], meta, rows, summary)
+        finally:
+            if not isinstance(rows, str):
+                for part in rows:
+                    part.close()
         return code
     except (CliUsageError, ValueError, OSError) as exc:
         print(f"ptstack: error: {exc}", file=sys.stderr)

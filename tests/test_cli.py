@@ -239,10 +239,13 @@ def test_oracle_check_ode_n_max_0_runs_no_ode_tier(capsys):
 
 
 def test_converge_needs_two_distinct_n_before_the_study(capsys, monkeypatch):
+    # Both study commands judge convergence over their N grid, so one N is
+    # invalid input for either, rejected before the study runs.
     def study(*args):
         raise AssertionError("the study ran")
 
     monkeypatch.setattr("ptstack.limits.convergence_study", study)
+    monkeypatch.setattr("ptstack.limits.generalized_limit_study", study)
     code, out, err = run_cli(capsys, "converge", "--k", "5", "--v", "40",
                              "--n-min", "100", "--n-max", "100", "--n-count", "3")
     assert (code, out) == (1, "")
@@ -250,6 +253,21 @@ def test_converge_needs_two_distinct_n_before_the_study(capsys, monkeypatch):
         "ptstack: error: converge fits a slope over at least two distinct N; "
         "--n-min/--n-max/--n-count give N = [100]\n"
     )
+    code, out, err = run_cli(capsys, "general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3",
+                             "--n-min", "128", "--n-max", "128", "--n-count", "3")
+    assert (code, out) == (1, "")
+    assert err == (
+        "ptstack: error: general judges convergence over at least two distinct N; "
+        "--n-min/--n-max/--n-count give N = [128]\n"
+    )
+
+
+@pytest.mark.parametrize("k_max", ["inf", "nan", "1e309"])
+def test_sweep_rejects_a_non_finite_k_bound(capsys, k_max):
+    # An infinite bound must not reach the grid, where it becomes NaN points.
+    code, out, err = run_cli(capsys, "sweep", "--v", "40", "--n-min", "5", "--n-max", "10", "--k-max", k_max)
+    assert (code, out) == (1, "")
+    assert err == f"ptstack: error: bad k range: min=1.0 max={float(k_max)} count=181\n"
 
 
 def test_general_at_a_million_cells(capsys):
@@ -502,14 +520,14 @@ def _assert_rendering_failure_writes_nothing(capsys, monkeypatch, tmp_path, acti
     rendered its own rows: no row is written and no --output file created."""
     import ptstack.cli
 
-    write_rows = ptstack.cli._write_rows
+    render_rows, parent = ptstack.cli._render_rows, os.getpid()
 
-    def failing_write_rows(out, fmt, columns, blocks, first=True):
-        if not first:  # a worker's rows
+    def failing_render_rows(fmt, fields, first):
+        if os.getpid() != parent:  # a worker's rows
             action()
-        return write_rows(out, fmt, columns, blocks, first)
+        return render_rows(fmt, fields, first)
 
-    monkeypatch.setattr(ptstack.cli, "_write_rows", failing_write_rows)
+    monkeypatch.setattr(ptstack.cli, "_render_rows", failing_render_rows)
     _on_cpus(monkeypatch, 2)
     fds = _open_fds()
     assert run_cli(capsys, *FAILING_SWEEP) == (1, "", err)
@@ -671,19 +689,26 @@ def test_grids_match_numpy(monkeypatch):
 
 
 def test_json_writer_matches_json_dumps():
-    # The streamed writer must print what json.dumps(doc, indent=2) prints,
-    # with complex values as [re, im] and a NaN row or summary value as null.
+    # The writer must print what json.dumps(doc, indent=2) prints, with
+    # complex values as [re, im] and a NaN row or summary value as null,
+    # from the rows as one text and as files rendered one after another.
     import math
-    from ptstack.cli import _write_table
+    from ptstack.cli import _column, _render_rows, _rows_text, _write_table
 
     inf, nan = math.inf, math.nan
     meta = [("tool", "ptstack"), ("note", 'quote " \\ é \n'), ("flag", False), ("count", 3), ("v", 1e-300)]
     rows = [(1, 0.5, complex(1.5, -0.0), nan, inf), (2, 1e22, complex(nan, inf), -inf, 2.0)]
     summary = [("slope", -1.0), ("height", complex(7.0, 0.25)), ("verdict", "ok"), ("missing", nan), ("converged", True)]
     columns = ("N", "k", "m11", "err", "x")
-    blocks = [(1, [[1], [0.5], [rows[0][2]], [nan], [inf]]), (1, [2, [1e22], [rows[1][2]], [-inf], [2.0]])]
-    out = io.StringIO()
-    _write_table(out, "json", meta, columns, blocks, summary)
+
+    def rendered(part, first):
+        fields = [field for name, values in zip(columns, zip(*part)) for field in _column("json", name, values)]
+        return _render_rows("json", fields, first)
+
+    files = [io.StringIO(rendered(rows[:1], True)), io.StringIO(rendered(rows[1:], False))]
+    out, out_files = io.StringIO(), io.StringIO()
+    _write_table(out, "json", meta, _rows_text("json", columns, rows), summary)
+    _write_table(out_files, "json", meta, files, summary)
 
     def plain(value):
         if isinstance(value, complex):
@@ -696,6 +721,7 @@ def test_json_writer_matches_json_dumps():
         "summary": {k: plain(v) for k, v in summary},
     }
     assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+    assert out_files.getvalue() == out.getvalue()
 
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
