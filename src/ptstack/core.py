@@ -22,7 +22,17 @@ numbers, so every printed digit is the one CPython's own arithmetic and the
 C library's ``math`` functions give; the package imports no numpy.  The
 recorded outputs in ``tests/data`` hold byte for byte on CPython 3.10 to
 3.13, whose rule is that a float meeting a complex is converted to
-(x, 0.0) first; Python 3.14 changed that mixed-mode arithmetic.
+(x, 0.0) first; Python 3.14 changed that mixed-mode arithmetic.  They also
+need glibc's FMA variants of ``sin``, ``cos``, ``exp``, ``log``, ``atan``,
+``asin``, ``sinh``, ``cosh`` and ``asinh``, which glibc picks on x86-64
+with AVX2 and FMA (CI's runners among them); the plain variants differ by
+1-2 ulp on a few inputs.  Without the FMA variants 12 tests fail:
+``test_cli.py::test_golden_output`` for the ``sweep-fig3``,
+``sweep-fig3-config`` and ``oracle-check-quick`` cases,
+``test_cli.py::test_golden_sweep_on_one_cpu`` for the two sweep cases (each
+in CSV and JSON) and both tests in ``test_surface_points.py``.
+``tests/test_dispatch.py`` checks that a sweep and ``oracle-check --quick``
+agree within 1e-13 with and without them.
 
 The records are ``typing.NamedTuple`` classes: immutable, unpackable and
 equal to a tuple of the same values.  :class:`Layer` and
@@ -87,7 +97,7 @@ def check_count(n: int, name: str, minimum: int) -> int:
 
 def check_finite(value: complex, name: str) -> complex:
     """Return ``value`` (real or complex) unchanged, or raise ValueError unless
-    it is finite: slab heights and offsets."""
+    it is finite: slab heights, offsets and the parameters they are built from."""
     if not cmath.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value

@@ -144,6 +144,8 @@ def _alternating_slabs(
     """Validated (gain height, loss height, N, slab width) of the alternating stack."""
     n_cells = check_count(n_cells, "n_cells", 1)
     total_length = check_positive(total_length, "total_length")
+    v1, v2, eps = check_finite(v1, "v1"), check_finite(v2, "v2"), check_finite(eps, "eps")
+    # Finite inputs can still overflow the product eps * v2.
     gain = check_finite(complex(v1, v2), "slab height")
     loss = check_finite(complex(v1, -eps * v2), "slab height")
     return gain, loss, n_cells, total_length / (2.0 * n_cells)

@@ -262,6 +262,15 @@ def test_converge_needs_two_distinct_n_before_the_study(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("option, value", [("v1", "inf"), ("v2", "nan"), ("eps", "nan"), ("eps", "-inf")])
+def test_general_names_a_non_finite_option(capsys, option, value):
+    # The message names the option, not the slab height derived from it.
+    args = {"v1": "7", "v2": "40", "eps": "1", "k": "3", option: value}
+    code, out, err = run_cli(capsys, "general", *(f"--{key}={val}" for key, val in args.items()))
+    assert (code, out) == (1, "")
+    assert err == f"ptstack: error: {option} must be finite, got {value}\n"
+
+
 @pytest.mark.parametrize("k_max", ["inf", "nan", "1e309"])
 def test_sweep_rejects_a_non_finite_k_bound(capsys, k_max):
     # An infinite bound must not reach the grid, where it becomes NaN points.
