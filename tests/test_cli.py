@@ -10,6 +10,7 @@ import json
 import math
 import os
 import signal
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -373,6 +374,33 @@ def test_unwritable_output(capsys):
     code, _, err = run_cli(capsys, "cell", "--k", "1", "--v", "40", "--b", "0.1",
                            "--output", "/nonexistent-dir/x.csv")
     assert code == 1
+
+
+@pytest.mark.parametrize("option, value", [("v1", "-1e1"), ("eps", "-1.5e0"), ("total_length", "-1E-1")])
+def test_negative_value_in_exponent_form(capsys, option, value):
+    # argparse takes "-1e1" for an option unless it is joined to its flag
+    # ("-10" and "-1.5" it reads as numbers).
+    args = {"v1": "7", "v2": "40", "eps": "1", "k": "3", option: value}
+    joined = run_cli(capsys, "general", *(f"--{key.replace('_', '-')}={val}" for key, val in args.items()))
+    spaced = run_cli(capsys, "general", *(part for key, val in args.items()
+                                          for part in (f"--{key.replace('_', '-')}", val)))
+    assert spaced == joined
+    assert "expected one argument" not in joined[2]
+
+
+def test_negative_non_finite_value(capsys):
+    code, out, err = run_cli(capsys, "general", "--v1", "7", "--v2", "40", "--eps", "-inf", "--k", "3")
+    assert (code, out, err) == (1, "", "ptstack: error: eps must be finite, got -inf\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("cell", "--k", "1", "--v", "40", "--b", "-x"), "argument --b: expected one argument"),
+    (("sweep", "--v", "40", "--n-min", "5", "--n-max", "10", "--n-spacing", "-1e1"),
+     "argument --n-spacing: expected one argument"),
+])
+def test_only_numbers_join_typed_options(capsys, args, message):
+    # A token that is no number, or follows a choice option, stays an option.
+    assert run_cli(capsys, *args) == (1, "", f"ptstack: error: {message}\n")
 
 
 def test_k_range_must_be_positive(capsys):
@@ -786,6 +814,108 @@ def test_golden_sweep_on_one_cpu(monkeypatch, name, fmt):
     forks = _counting_forks(monkeypatch)
     _check_golden(name, fmt)
     assert forks == []
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _process(argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``argv`` as a process with ptstack on its path and with buffered
+    standard output: ``PYTHONUNBUFFERED`` would write every byte at once and
+    hide a missing flush."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, check=False, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output_as_a_process(name, fmt):
+    # The same files as test_golden_output, through run(), which ends the
+    # process without teardown: a byte left unflushed would be lost.
+    run = _process([sys.executable, "-m", "ptstack.cli", *GOLDEN[name], "--format", fmt, "--output", "-"],
+                   stdout=subprocess.PIPE)
+    expected = json.loads((GOLDEN_DIR / "results.json").read_text(encoding="utf-8"))[f"{name}.{fmt}"]
+    assert run.stdout == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
+    assert (run.stderr.decode("utf-8"), run.returncode) == (expected["stderr"], expected["exit"])
+
+
+CELL = ("cell", "--k", "1", "--v", "40", "--b", "0.05")
+# About 330 kB of rows, more than a pipe holds (64 kB on Linux), so the
+# write fails before the final flush.
+BIG_SWEEP = ("sweep", "--v", "40", "--n-min", "10", "--n-max", "100", "--n-count", "20")
+
+
+@pytest.mark.parametrize("stdout, args, errno_text", [
+    ("/dev/full", CELL, "[Errno 28] No space left on device"),
+    ("closed-pipe", CELL, "[Errno 32] Broken pipe"),
+    ("closed-pipe", BIG_SWEEP, "[Errno 32] Broken pipe"),
+    ("closed", CELL, "standard output is closed"),
+], ids=["dev-full", "closed-pipe-cell", "closed-pipe-sweep", "closed-at-start"])
+def test_unwritable_stdout_exits_1(stdout, args, errno_text):
+    argv = [sys.executable, "-m", "ptstack.cli", *args]
+    if stdout == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as full:
+            run = _process(argv, stdout=full)
+    elif stdout == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first byte
+        try:
+            run = _process(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+    else:
+        run = _process(["sh", "-c", '"$@" >&-', "sh", *argv])
+    assert (run.returncode, run.stderr.decode("utf-8")) == (1, f"ptstack: error: {errno_text}\n")
+
+
+_RUN_WITH_MAIN = (
+    "import sys, ptstack.cli as cli\n"
+    "cli.main = lambda: {body}\n"
+    "cli.run()\n"
+)
+
+
+@pytest.mark.parametrize("body, code, stderr", [
+    ("3", 3, ""),
+    # a failed final flush never ends a run with 0, and prints nothing more
+    ("sys.stdout.write('x' * 100) and 0", 1, ""),
+    # a bug keeps its traceback
+    ("1 / 0", 1, "ZeroDivisionError: division by zero\n"),
+], ids=["code", "unflushed-to-full", "bug"])
+def test_run_exit_code(body, code, stderr):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "wb") as full:
+        run = _process([sys.executable, "-c", _RUN_WITH_MAIN.format(body=body)], stdout=full)
+    assert run.returncode == code
+    assert run.stderr.decode("utf-8").endswith(stderr)
+
+
+@pytest.mark.parametrize("args", [CELL, BIG_SWEEP, ("oracle-check", "--quick", "--format", "json")],
+                         ids=["cell", "sweep", "oracle-check"])
+def test_main_leaves_nothing_for_teardown(tmp_path, args):
+    # What run() relies on to skip teardown: after main, no exit handler,
+    # thread, child process or open file that was not there before.
+    code = (
+        "import atexit, os, threading\n"
+        "handlers, fds = atexit._ncallbacks(), sorted(os.listdir('/proc/self/fd'))\n"
+        "from ptstack.cli import main\n"
+        f"code = main([*{args!r}, '--output', {str(tmp_path / 'out')!r}])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    child = True\n"
+        "except ChildProcessError:\n"
+        "    child = False\n"
+        "print(code, atexit._ncallbacks() - handlers, threading.active_count(), child,\n"
+        "      sorted(os.listdir('/proc/self/fd')) == fds)\n"
+    )
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd")
+    run = _process([sys.executable, "-c", code], stdout=subprocess.PIPE)
+    assert (run.stdout, run.stderr) == (b"0 0 1 False True\n", b"")
 
 
 def _record_golden():
