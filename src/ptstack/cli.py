@@ -647,16 +647,19 @@ def _join_negative_values(argv: list) -> list:
     }
     joined = []
     for token in argv:
-        if joined and joined[-1] in flags and token.startswith("-"):
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
-                joined[-1] += f"={token}"
-                continue
-        joined.append(token)
+        if joined and joined[-1] in flags and token.startswith("-") and _reads_as_float(token):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
     return joined
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -691,14 +694,14 @@ def main(argv=None) -> int:
 def run() -> None:
     """The process entry point: :func:`main`, then ``os._exit`` with its code.
 
-    Teardown (module and object finalization) would add about 10 ms after
-    the last byte, and nothing needs it: ``main`` closes the output file and
-    the sweep's range files, reaps the sweep's workers and registers no exit
-    handler, so only the standard streams are flushed here.  A flush that
-    fails here prints nothing: ``main`` flushed its output and reported a
-    failure itself, and an exit code of 0 becomes 1.  An exception from
-    ``main``, a bug's traceback or argparse's exit after ``--help``, leaves
-    through the interpreter as usual.
+    Teardown (module and object finalization) would run for milliseconds
+    after the last byte, and nothing needs it: ``main`` closes the output
+    file and the sweep's range files, reaps the sweep's workers and
+    registers no exit handler, so only the standard streams are flushed
+    here.  A flush that fails here prints nothing: ``main`` flushed its
+    output and reported a failure itself, and an exit code of 0 becomes 1.
+    An exception from ``main``, a bug's traceback or argparse's exit after
+    ``--help``, leaves through the interpreter as usual.
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):

@@ -899,6 +899,8 @@ def test_run_exit_code(body, code, stderr):
 def test_main_leaves_nothing_for_teardown(tmp_path, args):
     # What run() relies on to skip teardown: after main, no exit handler,
     # thread, child process or open file that was not there before.
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd")
     code = (
         "import atexit, os, threading\n"
         "handlers, fds = atexit._ncallbacks(), sorted(os.listdir('/proc/self/fd'))\n"
@@ -912,8 +914,6 @@ def test_main_leaves_nothing_for_teardown(tmp_path, args):
         "print(code, atexit._ncallbacks() - handlers, threading.active_count(), child,\n"
         "      sorted(os.listdir('/proc/self/fd')) == fds)\n"
     )
-    if not os.path.isdir("/proc/self/fd"):
-        pytest.skip("no /proc/self/fd")
     run = _process([sys.executable, "-c", code], stdout=subprocess.PIPE)
     assert (run.stdout, run.stderr) == (b"0 0 1 False True\n", b"")
 
