@@ -63,16 +63,18 @@ def _segments(stack: PotentialStack) -> list[tuple[float, float, complex]]:
     return segments
 
 
-def _wave_equation(w2: complex):
-    """Right-hand side of psi'' = w2 psi for every (psi, psi') pair of the state."""
+def _wave_equation(w2: complex, size: int):
+    """Right-hand side of psi'' = w2 psi for a state of ``size`` entries: one
+    (psi, psi') pair (2, the incidence problem) or two (4, the transfer
+    matrix)."""
 
-    def rhs(x, state):
-        derivative = []
-        for i in range(0, len(state), 2):
-            derivative += (state[i + 1], w2 * state[i])
-        return derivative
+    def one_pair(x, state):
+        return [state[1], w2 * state[0]]
 
-    return rhs
+    def two_pairs(x, state):
+        return [state[1], w2 * state[0], state[3], w2 * state[2]]
+
+    return one_pair if size == 2 else two_pairs
 
 
 def _integrate_through(
@@ -86,7 +88,7 @@ def _integrate_through(
     if backward:
         segments = [(x1, x0, h) for (x0, x1, h) in reversed(segments)]
     for x_from, x_to, height in segments:
-        sol = solve_ivp(_wave_equation(height - k * k), (x_from, x_to), y)
+        sol = solve_ivp(_wave_equation(height - k * k, len(y)), (x_from, x_to), y)
         if not sol.success:
             raise IntegrationFailureError(
                 f"integration failed on [{x_from}, {x_to}] "

@@ -555,16 +555,16 @@ def _assert_rendering_failure_writes_nothing(capsys, monkeypatch, tmp_path, acti
     """A worker that runs ``action`` where it would render its rows fails the
     run with ``err``, although every range has computed and this process has
     rendered its own rows: no row is written and no --output file created."""
-    import ptstack.cli
+    import ptstack.commands.sweep
 
-    render_rows, parent = ptstack.cli._render_rows, os.getpid()
+    render_rows, parent = ptstack.commands.sweep._render_rows, os.getpid()
 
     def failing_render_rows(fmt, fields, first):
         if os.getpid() != parent:  # a worker's rows
             action()
         return render_rows(fmt, fields, first)
 
-    monkeypatch.setattr(ptstack.cli, "_render_rows", failing_render_rows)
+    monkeypatch.setattr(ptstack.commands.sweep, "_render_rows", failing_render_rows)
     _on_cpus(monkeypatch, 2)
     fds = _open_fds()
     assert run_cli(capsys, *FAILING_SWEEP) == (1, "", err)
@@ -707,7 +707,7 @@ def test_grids_match_numpy(monkeypatch):
     import random
 
     import numpy as np
-    from ptstack.cli import _float_grid, _n_grid
+    from ptstack.commands.common import _float_grid, _n_grid
 
     rng = random.Random(20261018)
     grids = [(*grid, "log") for grid in _perfbench_n_grids(monkeypatch)]
@@ -730,7 +730,8 @@ def test_json_writer_matches_json_dumps():
     # complex values as [re, im] and a NaN row or summary value as null,
     # from the rows as one text and as files rendered one after another.
     import math
-    from ptstack.cli import _column, _render_rows, _rows_text, _write_table
+    from ptstack.cli import _write_table
+    from ptstack.commands.common import _column, _render_rows, _rows_text
 
     inf, nan = math.inf, math.nan
     meta = [("tool", "ptstack"), ("note", 'quote " \\ é \n'), ("flag", False), ("count", 3), ("v", 1e-300)]
@@ -819,12 +820,14 @@ def test_golden_sweep_on_one_cpu(monkeypatch, name, fmt):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _process(argv, **kwargs) -> subprocess.CompletedProcess:
-    """Run ``argv`` as a process with ptstack on its path and with buffered
-    standard output: ``PYTHONUNBUFFERED`` would write every byte at once and
-    hide a missing flush."""
+def _process(argv, unbuffered=False, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``argv`` as a process with ptstack on its path and, unless
+    ``unbuffered``, with buffered standard output: ``PYTHONUNBUFFERED`` would
+    write every byte at once and hide a missing flush."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(argv, env=env, stderr=subprocess.PIPE, check=False, timeout=120, **kwargs)
 
 
@@ -846,19 +849,33 @@ CELL = ("cell", "--k", "1", "--v", "40", "--b", "0.05")
 BIG_SWEEP = ("sweep", "--v", "40", "--n-min", "10", "--n-max", "100", "--n-count", "20")
 
 
-@pytest.mark.parametrize("stdout, args, errno_text", [
-    ("/dev/full", CELL, "[Errno 28] No space left on device"),
-    ("closed-pipe", CELL, "[Errno 32] Broken pipe"),
-    ("closed-pipe", BIG_SWEEP, "[Errno 32] Broken pipe"),
-    ("closed", CELL, "standard output is closed"),
-], ids=["dev-full", "closed-pipe-cell", "closed-pipe-sweep", "closed-at-start"])
-def test_unwritable_stdout_exits_1(stdout, args, errno_text):
+# --help and --version print through argparse, which ignores a failed write.
+HELP = {"help": ("--help",), "sweep-help": ("sweep", "--help"), "version": ("--version",)}
+UNWRITABLE_HELP = [
+    pytest.param(stdout, args, errno_text, unbuffered, id=f"{name}-{where}-{'un' if unbuffered else ''}buffered")
+    for name, args in HELP.items()
+    for stdout, where, errno_text in [
+        ("/dev/full", "dev-full", "[Errno 28] No space left on device"),
+        ("closed", "closed", "standard output is closed"),
+    ]
+    for unbuffered in (False, True)
+]
+
+
+@pytest.mark.parametrize("stdout, args, errno_text, unbuffered", [
+    pytest.param("/dev/full", CELL, "[Errno 28] No space left on device", False, id="dev-full"),
+    pytest.param("closed-pipe", CELL, "[Errno 32] Broken pipe", False, id="closed-pipe-cell"),
+    pytest.param("closed-pipe", BIG_SWEEP, "[Errno 32] Broken pipe", False, id="closed-pipe-sweep"),
+    pytest.param("closed", CELL, "standard output is closed", False, id="closed-at-start"),
+    *UNWRITABLE_HELP,
+])
+def test_unwritable_stdout_exits_1(stdout, args, errno_text, unbuffered):
     argv = [sys.executable, "-m", "ptstack.cli", *args]
     if stdout == "/dev/full":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full")
         with open("/dev/full", "wb") as full:
-            run = _process(argv, stdout=full)
+            run = _process(argv, unbuffered, stdout=full)
     elif stdout == "closed-pipe":
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the first byte
@@ -867,8 +884,16 @@ def test_unwritable_stdout_exits_1(stdout, args, errno_text):
         finally:
             os.close(write_end)
     else:
-        run = _process(["sh", "-c", '"$@" >&-', "sh", *argv])
+        run = _process(["sh", "-c", '"$@" >&-', "sh", *argv], unbuffered)
     assert (run.returncode, run.stderr.decode("utf-8")) == (1, f"ptstack: error: {errno_text}\n")
+
+
+@pytest.mark.parametrize("args", list(HELP.values()), ids=list(HELP))
+def test_help_and_version_return_0(capsys, args):
+    # main returns argparse's exit code after --help or --version.
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    assert out.startswith("ptstack " if args == ("--version",) else "usage: ptstack ")
 
 
 _RUN_WITH_MAIN = (

@@ -16,9 +16,9 @@ PACKAGE_DIR = Path(ptstack.__file__).parent
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
 
 
-def _run(code: str) -> str:
+def _run(code: str, *flags: str) -> str:
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
     )
     return result.stdout.strip()
@@ -42,31 +42,34 @@ def test_public_names_resolve_on_first_access():
         ptstack.no_such_name
 
 
-# The ptstack modules each subcommand runs besides the package and the CLI.
-# ptstack.cli puts the others in sys.modules unexecuted (LazyLoader's module
-# type); a module that has run is a plain module.
+# The ptstack modules each subcommand runs besides the package, the CLI and
+# ptstack.commands.common: its own command module and the library modules it
+# uses.  ptstack.cli puts the library modules in sys.modules unexecuted
+# (LazyLoader's module type); a module that has run is a plain module.
 COMMAND_MODULES = {
-    ("cell", "--k", "1", "--v", "40", "--b", "0.5"): {"core", "cell"},
+    ("cell", "--k", "1", "--v", "40", "--b", "0.5"): {"commands.cell", "core", "cell"},
     ("sweep", "--v", "40", "--n-min", "1", "--n-max", "4", "--n-count", "2", "--k-count", "3"):
-        {"core", "cell", "chebyshev", "stack", "scattering"},
+        {"commands.sweep", "core", "cell", "chebyshev", "stack", "scattering"},
     ("converge", "--k", "1", "--v", "40", "--n-max", "1000", "--n-count", "3"):
-        {"core", "cell", "chebyshev", "stack", "limits"},
+        {"commands.converge", "core", "cell", "chebyshev", "stack", "limits"},
     ("general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3", "--n-max", "256", "--n-count", "2"):
-        {"core", "cell", "chebyshev", "stack", "limits"},
-    ("oracle-check", "--quick"): {"core", "cell", "chebyshev", "stack", "oracle", "dop853"},
+        {"commands.general", "core", "cell", "chebyshev", "stack", "limits"},
+    ("oracle-check", "--quick"): {"commands.oracle_check", "core", "cell", "chebyshev", "stack", "oracle", "dop853"},
 }
 
 
-# Standard modules no command loads for CSV output: dataclasses and inspect
-# alone cost about 10 ms of start-up, signal serves only a failing sweep and
-# json only --format json.
-STARTUP_FREE = ("dataclasses", "inspect", "signal", "json")
+# Standard modules no command loads for CSV output without --config:
+# dataclasses and inspect alone cost about 10 ms of start-up, signal serves
+# only a failing sweep, json only --format json, and the config file is read
+# with open().  tempfile and shutil serve only sweep's range files.
+STARTUP_FREE = ("dataclasses", "inspect", "signal", "json", "pathlib")
+SWEEP_ONLY = ("tempfile", "shutil")
 
 
 @pytest.mark.parametrize("argv", list(COMMAND_MODULES), ids=lambda argv: argv[0])
 def test_subcommand_runs_only_its_modules(argv, tmp_path):
-    # Only the modules loaded after ptstack.cli's import count, so a site
-    # hook that loads some of them at start-up does not break the test.
+    # Only the modules loaded after ptstack.cli's import count.  The process
+    # runs without the site module (-S), whose hooks may load some of them.
     code = (
         "import sys, types\n"
         "before = set(sys.modules)\n"
@@ -75,10 +78,42 @@ def test_subcommand_runs_only_its_modules(argv, tmp_path):
         "print(code, ' '.join(sorted(name for name, m in sys.modules.items()\n"
         "                            if name.startswith('ptstack') and type(m) is types.ModuleType)))\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n"
-        f"print(sorted(name for name in set(sys.modules) - before if name.split('.')[0] in {STARTUP_FREE!r}))"
+        "print(sorted(name for name in set(sys.modules) - before\n"
+        f"             if name.split('.')[0] in {STARTUP_FREE + SWEEP_ONLY!r}))"
     )
-    expected = " ".join(sorted({"ptstack", "ptstack.cli", *(f"ptstack.{m}" for m in COMMAND_MODULES[argv])}))
-    assert _run(code) == f"0 {expected}\n[]\n[]"
+    modules = {"", "cli", "commands", "commands.common", *COMMAND_MODULES[argv]}
+    assert {m for m in modules if m.startswith("commands.")} == {"commands.common", f"commands.{argv[0].replace('-', '_')}"}
+    expected = " ".join(sorted(f"ptstack.{m}".rstrip(".") for m in modules))
+    loaded_standard = sorted(SWEEP_ONLY) if argv[0] == "sweep" else []
+    assert _run(code, "-S") == f"0 {expected}\n[]\n{loaded_standard}"
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_MODULES), ids=lambda argv: argv[0])
+def test_module_run_never_imports_the_cli_again(argv, tmp_path):
+    # Under python -m ptstack.cli the front end runs as __main__; a command
+    # that imported ptstack.cli would compile and run it again as a second
+    # module.  run() ends the process through os._exit, which reports here;
+    # sweep's forked workers leave through it too, silently.
+    code = (
+        "import os, runpy, sys\n"
+        "exit, pid = os._exit, os.getpid()\n"
+        "def report(code):\n"
+        "    if os.getpid() == pid:\n"
+        "        print(code, 'ptstack.cli' in sys.modules, flush=True)\n"
+        "    exit(code)\n"
+        "os._exit = report\n"
+        f"sys.argv = ['ptstack', *{argv!r}, '--output', {str(tmp_path / 'out.csv')!r}]\n"
+        "runpy.run_module('ptstack.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    assert _run(code, "-S") == "0 False"
+
+
+def test_commands_do_not_import_the_cli():
+    # The same trap on every code path, failing ones included.
+    sources = sorted((PACKAGE_DIR / "commands").glob("*.py"))
+    assert len(sources) == 7
+    for path in sources:
+        assert "cli" not in _package_imports(path), path.name
 
 
 def test_json_loads_only_for_json_output(tmp_path):

@@ -18,7 +18,7 @@ from ptstack import (
     unit_cell_matrix,
 )
 from ptstack import oracle
-from ptstack.cli import ORACLE_GRID_K, ORACLE_GRID_N, ORACLE_GRID_V
+from ptstack.commands.oracle_check import ORACLE_GRID_K, ORACLE_GRID_N, ORACLE_GRID_V
 from conftest import entry_diff, scaled_diff
 
 def cell_stack(v, b):
