@@ -333,8 +333,8 @@ def main(argv=None) -> int:
             return exc.code
         _, options, preset = _COMMANDS[args.command]
         opt, defaulted = _resolve(args, {**options, **_IO_OPTIONS}, preset)
-        name = args.command.replace("-", "_")
-        command = getattr(importlib.import_module(f".commands.{name}", __package__), f"cmd_{name}")
+        module = args.command.replace("-", "_")
+        command = getattr(importlib.import_module(f".commands.{module}", __package__), f"cmd_{module}")
         rows, summary, extra, code = command(opt, defaulted)
         meta = [("tool", "ptstack"), ("tool_version", __version__), ("command", args.command)]
         meta += [(name, opt[name]) for name in options] + extra
