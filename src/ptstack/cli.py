@@ -32,11 +32,14 @@ teardown; :func:`main` is the in-process entry and returns the exit code.
 Each command's code is a module of ``ptstack.commands`` that :func:`main`
 imports only when it runs that command, so a process compiles and runs this
 front end, the shared ``ptstack.commands.common`` and its one command.
+:func:`main` reads a command line written with the full option names from
+the option table itself; argparse and gettext load, with
+``ptstack.commands.usage``, only for help, version, abbreviated option
+names and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import importlib.util
 import os
@@ -44,7 +47,7 @@ import sys
 from typing import NamedTuple
 
 from . import __version__
-from .commands.common import EXIT_NUMERICAL, EXIT_USAGE, CliUsageError, _column, _json_object
+from .commands.common import EXIT_NUMERICAL, EXIT_USAGE, CliUsageError, _column, _json_object, _reads_as_float
 from .commands.common import ORACLE_THRESHOLD  # noqa: F401 (the benchmark's output check reads it here)
 
 
@@ -80,20 +83,6 @@ _register_unexecuted(("core", "cell", "chebyshev", "stack", "scattering", "limit
 DEFAULT_K_GRID = (1.0, 10.0, 181)
 
 _REQUIRED = object()
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; route through our own error
-    # type so the documented exit-code contract (1) holds.
-    def error(self, message):
-        raise CliUsageError(message)
-
-    # Only --help and --version print here, to standard output.  argparse
-    # would ignore a write that fails; theirs fails like any other output.
-    def _print_message(self, message, file=None):
-        if file is None:
-            raise OSError("standard output is closed")
-        file.write(message)
 
 
 class _Opt(NamedTuple):
@@ -133,7 +122,7 @@ def _load_config(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as config:
             text = config.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliUsageError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -158,20 +147,21 @@ def _from_config(name: str, kind, text: str):
         raise CliUsageError(f"config key {name}: {exc}") from exc
 
 
-def _resolve(args: argparse.Namespace, options: dict, preset: _Preset | None) -> tuple[dict, set]:
-    """Merge flag > preset > config > default for every option.
+def _resolve(args: dict, options: dict, preset: _Preset | None) -> tuple[dict, set]:
+    """Merge flag > preset > config > default for every option, given the
+    command line's options by name, as either parser returns them.
 
     Returns the values, plus the preset flag's own value, and the names of
     the options that fell back to their built-in default.
     """
-    config = _load_config(args.config) if args.config else {}
+    config = _load_config(args["config"]) if args["config"] else {}
     unknown = set(config) - set(options)
     if unknown:
         raise CliUsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    preset_values = preset.values if preset and getattr(args, preset.flag) else {}
+    preset_values = preset.values if preset and args[preset.flag] else {}
     values, defaulted = {}, set()
     for name, opt in options.items():
-        value = getattr(args, name)
+        value = args[name]
         if value is None:
             value = preset_values.get(name)
         if value is None and name in config:
@@ -183,7 +173,7 @@ def _resolve(args: argparse.Namespace, options: dict, preset: _Preset | None) ->
             defaulted.add(name)
         values[name] = value
     if preset:
-        values[preset.flag] = getattr(args, preset.flag)
+        values[preset.flag] = args[preset.flag]
     return values, defaulted
 
 
@@ -261,82 +251,82 @@ _COMMANDS = {
 }
 
 
-def _add_option(parser: argparse.ArgumentParser, name: str, opt: _Opt) -> None:
-    kind = {"choices": opt.kind} if isinstance(opt.kind, tuple) else {"type": opt.kind}
-    parser.add_argument(f"--{name.replace('_', '-')}", help=opt.help, metavar=opt.metavar, **kind)
+def _parse(argv: list) -> dict | None:
+    """The options of a command line in the table's own form, by name, with
+    ``command``, ``config`` and the preset flag's; an unset option reads None.
 
-
-def _unsized_formatter(prog: str) -> argparse.HelpFormatter:
-    return argparse.HelpFormatter(prog, width=80)
-
-
-def _build_parser() -> _Parser:
-    # argparse builds a formatter to check each option it adds, and one built
-    # without a width looks up the terminal's, which imports shutil.  So the
-    # parsers get the formatters that --help prints with once they are built.
-    # The description is the docstring without its last paragraph, which is
-    # about the code.
-    description = __doc__ and __doc__[:__doc__.rindex("\n\n")]
-    parser = _Parser(prog="ptstack", description=description, formatter_class=_unsized_formatter)
-    parser.add_argument("--version", action="version", version=f"ptstack {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options, preset) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, formatter_class=_unsized_formatter)
-        for opt_name, opt in options.items():
-            _add_option(p, opt_name, opt)
-        if preset:
-            p.add_argument(f"--{preset.flag}", action="store_true", help=preset.help)
-        for opt_name, opt in _IO_OPTIONS.items():
-            _add_option(p, opt_name, opt)
-        p.add_argument("--config", metavar="FILE", help="flat key = value config file")
-        p.formatter_class = argparse.HelpFormatter
-    parser.formatter_class = argparse.RawDescriptionHelpFormatter
-    return parser
-
-
-def _join_negative_values(argv: list) -> list:
-    """``argv`` with each option that takes a typed value joined to a
-    following token that starts with ``-`` and reads as a float:
-    ``--v1 -1e1`` becomes ``--v1=-1e1``.  argparse takes such a token for an
-    option unless the rest of it is plain digits."""
-    flags = {
-        f"--{name.replace('_', '-')}"
-        for _, options, _ in _COMMANDS.values()
-        for name, opt in {**options, **_IO_OPTIONS}.items()
-        if not isinstance(opt.kind, tuple)
-    }
-    joined = []
-    for token in argv:
-        if joined and joined[-1] in flags and token.startswith("-") and _reads_as_float(token):
-            joined[-1] += f"={token}"
+    That form is a command, then ``--name value`` or ``--name=value`` for its
+    options, ``--format``, ``--output`` and ``--config``, and its preset flag
+    with no value; each value is cast as the option's kind, and the last of
+    an option's values wins.  A value given as its own token and starting
+    with ``-`` is taken only for an option with a typed value, and only if it
+    is ``-`` or reads as a float, as argparse takes it.  Any other command
+    line returns None and goes to argparse (``ptstack.commands.usage``),
+    which gives the same values wherever this one gives any.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, preset = _COMMANDS[argv[0]]
+    kinds = {f"--{name.replace('_', '-')}": (name, opt.kind) for name, opt in {**options, **_IO_OPTIONS}.items()}
+    kinds["--config"] = ("config", str)
+    args = dict.fromkeys(("command", *options, *_IO_OPTIONS, "config"))
+    args["command"] = argv[0]
+    if preset:
+        args[preset.flag] = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if preset and token == f"--{preset.flag}":
+            args[preset.flag] = True
+            continue
+        flag, joined, text = token.partition("=")
+        if flag not in kinds:
+            return None
+        name, kind = kinds[flag]
+        if not joined:
+            text = next(tokens, None)
+            if text is None:
+                return None
+            # No choice starts with "-", and argparse reads such a token after
+            # --config as an option unless it is plain digits.
+            if text.startswith("-") and (name == "config" or isinstance(kind, tuple)
+                                         or text != "-" and not _reads_as_float(text)):
+                return None
+        elif text == "--":  # argparse before Python 3.13 reads it as no value
+            return None
+        if isinstance(kind, tuple):
+            if text not in kind:
+                return None
+            args[name] = text
         else:
-            joined.append(token)
-    return joined
-
-
-def _reads_as_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+            try:
+                args[name] = kind(text)
+            except ValueError:
+                return None
+    return args
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code; the in-process entry."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        try:
-            args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
-        except SystemExit as exc:  # argparse's exit after --help or --version
-            sys.stdout.flush()
-            return exc.code
-        _, options, preset = _COMMANDS[args.command]
+        args = _parse(argv)
+        if args is None:
+            from .commands import usage
+
+            # The description is the docstring without its last paragraph,
+            # which is about the code.
+            description = __doc__ and __doc__[:__doc__.rindex("\n\n")]
+            try:
+                args = usage.parse_args(argv, _COMMANDS, _IO_OPTIONS, description, f"ptstack {__version__}")
+            except SystemExit as exc:  # argparse's exit after --help or --version
+                sys.stdout.flush()
+                return exc.code
+        _, options, preset = _COMMANDS[args["command"]]
         opt, defaulted = _resolve(args, {**options, **_IO_OPTIONS}, preset)
-        module = args.command.replace("-", "_")
+        module = args["command"].replace("-", "_")
         command = getattr(importlib.import_module(f".commands.{module}", __package__), f"cmd_{module}")
         rows, summary, extra, code = command(opt, defaulted)
-        meta = [("tool", "ptstack"), ("tool_version", __version__), ("command", args.command)]
+        meta = [("tool", "ptstack"), ("tool_version", __version__), ("command", args["command"])]
         meta += [(name, opt[name]) for name in options] + extra
         try:
             with _open_output(opt["output"]) as out:

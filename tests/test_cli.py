@@ -361,6 +361,15 @@ def test_non_integer_n_exits_1(capsys, tmp_path):
     assert "n_min" in err
 
 
+def test_config_not_utf8_names_the_file(capsys, tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"v = 40\xff\n")
+    code, out, err = run_cli(capsys, "sweep", "--n-min", "5", "--n-max", "10", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == (f"ptstack: error: cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff"
+                   " in position 6: invalid start byte\n")
+
+
 def test_config_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("vv = 40\n")
@@ -397,6 +406,9 @@ def test_negative_non_finite_value(capsys):
     (("cell", "--k", "1", "--v", "40", "--b", "-x"), "argument --b: expected one argument"),
     (("sweep", "--v", "40", "--n-min", "5", "--n-max", "10", "--n-spacing", "-1e1"),
      "argument --n-spacing: expected one argument"),
+    # argparse reports the choice only once it has joined -1e1 to --v1
+    (("general", "--v1", "-1e1", "--v2", "40", "--eps", "1", "--k", "3", "--n-spacing", "cubic"),
+     "argument --n-spacing: invalid choice: 'cubic' (choose from 'linear', 'log')"),
 ])
 def test_only_numbers_join_typed_options(capsys, args, message):
     # A token that is no number, or follows a choice option, stays an option.

@@ -62,8 +62,10 @@ COMMAND_MODULES = {
 # Standard modules no command loads for CSV output without --config:
 # dataclasses and inspect alone cost about 10 ms of start-up, signal serves
 # only a failing sweep, json only --format json, and the config file is read
-# with open().  tempfile and shutil serve only sweep's range files.
-STARTUP_FREE = ("dataclasses", "inspect", "signal", "json", "pathlib")
+# with open().  argparse and gettext load with ptstack.commands.usage, only
+# for help, version, abbreviated options and usage errors.  tempfile and
+# shutil serve only sweep's range files.
+STARTUP_FREE = ("dataclasses", "inspect", "signal", "json", "pathlib", "argparse", "gettext")
 SWEEP_ONLY = ("tempfile", "shutil")
 
 
@@ -88,7 +90,34 @@ def test_subcommand_runs_only_its_modules(argv, tmp_path):
     assert _run(code, "-S") == f"0 {expected}\n[]\n{loaded_standard}"
 
 
-@pytest.mark.parametrize("argv", list(COMMAND_MODULES), ids=lambda argv: argv[0])
+# A command line that argparse parses: --form abbreviates --format.
+ABBREVIATED = ("cell", "--k", "1", "--v", "40", "--b", "0.5", "--form", "csv")
+
+
+def test_only_the_fallback_loads_usage(tmp_path):
+    # The table parser reads every argv of COMMAND_MODULES, so no command
+    # loads ptstack.commands.usage or argparse (the test above); an
+    # abbreviated option loads both, and the run writes the same bytes.
+    code = (
+        "import sys\n"
+        "from ptstack.cli import main\n"
+        "for argv, out in [({argv!r}, {out!r}), ({abbreviated!r}, {out_abbreviated!r})]:\n"
+        "    code = main([*argv, '--output', out])\n"
+        "    print(code, 'ptstack.commands.usage' in sys.modules, 'argparse' in sys.modules)\n"
+    ).format(argv=ABBREVIATED[:-2], out=str(tmp_path / "full.csv"), abbreviated=ABBREVIATED,
+             out_abbreviated=str(tmp_path / "abbreviated.csv"))
+    assert _run(code, "-S") == "0 False False\n0 True True"
+    assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "abbreviated.csv").read_bytes()
+
+
+def test_usage_imports_no_command_and_not_the_cli():
+    # It builds its parser from the table ptstack.cli passes in; "common" is
+    # ptstack.commands.common.
+    assert _package_imports(PACKAGE_DIR / "commands" / "usage.py") == {"common"}
+
+
+@pytest.mark.parametrize("argv", [*(pytest.param(argv, id=argv[0]) for argv in COMMAND_MODULES),
+                                  pytest.param(ABBREVIATED, id="cell-abbreviated")])
 def test_module_run_never_imports_the_cli_again(argv, tmp_path):
     # Under python -m ptstack.cli the front end runs as __main__; a command
     # that imported ptstack.cli would compile and run it again as a second
@@ -111,7 +140,7 @@ def test_module_run_never_imports_the_cli_again(argv, tmp_path):
 def test_commands_do_not_import_the_cli():
     # The same trap on every code path, failing ones included.
     sources = sorted((PACKAGE_DIR / "commands").glob("*.py"))
-    assert len(sources) >= 7
+    assert len(sources) >= 8
     for path in sources:
         assert "cli" not in _package_imports(path), path.name
 
