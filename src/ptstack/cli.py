@@ -32,10 +32,9 @@ teardown; :func:`main` is the in-process entry and returns the exit code.
 Each command's code is a module of ``ptstack.commands`` that :func:`main`
 imports only when it runs that command, so a process compiles and runs this
 front end, the shared ``ptstack.commands.common`` and its one command.
-:func:`main` reads a command line written with the full option names from
-the option table itself; argparse and gettext load, with
-``ptstack.commands.usage``, only for help, version, abbreviated option
-names and usage errors.
+:func:`_parse` reads every command line from the option table, as argparse
+reads it and with argparse's usage errors, so no process loads argparse or
+gettext; ``--help`` is rendered from the table.
 """
 
 from __future__ import annotations
@@ -43,11 +42,12 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import os
+import re
 import sys
 from typing import NamedTuple
 
 from . import __version__
-from .commands.common import EXIT_NUMERICAL, EXIT_USAGE, CliUsageError, _column, _json_object, _reads_as_float
+from .commands.common import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, CliUsageError, _column, _json_object
 from .commands.common import ORACLE_THRESHOLD  # noqa: F401 (the benchmark's output check reads it here)
 
 
@@ -149,7 +149,7 @@ def _from_config(name: str, kind, text: str):
 
 def _resolve(args: dict, options: dict, preset: _Preset | None) -> tuple[dict, set]:
     """Merge flag > preset > config > default for every option, given the
-    command line's options by name, as either parser returns them.
+    command line's options by name, as :func:`_parse` returns them.
 
     Returns the values, plus the preset flag's own value, and the names of
     the options that fell back to their built-in default.
@@ -251,57 +251,131 @@ _COMMANDS = {
 }
 
 
-def _parse(argv: list) -> dict | None:
-    """The options of a command line in the table's own form, by name, with
-    ``command``, ``config`` and the preset flag's; an unset option reads None.
+_CONFIG = _Opt(str, None, "flat key = value config file", "FILE")
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"  # argparse's pattern, compiled only when a token needs it
+# The full names of the options with a typed value, of every command.
+_TYPED_FLAGS = {f"--{name.replace('_', '-')}" for _, options, _ in _COMMANDS.values()
+                for name, opt in {**options, **_IO_OPTIONS}.items() if isinstance(opt.kind, type)}
 
-    That form is a command, then ``--name value`` or ``--name=value`` for its
-    options, ``--format``, ``--output`` and ``--config``, and its preset flag
-    with no value; each value is cast as the option's kind, and the last of
-    an option's values wins.  A value given as its own token and starting
-    with ``-`` is taken only for an option with a typed value, and only if it
-    is ``-`` or reads as a float, as argparse takes it.  Any other command
-    line returns None and goes to argparse (``ptstack.commands.usage``),
-    which gives the same values wherever this one gives any.
-    """
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    _, options, preset = _COMMANDS[argv[0]]
-    kinds = {f"--{name.replace('_', '-')}": (name, opt.kind) for name, opt in {**options, **_IO_OPTIONS}.items()}
-    kinds["--config"] = ("config", str)
-    args = dict.fromkeys(("command", *options, *_IO_OPTIONS, "config"))
-    args["command"] = argv[0]
-    if preset:
-        args[preset.flag] = False
-    tokens = iter(argv[1:])
-    for token in tokens:
-        if preset and token == f"--{preset.flag}":
-            args[preset.flag] = True
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _scan(tokens: list, flags: dict) -> list:
+    """What each token is among the option strings ``flags``, as argparse
+    reads it: (option string, text after "=" or None), a long option also by
+    a unique prefix; (None, None), an unknown option; None, a value ("-", a
+    token not starting with "-", a negative number or a text with a space,
+    and "--" and all after it); or False, a float after the full name of a
+    typed option (``--v1 -1e1``), which is that option's text."""
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    found = []
+    for token in tokens[:end]:
+        if found and tokens[len(found) - 1] in _TYPED_FLAGS and token[:1] == "-" and _reads_as_float(token):
+            flag = found[-1][0]
+            found[-1:] = [(flag, token), False] if flag else [(None, None)] * 2
             continue
-        flag, joined, text = token.partition("=")
-        if flag not in kinds:
-            return None
-        name, kind = kinds[flag]
-        if not joined:
-            text = next(tokens, None)
-            if text is None:
-                return None
-            # No choice starts with "-", and argparse reads such a token after
-            # --config as an option unless it is plain digits.
-            if text.startswith("-") and (name == "config" or isinstance(kind, tuple)
-                                         or text != "-" and not _reads_as_float(text)):
-                return None
-        elif text == "--":  # argparse before Python 3.13 reads it as no value
-            return None
-        if isinstance(kind, tuple):
-            if text not in kind:
-                return None
-            args[name] = text
+        if token[:1] != "-" or token == "-":
+            found.append(None)
+            continue
+        name, joined, text = token.partition("=")
+        matches = [name] if name in flags else [flag for flag in flags if flag.startswith(name) and token[1] == "-"]
+        if len(matches) > 1:
+            raise CliUsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches or token[1] == "h":  # -h and the letters after it
+            found.append((matches[0], text if joined else None) if matches else ("-h", token[2:]))
         else:
-            try:
-                args[name] = kind(text)
-            except ValueError:
-                return None
+            negative = token[1] != "-" and re.match(_NEGATIVE_NUMBER, token)
+            found.append(None if negative or " " in token else (None, None))
+    return found + [None] * (len(tokens) - end)
+
+
+def _value(name: str, text: str, kind):
+    """``text`` as the value of argument ``name``: one of the choices ``kind``, or cast by it."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise CliUsageError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise CliUsageError(f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
+
+
+def _help(command: str | None, flags: dict) -> str:
+    """The text of ``--help``: the commands, or a command's options in ``flags``."""
+    if command is None:
+        # The description is the docstring without its last paragraph,
+        # which is about the code.
+        usage = "[-h] [--version] {" + ",".join(_COMMANDS) + "} ..."
+        description = __doc__ and __doc__[:__doc__.rindex("\n\n")]
+        title, rows = "commands", [(name, spec[0]) for name, spec in _COMMANDS.items()]
+    else:
+        usage, description, title = f"{command} [options]", _COMMANDS[command][0], "options"
+        rows = [("-h, --help", "show this help and exit")]
+        for flag, (name, opt) in list(flags.items())[2:]:
+            if isinstance(opt, _Opt):
+                choices = "{" + ",".join(opt.kind) + "}" if isinstance(opt.kind, tuple) else name.upper()
+                flag += " " + (opt.metavar or choices)
+            rows.append((flag, opt.help))
+    width = max(len(term) for term, _ in rows)
+    lines = "\n".join(f"  {term:{width}}  {text or ''}".rstrip() for term, text in rows)
+    return f"usage: ptstack {usage}\n\n" + (f"{description}\n\n" if description else "") + f"{title}:\n{lines}\n"
+
+
+def _parse(argv: list) -> dict | str:
+    """The options of a command line by name, with ``command``, ``config``
+    and the preset flag's, an unset option reading None; or the text that
+    ``--help`` or ``--version`` prints.  It reads the command line as argparse
+    does (see :func:`_scan`); the last of an option's values wins, and a usage
+    error raises :class:`CliUsageError` with argparse's message.
+    """
+    command = preset = None
+    args, extras, flags = {}, [], dict.fromkeys(("-h", "--help", "--version"))
+    found = _scan(argv, flags)
+    for j, option in enumerate(found):
+        if option is None and command is None:
+            command = _value("command", argv[j], tuple(_COMMANDS))
+            _, options, preset = _COMMANDS[command]
+            flags = {"-h": None, "--help": None}
+            for name, opt in {**options, **({preset.flag: preset} if preset else {}), **_IO_OPTIONS}.items():
+                flags[f"--{name.replace('_', '-')}"] = name, opt
+            flags["--config"] = "config", _CONFIG
+            args = {"command": command, **dict.fromkeys((*options, *_IO_OPTIONS, "config")),
+                    **({preset.flag: False} if preset else {})}
+            found[j + 1:] = _scan(argv[j + 1:], flags)  # the tokens after the command, against its options
+            continue
+        if option is False:  # the value of the option before it
+            continue
+        flag, text = option or (None, None)
+        if flag is None:
+            extras.append(argv[j])
+            continue
+        name, opt = flags[flag] or (None, None)
+        if opt is None or opt is preset:  # a flag that takes no value
+            if flag == "-h" and text:  # the letters after -h read as more -h flags
+                text = text.lstrip("h") or None
+            if text is not None:
+                name = "-h/--help" if flag in ("-h", "--help") else flag
+                raise CliUsageError(f"argument {name}: ignored explicit argument {text!r}")
+            if opt is not None:
+                args[name] = True
+                continue
+            return f"ptstack {__version__}\n" if flag == "--version" else _help(command, flags)
+        if text is None:
+            if found[j + 1:j + 2] != [None] or argv[j + 1] == "--":
+                raise CliUsageError(f"argument {flag}: expected one argument")
+            text, found[j + 1] = argv[j + 1], False
+        args[name] = _value(flag, text, opt.kind)
+    if command is None:
+        raise CliUsageError("the following arguments are required: command")
+    if extras:
+        raise CliUsageError(f"unrecognized arguments: {' '.join(extras)}")
     return args
 
 
@@ -310,17 +384,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _parse(argv)
-        if args is None:
-            from .commands import usage
-
-            # The description is the docstring without its last paragraph,
-            # which is about the code.
-            description = __doc__ and __doc__[:__doc__.rindex("\n\n")]
-            try:
-                args = usage.parse_args(argv, _COMMANDS, _IO_OPTIONS, description, f"ptstack {__version__}")
-            except SystemExit as exc:  # argparse's exit after --help or --version
-                sys.stdout.flush()
-                return exc.code
+        if isinstance(args, str):  # the text of --help or --version
+            with _open_output("-") as out:
+                out.write(args)
+                out.flush()
+            return EXIT_OK
         _, options, preset = _COMMANDS[args["command"]]
         opt, defaulted = _resolve(args, {**options, **_IO_OPTIONS}, preset)
         module = args["command"].replace("-", "_")

@@ -1,7 +1,6 @@
 """The CLI's commands, one module each, which ``ptstack.cli`` imports only
-when it runs that command; :mod:`.common`, which the front end and every
-command share; and :mod:`.usage`, the argparse parser, which the front end
-imports only for the command lines it does not read itself.
+when it runs that command, and :mod:`.common`, which the front end and every
+command share.
 
 Command ``name`` is ``cmd_<name>`` in module ``<name>``, with ``-`` read as
 ``_``.  It takes the resolved options and the names left at their default,

@@ -1,6 +1,5 @@
 """What the CLI front end and every command share: the usage error, the exit
-codes, the N and k grids and the table renderers, and the float test both
-command-line parsers apply to a value that starts with ``-``."""
+codes, the N and k grids and the table renderers."""
 
 from __future__ import annotations
 
@@ -18,14 +17,6 @@ ORACLE_THRESHOLD = 1e-7
 
 class CliUsageError(Exception):
     """Bad command line, config file, or option combination."""
-
-
-def _reads_as_float(text: str) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
 
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:

@@ -26,7 +26,7 @@ import sys
 from typing import NamedTuple, Sequence
 
 from .cell import barrier_matrix
-from .core import TransferMatrix, check_count, check_positive, check_wave_number
+from .core import NonFiniteMatrixError, TransferMatrix, check_count, check_positive, check_wave_number
 from .stack import PeriodicSpec, alternating_matrix, periodic_matrix
 
 
@@ -204,7 +204,8 @@ def _fit_effective_height(
     four complex entry residuals r is one complex column J and each step is
     h -= (J^H r) / (J^H J).  J is a central difference in h.  The step
     tolerance can sit below the rounding noise of the step (about 1e-14
-    relative); the step cap then ends the loop.
+    relative); the step cap then ends the loop.  Raises OverflowError when a
+    step leaves the double range.
     """
 
     def residuals(h: complex) -> tuple[complex, ...]:
@@ -217,6 +218,8 @@ def _fit_effective_height(
         r = residuals(h)
         jac = [(a - b) / (2.0 * delta) for a, b in zip(residuals(h + delta), residuals(h - delta))]
         step = sum(j.conjugate() * x for j, x in zip(jac, r)) / sum(abs(j) ** 2 for j in jac)
+        if not cmath.isfinite(step):
+            raise OverflowError("Gauss-Newton step is not finite")
         h -= step
         if abs(step) <= 1e-15 * max(1.0, abs(h)):
             break
@@ -236,14 +239,20 @@ def generalized_limit_study(
     Each stack matrix comes from the closed form :func:`alternating_matrix`
     (O(1) in N), the effective height is fitted at the largest N, and the
     per-N deviation from that fitted barrier is recorded.  Raises
-    :class:`NonFiniteMatrixError` when a stack matrix leaves the double range.
+    :class:`NonFiniteMatrixError` when a stack matrix or the fit leaves the
+    double range.
     """
     k = check_wave_number(k)
     ns = _check_schedule(n_schedule)
     matrices = [alternating_matrix(v1, v2, eps, n, total_length, k) for n in ns]
     mean_height = complex(v1, (1.0 - eps) * v2 / 2.0)
     full_imbalance = complex(v1, (1.0 - eps) * v2)
-    effective = _fit_effective_height(matrices[-1], k, total_length, mean_height)
+    try:
+        effective = _fit_effective_height(matrices[-1], k, total_length, mean_height)
+    except OverflowError:
+        raise NonFiniteMatrixError(
+            f"effective-height fit leaves the double range at k = {k}, v1 = {v1}, v2 = {v2}, eps = {eps}"
+        ) from None
     reference = barrier_matrix(k, effective, total_length, 0.0)
     records = tuple(
         _deviation_record(n, k, m, reference, math.nan) for n, m in zip(ns, matrices)

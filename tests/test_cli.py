@@ -280,6 +280,17 @@ def test_sweep_rejects_a_non_finite_k_bound(capsys, k_max):
     assert err == f"ptstack: error: bad k range: min=1.0 max={float(k_max)} count=181\n"
 
 
+@pytest.mark.parametrize("k", ["1e-160", "1e-310"])
+def test_general_names_the_point_where_its_fit_overflows(capsys, k):
+    # The Gauss-Newton step's sum of |J|^2 overflows (1e-160), or the step is
+    # not finite (1e-310).
+    code, out, err = run_cli(capsys, "general", "--v1", "0", "--v2", "40", "--eps", "1", "--k", k)
+    assert (code, out) == (2, "")
+    assert err == (f"ptstack: numerical failure: effective-height fit leaves the double range at k = {float(k)}, "
+                   "v1 = 0.0, v2 = 40.0, eps = 1.0\n")
+    assert run_cli(capsys, "general", "--v1", "0", "--v2", "40", "--eps", "1", "--k", "1e-60")[0] == 0
+
+
 def test_general_at_a_million_cells(capsys):
     code, out, _ = run_cli(
         capsys, "general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3", "--n-max", "1000000",
@@ -387,8 +398,7 @@ def test_unwritable_output(capsys):
 
 @pytest.mark.parametrize("option, value", [("v1", "-1e1"), ("eps", "-1.5e0"), ("total_length", "-1E-1")])
 def test_negative_value_in_exponent_form(capsys, option, value):
-    # argparse takes "-1e1" for an option unless it is joined to its flag
-    # ("-10" and "-1.5" it reads as numbers).
+    # "-1e1" follows its flag as its own token, as "-10" and "-1.5" do.
     args = {"v1": "7", "v2": "40", "eps": "1", "k": "3", option: value}
     joined = run_cli(capsys, "general", *(f"--{key.replace('_', '-')}={val}" for key, val in args.items()))
     spaced = run_cli(capsys, "general", *(part for key, val in args.items()
@@ -406,7 +416,7 @@ def test_negative_non_finite_value(capsys):
     (("cell", "--k", "1", "--v", "40", "--b", "-x"), "argument --b: expected one argument"),
     (("sweep", "--v", "40", "--n-min", "5", "--n-max", "10", "--n-spacing", "-1e1"),
      "argument --n-spacing: expected one argument"),
-    # argparse reports the choice only once it has joined -1e1 to --v1
+    # the choice is reported once -1e1 is read as the value of --v1
     (("general", "--v1", "-1e1", "--v2", "40", "--eps", "1", "--k", "3", "--n-spacing", "cubic"),
      "argument --n-spacing: invalid choice: 'cubic' (choose from 'linear', 'log')"),
 ])
@@ -861,7 +871,7 @@ CELL = ("cell", "--k", "1", "--v", "40", "--b", "0.05")
 BIG_SWEEP = ("sweep", "--v", "40", "--n-min", "10", "--n-max", "100", "--n-count", "20")
 
 
-# --help and --version print through argparse, which ignores a failed write.
+# --help and --version print to standard output like a table.
 HELP = {"help": ("--help",), "sweep-help": ("sweep", "--help"), "version": ("--version",)}
 UNWRITABLE_HELP = [
     pytest.param(stdout, args, errno_text, unbuffered, id=f"{name}-{where}-{'un' if unbuffered else ''}buffered")
@@ -902,7 +912,6 @@ def test_unwritable_stdout_exits_1(stdout, args, errno_text, unbuffered):
 
 @pytest.mark.parametrize("args", list(HELP.values()), ids=list(HELP))
 def test_help_and_version_return_0(capsys, args):
-    # main returns argparse's exit code after --help or --version.
     code, out, err = run_cli(capsys, *args)
     assert (code, err) == (0, "")
     assert out.startswith("ptstack " if args == ("--version",) else "usage: ptstack ")

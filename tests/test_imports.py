@@ -62,9 +62,9 @@ COMMAND_MODULES = {
 # Standard modules no command loads for CSV output without --config:
 # dataclasses and inspect alone cost about 10 ms of start-up, signal serves
 # only a failing sweep, json only --format json, and the config file is read
-# with open().  argparse and gettext load with ptstack.commands.usage, only
-# for help, version, abbreviated options and usage errors.  tempfile and
-# shutil serve only sweep's range files.
+# with open().  ptstack.cli reads every command line itself, so no process
+# loads argparse or gettext.  tempfile and shutil serve only sweep's range
+# files.
 STARTUP_FREE = ("dataclasses", "inspect", "signal", "json", "pathlib", "argparse", "gettext")
 SWEEP_ONLY = ("tempfile", "shutil")
 
@@ -90,30 +90,32 @@ def test_subcommand_runs_only_its_modules(argv, tmp_path):
     assert _run(code, "-S") == f"0 {expected}\n[]\n{loaded_standard}"
 
 
-# A command line that argparse parses: --form abbreviates --format.
+# --form abbreviates --format.
 ABBREVIATED = ("cell", "--k", "1", "--v", "40", "--b", "0.5", "--form", "csv")
 
 
-def test_only_the_fallback_loads_usage(tmp_path):
-    # The table parser reads every argv of COMMAND_MODULES, so no command
-    # loads ptstack.commands.usage or argparse (the test above); an
-    # abbreviated option loads both, and the run writes the same bytes.
+@pytest.mark.parametrize("argv, exit_code", [
+    pytest.param(ABBREVIATED, 0, id="abbreviated"),
+    pytest.param(("--help",), 0, id="help"),
+    pytest.param(("--version",), 0, id="version"),
+    pytest.param(("sweep", "--n", "5"), 1, id="usage-error"),
+])
+def test_no_command_line_loads_argparse(argv, exit_code, tmp_path):
+    # Those of COMMAND_MODULES load neither (the test above); nor do these,
+    # and the abbreviated option writes the bytes of the full name.
+    output = [] if argv[0].startswith("-") else ["--output", str(tmp_path / "out.csv")]
     code = (
-        "import sys\n"
+        "import io, sys\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
         "from ptstack.cli import main\n"
-        "for argv, out in [({argv!r}, {out!r}), ({abbreviated!r}, {out_abbreviated!r})]:\n"
-        "    code = main([*argv, '--output', out])\n"
-        "    print(code, 'ptstack.commands.usage' in sys.modules, 'argparse' in sys.modules)\n"
-    ).format(argv=ABBREVIATED[:-2], out=str(tmp_path / "full.csv"), abbreviated=ABBREVIATED,
-             out_abbreviated=str(tmp_path / "abbreviated.csv"))
-    assert _run(code, "-S") == "0 False False\n0 True True"
-    assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "abbreviated.csv").read_bytes()
-
-
-def test_usage_imports_no_command_and_not_the_cli():
-    # It builds its parser from the table ptstack.cli passes in; "common" is
-    # ptstack.commands.common.
-    assert _package_imports(PACKAGE_DIR / "commands" / "usage.py") == {"common"}
+        "with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+        f"    code = main([*{argv!r}, *{output!r}])\n"
+        "print(code, sorted(name for name in ('argparse', 'gettext') if name in sys.modules))\n"
+    )
+    assert _run(code, "-S") == f"{exit_code} []"
+    if argv == ABBREVIATED:
+        _run(f"from ptstack.cli import main; main([*{argv[:-2]!r}, '--output', {str(tmp_path / 'full.csv')!r}])")
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [*(pytest.param(argv, id=argv[0]) for argv in COMMAND_MODULES),
@@ -140,7 +142,7 @@ def test_module_run_never_imports_the_cli_again(argv, tmp_path):
 def test_commands_do_not_import_the_cli():
     # The same trap on every code path, failing ones included.
     sources = sorted((PACKAGE_DIR / "commands").glob("*.py"))
-    assert len(sources) >= 8
+    assert len(sources) >= 7
     for path in sources:
         assert "cli" not in _package_imports(path), path.name
 
