@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import (
     NonFiniteMatrixError, TransferMatrix, check_finite, check_positive, check_wave_number, mat_multiply,
@@ -51,23 +51,10 @@ from .core import (
 _SINC_SWITCH = 1e-4
 
 
-class CellParams(NamedTuple):
+class CellParams(namedtuple("CellParams", "k v b rho phi alpha beta u_plus u_minus xi chi eta tau one_minus_xi")):
     """Derived real quantities of one gain/loss cell at a given (k, V, b)."""
 
-    k: float
-    v: float
-    b: float
-    rho: float
-    phi: float
-    alpha: float
-    beta: float
-    u_plus: float
-    u_minus: float
-    xi: float
-    chi: float
-    eta: float
-    tau: float
-    one_minus_xi: float
+    __slots__ = ()
 
 
 def _check_cell(k: float, v: float, b: float) -> tuple[float, float, float]:

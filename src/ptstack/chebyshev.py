@@ -33,18 +33,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import check_count
 
 
-class ChebyshevPair(NamedTuple):
+class ChebyshevPair(namedtuple("ChebyshevPair", "n x t_n u_n_minus_1")):
     """T_n(x) and U_{n-1}(x) evaluated together from one angle."""
 
-    n: int
-    x: float
-    t_n: float
-    u_n_minus_1: float
+    __slots__ = ()
 
 
 def _cosh_safe(y: float) -> float:

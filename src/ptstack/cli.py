@@ -44,7 +44,7 @@ import importlib.util
 import os
 import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import __version__
 from .commands.common import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, CliUsageError, _column, _json_object
@@ -85,21 +85,16 @@ DEFAULT_K_GRID = (1.0, 10.0, 181)
 _REQUIRED = object()
 
 
-class _Opt(NamedTuple):
+class _Opt(namedtuple("_Opt", "kind default help metavar", defaults=(_REQUIRED, None, None))):
     """One option: a type to cast with or a tuple of allowed values, its default and help."""
 
-    kind: object
-    default: object = _REQUIRED
-    help: str | None = None
-    metavar: str | None = None
+    __slots__ = ()
 
 
-class _Preset(NamedTuple):
+class _Preset(namedtuple("_Preset", "flag help values")):
     """A store-true flag whose values beat the config file but not explicit flags."""
 
-    flag: str
-    help: str
-    values: dict
+    __slots__ = ()
 
 
 _IO_OPTIONS = {
@@ -136,17 +131,6 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _from_config(name: str, kind, text: str):
-    if isinstance(kind, tuple):
-        if text not in kind:
-            raise CliUsageError(f"config key {name}: {name} must be one of {kind}, got {text!r}")
-        return text
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise CliUsageError(f"config key {name}: {exc}") from exc
-
-
 def _resolve(args: dict, options: dict, preset: _Preset | None) -> tuple[dict, set]:
     """Merge flag > preset > config > default for every option, given the
     command line's options by name, as :func:`_parse` returns them.
@@ -165,7 +149,7 @@ def _resolve(args: dict, options: dict, preset: _Preset | None) -> tuple[dict, s
         if value is None:
             value = preset_values.get(name)
         if value is None and name in config:
-            value = _from_config(name, opt.kind, config[name])
+            value = _value(f"config key {name}", config[name], opt.kind)
         if value is None:
             if opt.default is _REQUIRED:
                 raise CliUsageError(f"missing required option --{name.replace('_', '-')}")
@@ -295,16 +279,17 @@ def _scan(tokens: list, flags: dict) -> list:
     return found + [None] * (len(tokens) - end)
 
 
-def _value(name: str, text: str, kind):
-    """``text`` as the value of argument ``name``: one of the choices ``kind``, or cast by it."""
+def _value(source: str, text: str, kind):
+    """``text`` as one of the choices ``kind``, or cast by it; ``source``
+    ("argument --k", "config key k") starts the message of a bad value."""
     if isinstance(kind, tuple):
         if text not in kind:
-            raise CliUsageError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+            raise CliUsageError(f"{source}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
         return text
     try:
         return kind(text)
     except ValueError:
-        raise CliUsageError(f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
+        raise CliUsageError(f"{source}: invalid {kind.__name__} value: {text!r}") from None
 
 
 def _help(command: str | None, flags: dict) -> str:
@@ -340,7 +325,7 @@ def _parse(argv: list) -> dict | str:
     found = _scan(argv, flags)
     for j, option in enumerate(found):
         if option is None and command is None:
-            command = _value("command", argv[j], tuple(_COMMANDS))
+            command = _value("argument command", argv[j], tuple(_COMMANDS))
             _, options, preset = _COMMANDS[command]
             flags = {"-h": None, "--help": None}
             for name, opt in {**options, **({preset.flag: preset} if preset else {}), **_IO_OPTIONS}.items():
@@ -371,7 +356,7 @@ def _parse(argv: list) -> dict | str:
             if found[j + 1:j + 2] != [None] or argv[j + 1] == "--":
                 raise CliUsageError(f"argument {flag}: expected one argument")
             text, found[j + 1] = argv[j + 1], False
-        args[name] = _value(flag, text, opt.kind)
+        args[name] = _value(f"argument {flag}", text, opt.kind)
     if command is None:
         raise CliUsageError("the following arguments are required: command")
     if extras:

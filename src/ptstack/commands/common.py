@@ -67,6 +67,20 @@ def _study_n_grid(opt: dict, what: str) -> list[int]:
     return n_values
 
 
+def _check_finite_rows(columns: tuple, rows: list, allowed_nan: tuple = ()) -> None:
+    """Raise :class:`ptstack.core.NonFiniteMatrixError` naming the column, N
+    and k of the first value of ``rows`` that is not finite, row by row and
+    column by column.  A column in ``allowed_nan`` is NaN by design where it
+    is 0/0 and is not checked; rows start with N and k."""
+    checked = [(name, i) for i, name in enumerate(columns) if name not in allowed_nan]
+    for row in rows:
+        for name, i in checked:
+            if not math.isfinite(row[i]):
+                from ..core import NonFiniteMatrixError
+
+                raise NonFiniteMatrixError(f"{name} leaves the double range at N = {row[0]}, k = {row[1]}")
+
+
 def _json_dumps(value) -> str:
     """``json.dumps(value)``; only JSON output loads the json module."""
     import json

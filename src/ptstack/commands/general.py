@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .common import EXIT_NONCONVERGED, EXIT_OK, _rows_text, _study_n_grid
+from .common import EXIT_NONCONVERGED, EXIT_OK, _check_finite_rows, _rows_text, _study_n_grid
 
 
 def cmd_general(opt: dict, defaulted: set):
@@ -14,6 +14,8 @@ def cmd_general(opt: dict, defaulted: set):
         (r.n, r.k, r.deviation_inf, r.diag_measured_err, r.offdiag_measured, r.absdet_err)
         for r in result.records
     ]
+    columns = ("N", "k", "deviation_inf", "diag_err", "offdiag_dev", "absdet_err")
+    _check_finite_rows(columns, rows)
     summary = [
         (name, getattr(result, name))
         for name in (
@@ -21,5 +23,4 @@ def cmd_general(opt: dict, defaulted: set):
             "residual_full_imbalance", "residual_mean_height", "closest_candidate", "converged",
         )
     ]
-    columns = ("N", "k", "deviation_inf", "diag_err", "offdiag_dev", "absdet_err")
     return _rows_text(opt["format"], columns, rows), summary, [], EXIT_OK if result.converged else EXIT_NONCONVERGED

@@ -26,15 +26,16 @@ recorded outputs in ``tests/data`` hold byte for byte on CPython 3.10 to
 need glibc's FMA variants of ``sin``, ``cos``, ``exp``, ``log``, ``atan``,
 ``asin``, ``sinh``, ``cosh`` and ``asinh``, which glibc picks on x86-64
 with AVX2 and FMA (CI's runners among them); the plain variants differ by
-1-2 ulp on a few inputs.  Without the FMA variants 12 tests fail:
-``test_cli.py::test_golden_output`` for the ``sweep-fig3``,
-``sweep-fig3-config`` and ``oracle-check-quick`` cases,
+1-2 ulp on a few inputs.  Without the FMA variants 22 tests fail:
+``test_cli.py::test_golden_output`` and
+``test_cli.py::test_golden_output_as_a_process`` for the ``sweep-fig3``,
+``sweep-fig3-config``, ``oracle-check`` and ``oracle-check-quick`` cases,
 ``test_cli.py::test_golden_sweep_on_one_cpu`` for the two sweep cases (each
 in CSV and JSON) and both tests in ``test_surface_points.py``.
 ``tests/test_dispatch.py`` checks that a sweep and ``oracle-check --quick``
 agree within 1e-13 with and without them.
 
-The records are ``typing.NamedTuple`` classes: immutable, unpackable and
+The records are ``collections.namedtuple`` classes: immutable, unpackable and
 equal to a tuple of the same values.  :class:`Layer` and
 :class:`~ptstack.stack.PeriodicSpec` check their values in ``__new__``;
 :class:`PotentialStack` and :class:`~ptstack.scattering.TransmissionTable`,
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 # Relative slack when checking that stacked layers do not overlap; offsets
 # built as i*width can differ from accumulated sums by a few ulps.
@@ -125,13 +126,7 @@ class _SlotRecord:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-class _LayerFields(NamedTuple):
-    height: complex
-    width: float
-    offset: float = 0.0
-
-
-class Layer(_LayerFields):
+class Layer(namedtuple("Layer", "height width offset")):
     """One rectangular slab: complex height over [offset, offset + width)."""
 
     __slots__ = ()
@@ -193,14 +188,10 @@ class PotentialStack(_SlotRecord):
         return self.right_edge - self.left_edge
 
 
-class TransferMatrix(NamedTuple):
+class TransferMatrix(namedtuple("TransferMatrix", "m11 m12 m21 m22 k")):
     """2x2 complex transfer matrix tagged with the wave number it was built at."""
 
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-    k: float
+    __slots__ = ()
 
     @classmethod
     def identity(cls, k: float) -> "TransferMatrix":

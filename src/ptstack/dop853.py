@@ -13,6 +13,16 @@ kernel and no ``sum()`` (whose float summation changed in Python 3.12), so
 the result does not depend on the CPU, numpy or OpenBLAS.  No dense output,
 no step limit, no method choice.
 
+A step is one straight-line function per state size, generated from the
+tableau by :func:`_step_source` and compiled on first use, as
+``collections.namedtuple`` builds its classes: the stages and state entries
+are locals, and each sum is written out term by term.  The weights are
+their ``repr``, which reads back as the same double, and the terms, their
+order and the ``0j`` each sum starts from are those of a loop over the
+tableau, so the generated step makes the same floating-point operations in
+the same order as that loop and its results are bit for bit the loop's;
+only the interpreter's dispatch per term is gone.
+
 Nothing here imports ptstack or numpy; :mod:`ptstack.oracle` loads this
 module on its first integration.
 """
@@ -20,7 +30,7 @@ module on its first integration.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 # The tableau: the doubles of the coefficients of Hairer's dop853.f (the
 # third-order error weights are b - bhh).  Twelve stages; row s of _A weighs
@@ -86,34 +96,15 @@ _ERROR_EXPONENT = -1.0 / 8.0
 _STEP_FLOOR_ULPS = 10  # a step below this many ulps of x fails
 
 
-class OdeResult(NamedTuple):
+class OdeResult(namedtuple("OdeResult", "y nfev success message")):
     """End state of :func:`integrate` and its count of right-hand-side calls."""
 
-    y: list
-    nfev: int
-    success: bool
-    message: str
-
-
-def _advance(y, h, terms, k) -> list:
-    """y + h sum_j w_j k_j entry by entry, over the (j, w_j) terms in stage order."""
-    total = []
-    for i, y_i in enumerate(y):
-        acc = 0j
-        for j, w in terms:
-            acc += w * k[j][i]
-        total.append(y_i + acc * h)
-    return total
+    __slots__ = ()
 
 
 def _norm(x, scale) -> float:
     """2-norm of x / scale, a complex vector over a real one."""
     return math.hypot(*[part / s for z, s in zip(x, scale) for part in (z.real, z.imag)])
-
-
-def _error_scale(rtol, atol, *states) -> list:
-    """atol + rtol * the largest |y| of the states, entry by entry."""
-    return [atol + max(map(abs, entries)) * rtol for entries in zip(*states)]
 
 
 def _initial_step(fun, x, y, f, x_end, direction, rtol, atol):
@@ -122,7 +113,7 @@ def _initial_step(fun, x, y, f, x_end, direction, rtol, atol):
     Costs one call of ``fun``.
     """
     interval = abs(x_end - x)
-    scale = _error_scale(rtol, atol, y)
+    scale = [atol + abs(y_i) * rtol for y_i in y]
     root_n = len(y) ** 0.5
     d0 = _norm(y, scale) / root_n
     d1 = _norm(f, scale) / root_n
@@ -137,27 +128,67 @@ def _initial_step(fun, x, y, f, x_end, direction, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def _rk_step(fun, x, y, f, h):
-    """One DOP853 step of size h from (x, y), f = fun(x, y).
+def _step_source(size: int) -> str:
+    """Source of ``step(fun, x, y, f, h, rtol, atol)``, one DOP853 step of
+    size h from (x, y), f = fun(x, y), for a state of ``size`` entries.
 
-    Returns (y_new, f_new, k), k the twelve stages.
+    The step returns (y_new, f_new, error_norm).  Its operations are those of
+    the loop over the tableau written out: each stage's state is y + h times
+    the sum of its weighted stages, the error estimates are the same sums at
+    y = 0 and h = 1, and the error norm is DOP853's, the fifth-order estimate
+    damped where the third-order one is large,
+    err5^2 / sqrt((err5^2 + 0.01 err3^2) n).
     """
-    k = [f]
+    entries = range(size)
+
+    def unpack(names):
+        return "[" + ", ".join(names) + "]"
+
+    def advance(y, h, terms):
+        """y + (0j + w_j k_j, the terms in stage order) * h for each entry i,
+        y a template of the entry's name."""
+        return [y.format(i=i) + " + (0j" + "".join(f" + {w!r} * k{j}_{i}" for j, w in terms) + f") * {h}"
+                for i in entries]
+
+    def stage(j):
+        return unpack(f"k{j}_{i}" for i in entries)
+
+    body = [f"{unpack(f'y{i}' for i in entries)} = y", f"{stage(0)} = f"]
     for s in range(1, _STAGES):
-        k.append(fun(x + _C[s] * h, _advance(y, h, _A_TERMS[s], k)))
-    y_new = _advance(y, h, _B_TERMS, k)
-    return y_new, fun(x + h, y_new), k
+        state = ", ".join(advance("y{i}", "h", _A_TERMS[s]))
+        body.append(f"{stage(s)} = fun(x + {_C[s]!r} * h, [{state}])")
+    body += [
+        f"y_new = [{', '.join(advance('y{i}', 'h', _B_TERMS))}]",
+        "f_new = fun(x + h, y_new)",
+        f"{unpack(f'n{i}' for i in entries)} = y_new",
+    ]
+    for i in entries:  # the error scale: atol + rtol * max(|y|, |y_new|)
+        body.append(f"a = abs(y{i}); b = abs(n{i}); s{i} = atol + (b if b > a else a) * rtol")
+    for name, terms in (("e", _E5_TERMS), ("d", _E3_TERMS)):
+        for i, total in enumerate(advance("0j", "1.0", terms)):
+            body.append(f"{name}{i} = {total}")
+    for norm, name in (("err5_2", "e"), ("err3_2", "d")):
+        parts = ", ".join(f"{name}{i}.real / s{i}, {name}{i}.imag / s{i}" for i in entries)
+        body.append(f"{norm} = hypot({parts}) ** 2")
+    body += [
+        "if err5_2 == 0 and err3_2 == 0:",
+        "    return y_new, f_new, 0.0",
+        f"return y_new, f_new, abs(h) * err5_2 / sqrt((err5_2 + 0.01 * err3_2) * {size})",
+    ]
+    return "def step(fun, x, y, f, h, rtol, atol):\n" + "".join(f"    {line}\n" for line in body)
 
 
-def _error_norm(k, h, scale):
-    """DOP853's error measure: the fifth-order estimate, damped where the
-    third-order one is large, err5^2 / sqrt((err5^2 + 0.01 err3^2) n)."""
-    zero = [0j] * len(scale)  # the estimates are plain sums: y = 0, h = 1
-    err5_2 = _norm(_advance(zero, 1.0, _E5_TERMS, k), scale) ** 2
-    err3_2 = _norm(_advance(zero, 1.0, _E3_TERMS, k), scale) ** 2
-    if err5_2 == 0 and err3_2 == 0:
-        return 0.0
-    return abs(h) * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+_STEPS: dict = {}  # state size -> its compiled step
+
+
+def _step(size: int):
+    """The step of :func:`_step_source` for ``size``, compiled on first use."""
+    step = _STEPS.get(size)
+    if step is None:
+        namespace = {"hypot": math.hypot, "sqrt": math.sqrt}
+        exec(_step_source(size), namespace)
+        step = _STEPS[size] = namespace["step"]
+    return step
 
 
 def integrate(fun, x_span, y0, rtol: float, atol: float) -> OdeResult:
@@ -178,6 +209,7 @@ def integrate(fun, x_span, y0, rtol: float, atol: float) -> OdeResult:
     direction = 1.0 if x_end > x else -1.0
     f = fun(x, y)
     nfev = 1
+    step = _step(len(y))
     if x != x_end:
         try:
             h_abs = _initial_step(fun, x, y, f, x_end, direction, rtol, atol)
@@ -200,8 +232,7 @@ def integrate(fun, x_span, y0, rtol: float, atol: float) -> OdeResult:
             h = x_new - x
             h_abs = abs(h)
             try:
-                y_new, f_new, k = _rk_step(fun, x, y, f, h)
-                error_norm = _error_norm(k, h, _error_scale(rtol, atol, y, y_new))
+                y_new, f_new, error_norm = step(fun, x, y, f, h, rtol, atol)
             except ArithmeticError:
                 error_norm = math.inf
             nfev += _STAGES

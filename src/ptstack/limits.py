@@ -23,41 +23,29 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .cell import barrier_matrix
 from .core import NonFiniteMatrixError, TransferMatrix, check_count, check_positive, check_wave_number
 from .stack import PeriodicSpec, alternating_matrix, periodic_matrix
 
 
-class AsymptoticPrediction(NamedTuple):
+class AsymptoticPrediction(namedtuple("AsymptoticPrediction", (
+    "k v total_length n xi_pred chi_pred arccos_xi_pred t_n_pred u_pred u_pred_small_angle chi_u_pred diag_pred "
+    "offdiag_scale_pred"
+))):
     """Leading-order values of the cell and stack quantities at one (k, N)."""
 
-    k: float
-    v: float
-    total_length: float
-    n: int
-    xi_pred: float
-    chi_pred: float
-    arccos_xi_pred: float
-    t_n_pred: float
-    u_pred: float
-    u_pred_small_angle: float
-    chi_u_pred: float
-    diag_pred: complex
-    offdiag_scale_pred: float
+    __slots__ = ()
 
 
-class ConvergenceRecord(NamedTuple):
+class ConvergenceRecord(namedtuple(
+    "ConvergenceRecord", "n k deviation_inf offdiag_measured offdiag_predicted diag_measured_err absdet_err"
+)):
     """Deviation of the N-cell matrix from its limit at one schedule point."""
 
-    n: int
-    k: float
-    deviation_inf: float
-    offdiag_measured: float
-    offdiag_predicted: float
-    diag_measured_err: float
-    absdet_err: float
+    __slots__ = ()
 
 
 def predict_asymptotics(k: float, v: float, total_length: float, n: int) -> AsymptoticPrediction:
@@ -150,7 +138,9 @@ def fit_loglog_slope(ns: Sequence[int], deviations: Sequence[float]) -> float:
     return math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
 
 
-class GeneralizedLimitResult(NamedTuple):
+class GeneralizedLimitResult(namedtuple(
+    "GeneralizedLimitResult", "effective_height records converged candidate_full_imbalance candidate_mean_height"
+)):
     """Fitted constant-barrier equivalent of an unbalanced alternating stack.
 
     ``effective_height`` minimizes the entrywise least-squares distance
@@ -164,11 +154,7 @@ class GeneralizedLimitResult(NamedTuple):
     the fit as unreliable in that case rather than expect an exception.
     """
 
-    effective_height: complex
-    records: tuple[ConvergenceRecord, ...]
-    converged: bool
-    candidate_full_imbalance: complex
-    candidate_mean_height: complex
+    __slots__ = ()
 
     @property
     def residual_full_imbalance(self) -> float:

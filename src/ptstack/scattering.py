@@ -8,8 +8,9 @@ its (N, k) grid through the per-point kernel of :mod:`ptstack.stack`, and
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import isfinite
-from typing import Iterable, NamedTuple, Sequence
 
 from .core import NonFiniteMatrixError, TransferMatrix, _SlotRecord, check_positive, check_wave_number
 from .stack import PeriodicSpec, periodic_entries, sweep_terms
@@ -23,7 +24,7 @@ class SpectralPoleError(ArithmeticError):
     """|m22| fell below POLE_TOLERANCE: scattering amplitudes diverge."""
 
 
-class ScatteringCoefficients(NamedTuple):
+class ScatteringCoefficients(namedtuple("ScatteringCoefficients", "t r_left r_right")):
     """Amplitudes t, r and intensity coefficients for both incidence sides.
 
     The transmission amplitude is side-independent by construction; the
@@ -31,9 +32,7 @@ class ScatteringCoefficients(NamedTuple):
     exceed or fall short of 1 (gain/loss), so no unitarity is implied.
     """
 
-    t: complex
-    r_left: complex
-    r_right: complex
+    __slots__ = ()
 
     @property
     def big_t(self) -> float:
@@ -72,15 +71,10 @@ def scattering_from_matrix(m: TransferMatrix) -> ScatteringCoefficients:
     return ScatteringCoefficients(*_amplitudes(m.m12, m.m21, m.m22, m.k))
 
 
-class TransmissionRow(NamedTuple):
+class TransmissionRow(namedtuple("TransmissionRow", "n k big_t big_r_left big_r_right absdet_err")):
     """One (N, k) point of a transmission sweep over a periodic stack."""
 
-    n: int
-    k: float
-    big_t: float
-    big_r_left: float
-    big_r_right: float
-    absdet_err: float
+    __slots__ = ()
 
 
 class TransmissionTable(_SlotRecord):

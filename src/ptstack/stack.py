@@ -27,8 +27,8 @@ from __future__ import annotations
 import cmath
 import math
 from cmath import isfinite
+from collections import namedtuple
 from collections.abc import Iterable
-from typing import NamedTuple
 
 from .cell import _cell_pattern, _propagation_terms, barrier_matrix, cell_terms, wave_terms
 from .chebyshev import _pair, cheb_pair_from_complex_gap
@@ -51,13 +51,7 @@ def cells_as_float(n_cells: int) -> float:
         ) from None
 
 
-class _PeriodicFields(NamedTuple):
-    v: float
-    n_cells: int
-    total_length: float
-
-
-class PeriodicSpec(_PeriodicFields):
+class PeriodicSpec(namedtuple("PeriodicSpec", "v n_cells total_length")):
     """N gain/loss cells of magnitude V filling total_length without gaps."""
 
     __slots__ = ()

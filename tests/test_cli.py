@@ -349,7 +349,19 @@ def test_config_bad_choice(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sweep", "--v", "40", "--n-min", "5", "--n-max", "10",
                              "--config", str(cfg))
     assert (code, out) == (1, "")
-    assert "n_spacing must be one of ('linear', 'log'), got 'cubic'" in err
+    # the words of the flag's message, with the config key for the argument
+    assert err == "ptstack: error: config key n_spacing: invalid choice: 'cubic' (choose from 'linear', 'log')\n"
+
+
+def test_config_bad_int(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_count = 1e3\n")
+    code, out, err = run_cli(capsys, "sweep", "--v", "40", "--n-min", "5", "--n-max", "10",
+                             "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == "ptstack: error: config key n_count: invalid int value: '1e3'\n"
+    code, out, err = run_cli(capsys, "sweep", "--v", "40", "--n-min", "5", "--n-max", "10", "--n-count", "1e3")
+    assert err == "ptstack: error: argument --n-count: invalid int value: '1e3'\n"
 
 
 def test_oracle_check_tolerance_is_fixed(capsys, tmp_path):
@@ -674,6 +686,40 @@ def test_nonfinite_sweep_row_names_its_point(capsys):
     )
 
 
+# Command lines that once ended in NaN rows with exit 0, each with the one
+# line it ends with now.
+NONFINITE_ROWS = {
+    # The deviations reach 1e147, so every |det - 1| is NaN.
+    "general-absdet-nan": (
+        ("general", "--v1", "-7.42e-09", "--v2", "291496883.5", "--eps", "1e-160", "--k", "1e-160",
+         "--n-min", "19", "--n-max", "115", "--n-count", "3", "--n-spacing", "linear",
+         "--total-length", "4.2e-09"),
+        "ptstack: numerical failure: absdet_err leaves the double range at N = 19, k = 1e-160\n",
+    ),
+    "converge-absdet-nan": (
+        ("converge", "--k", "5.9", "--v", "3000", "--total-length", "10", "--n-min", "1",
+         "--n-max", "2", "--n-count", "2"),
+        "ptstack: numerical failure: absdet_err leaves the double range at N = 1, k = 5.9\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, stderr", list(NONFINITE_ROWS.values()), ids=list(NONFINITE_ROWS))
+def test_nonfinite_study_row_names_its_column_and_n(capsys, args, stderr):
+    assert run_cli(capsys, *args) == (2, "", stderr)
+
+
+def test_converge_offdiag_ratio_is_nan_where_the_prediction_is_0(capsys):
+    # The one non-finite column by design: offdiag_predicted is 0, the ratio 0/0.
+    code, out, err = run_cli(capsys, "converge", "--k", "1", "--v", "1e-320", "--n-count", "3")
+    meta, _, rows = parse_csv(out)
+    assert (code, err) == (0, "")
+    assert [(row["offdiag_predicted"], row["offdiag_ratio"]) for row in rows[1:]] == [("0.0", "nan")] * 2
+    assert all(math.isfinite(float(value)) for row in rows for name, value in row.items()
+               if name != "offdiag_ratio")
+    assert meta["offdiag_ratio_at_n_max"] == "nan"
+
+
 def test_converge_wide_hyperbolic_gap():
     # |gap| ~ 1e160 at N = 1: U_0 = 1 must survive the overflow of gap^2.
     # Only |det - 1| overflows, so the CLI exits 2 (converge-absdet-nan).
@@ -797,6 +843,7 @@ GOLDEN = {
                 "--n-min", "128", "--n-max", "1024", "--n-count", "4"),
     "general-nonconverged": ("general", "--v1", "0", "--v2", "40", "--eps", "-1", "--k", "1",
                              "--n-min", "2", "--n-max", "8", "--n-count", "3"),
+    "oracle-check": ("oracle-check",),
     "oracle-check-quick": ("oracle-check", "--quick"),
     # k range from the config file, v from the flag
     "sweep-config": ("sweep", "--config", str(GOLDEN_DIR / "sweep.cfg"), "--v", "7"),

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from ptstack import (
     slab_propagation_matrix,
     unit_cell_matrix,
 )
-from ptstack import oracle
+from ptstack import dop853, oracle
 from ptstack.commands.oracle_check import ORACLE_GRID_K, ORACLE_GRID_N, ORACLE_GRID_V
 from conftest import entry_diff, scaled_diff
 
@@ -210,3 +211,150 @@ def test_dop853_takes_scipys_steps(rng):
             assert np.max(np.abs(ours.y - y)) <= 1e-14 * scale, span
             count += 1
     assert count == 300 + 4 * sum(ORACLE_GRID_N) * len(ORACLE_GRID_V) * len(ORACLE_GRID_K)
+
+
+# A DOP853 step as a loop over the tableau of ptstack.dop853: the reference
+# that its generated straight-line steps must match bit for bit.
+def _loop_advance(y, h, terms, k):
+    """y + h sum_j w_j k_j entry by entry, over the (j, w_j) terms in stage order."""
+    total = []
+    for i, y_i in enumerate(y):
+        acc = 0j
+        for j, w in terms:
+            acc += w * k[j][i]
+        total.append(y_i + acc * h)
+    return total
+
+
+def _loop_rk_step(fun, x, y, f, h):
+    """(y_new, f_new, k), k the twelve stages."""
+    k = [f]
+    for s in range(1, dop853._STAGES):
+        k.append(fun(x + dop853._C[s] * h, _loop_advance(y, h, dop853._A_TERMS[s], k)))
+    y_new = _loop_advance(y, h, dop853._B_TERMS, k)
+    return y_new, fun(x + h, y_new), k
+
+
+def _loop_error_scale(rtol, atol, *states) -> list:
+    """atol + rtol * the largest |y| of the states, entry by entry."""
+    return [atol + max(map(abs, entries)) * rtol for entries in zip(*states)]
+
+
+def _loop_error_norm(k, h, scale):
+    zero = [0j] * len(scale)  # the estimates are plain sums: y = 0, h = 1
+    err5_2 = dop853._norm(_loop_advance(zero, 1.0, dop853._E5_TERMS, k), scale) ** 2
+    err3_2 = dop853._norm(_loop_advance(zero, 1.0, dop853._E3_TERMS, k), scale) ** 2
+    if err5_2 == 0 and err3_2 == 0:
+        return 0.0
+    return abs(h) * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+
+
+def _loop_integrate(fun, x_span, y0, rtol, atol):
+    """dop853.integrate with the loop step; also returns the count of
+    rejected steps."""
+    rejections = 0
+    x, x_end = float(x_span[0]), float(x_span[1])
+    y = list(map(complex, y0))
+    direction = 1.0 if x_end > x else -1.0
+    f = fun(x, y)
+    nfev = 1
+    if x != x_end:
+        try:
+            h_abs = dop853._initial_step(fun, x, y, f, x_end, direction, rtol, atol)
+        except ArithmeticError:
+            h_abs = math.nan
+        nfev += 1
+    while direction * (x - x_end) < 0:
+        min_step = dop853._STEP_FLOOR_ULPS * abs(math.nextafter(x, direction * math.inf) - x)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                message = f"required step size fell below {dop853._STEP_FLOOR_ULPS} ulps of x = {x}"
+                return dop853.OdeResult(y, nfev, False, message), rejections
+            x_new = x + h_abs * direction
+            if direction * (x_new - x_end) > 0:
+                x_new = x_end
+            h = x_new - x
+            h_abs = abs(h)
+            try:
+                y_new, f_new, k = _loop_rk_step(fun, x, y, f, h)
+                error_norm = _loop_error_norm(k, h, _loop_error_scale(rtol, atol, y, y_new))
+            except ArithmeticError:
+                error_norm = math.inf
+            nfev += dop853._STAGES
+            if error_norm < 1:
+                factor = dop853._MAX_FACTOR
+                if error_norm > 0:
+                    factor = min(dop853._MAX_FACTOR, dop853._SAFETY * error_norm**dop853._ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(dop853._MIN_FACTOR, dop853._SAFETY * error_norm**dop853._ERROR_EXPONENT)
+            rejected = True
+            rejections += 1
+        x, y, f = x_new, y_new, f_new
+    return dop853.OdeResult(y, nfev, True, ""), rejections
+
+
+def _linear_rhs(matrix):
+    """y' = matrix y, for a state of any size."""
+    def rhs(x, state):
+        out = []
+        for row in matrix:
+            acc = 0j
+            for a, y in zip(row, state):
+                acc += a * y
+            out.append(acc)
+        return out
+
+    return rhs
+
+
+def _odd_sized_segments(rng, count):
+    """Seeded linear systems of one and of three entries, both ways."""
+    for i in range(count):
+        size = 1 if i % 2 == 0 else 3
+        matrix = (rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))) * 10 ** rng.uniform(-1, 1.5)
+        x0 = rng.uniform(-1, 1)
+        width = 10 ** rng.uniform(-2, 0.5)
+        span = (x0, x0 + width) if i % 4 < 2 else (x0 + width, x0)
+        yield [(_linear_rhs(matrix.tolist()), span)], rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def test_generated_step_is_the_loop_bit_for_bit(rng):
+    # End state, nfev, success and message with no tolerance; repr tells the
+    # sign of a zero apart.  Along a chain, each segment starts from the
+    # loop's end state of the last.
+    chains = [
+        *_oracle_grid_chains(),
+        *_random_segments(rng, 300),
+        *_odd_sized_segments(rng, 40),
+        # steps rejected before the floor stops a too-stiff segment
+        ([(_rhs(1e200 - 1.0), (0.0, 1e-3))], [1, 1j, 1, -1j]),
+        # a state that overflows inside a step: abs raises, the step is rejected
+        ([(_rhs(1e4 - 1.0), (0.0, 100.0))], [1, 1j, 1, -1j]),
+        # abs of the start state overflows: a NaN starting step
+        ([(_rhs(1e4), (0.0, 1.0))], [1.3e308 * (1 + 1j), 0j]),
+    ]
+    outcomes, rejections, sizes = set(), 0, set()
+    for chain, y in chains:
+        for rhs, span in chain:
+            ours = oracle.solve_ivp(rhs, span, y)
+            loop, rejected = _loop_integrate(rhs, span, y, oracle.REL_TOL, oracle.ABS_TOL)
+            assert ours == loop, span
+            assert repr(ours.y) == repr(loop.y), span
+            outcomes.add(loop.success)
+            rejections += rejected
+            sizes.add(len(y))
+            y = loop.y
+    assert outcomes == {True, False}
+    assert rejections > 0
+    assert sizes == {1, 2, 3, 4}
+
+
+def test_generated_step_source_is_plain_arithmetic():
+    # The only calls are fun, abs, hypot and sqrt: no sum(), no loop.
+    source = dop853._step_source(2)
+    assert "sum(" not in source and "for " not in source
+    assert source.count("fun(") == dop853._STAGES
+    assert dop853._step(2) is dop853._step(2)
