@@ -70,12 +70,11 @@ def _study_n_grid(opt: dict, what: str) -> list[int]:
 def _check_finite_rows(columns: tuple, rows: list, allowed_nan: tuple = ()) -> None:
     """Raise :class:`ptstack.core.NonFiniteMatrixError` naming the column, N
     and k of the first value of ``rows`` that is not finite, row by row and
-    column by column.  A column in ``allowed_nan`` is NaN by design where it
-    is 0/0 and is not checked; rows start with N and k."""
-    checked = [(name, i) for i, name in enumerate(columns) if name not in allowed_nan]
+    column by column; a column in ``allowed_nan`` may be NaN (a 0/0 by
+    design) but not infinite.  Rows start with N and k."""
     for row in rows:
-        for name, i in checked:
-            if not math.isfinite(row[i]):
+        for name, value in zip(columns, row):
+            if not math.isfinite(value) and not (math.isnan(value) and name in allowed_nan):
                 from ..core import NonFiniteMatrixError
 
                 raise NonFiniteMatrixError(f"{name} leaves the double range at N = {row[0]}, k = {row[1]}")

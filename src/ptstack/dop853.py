@@ -186,7 +186,7 @@ def _step(size: int):
     step = _STEPS.get(size)
     if step is None:
         namespace = {"hypot": math.hypot, "sqrt": math.sqrt}
-        exec(_step_source(size), namespace)
+        exec(compile(_step_source(size), f"<dop853 step of size {size}>", "exec"), namespace)
         step = _STEPS[size] = namespace["step"]
     return step
 
