@@ -22,7 +22,8 @@ with the correct sign: T_n once n*arccosh|x| is above ~710, U_{n-1}
 = sinh(n theta)/sinh(theta) only once the quotient itself does.
 
 :func:`cheb_pair_from_gap` and :func:`cheb_pair` validate their arguments
-and call :func:`_pair`, which a sweep calls directly at every point.
+and call :func:`_pair`.  A sweep writes its oscillatory branch out inline
+(:func:`ptstack.scattering._surface_row`) and calls it for every other gap.
 
 :func:`cheb_pair_from_complex_gap` evaluates the pair at a complex argument
 through the same half-angle form; it serves the power of a cell that is not

@@ -26,12 +26,13 @@ recorded outputs in ``tests/data`` hold byte for byte on CPython 3.10 to
 need glibc's FMA variants of ``sin``, ``cos``, ``exp``, ``log``, ``atan``,
 ``asin``, ``sinh``, ``cosh`` and ``asinh``, which glibc picks on x86-64
 with AVX2 and FMA (CI's runners among them); the plain variants differ by
-1-2 ulp on a few inputs.  Without the FMA variants 22 tests fail:
+1-2 ulp on a few inputs.  Without the FMA variants 24 tests fail:
 ``test_cli.py::test_golden_output`` and
 ``test_cli.py::test_golden_output_as_a_process`` for the ``sweep-fig3``,
 ``sweep-fig3-config``, ``oracle-check`` and ``oracle-check-quick`` cases,
 ``test_cli.py::test_golden_sweep_on_one_cpu`` for the two sweep cases (each
-in CSV and JSON) and both tests in ``test_surface_points.py``.
+in CSV and JSON), ``test_cli.py::test_benchmark_surface_digest`` in CSV and
+JSON, and both tests in ``test_surface_points.py``.
 ``tests/test_dispatch.py`` checks that a sweep and ``oracle-check --quick``
 agree within 1e-13 with and without them.
 

@@ -1,17 +1,20 @@
 """Transmission and reflection coefficients extracted from a transfer matrix.
 
-:func:`transmission_surface` evaluates the balanced stack point by point over
-its (N, k) grid through the per-point kernel of :mod:`ptstack.stack`, and
-:func:`scattering_from_matrix` wraps the same amplitude step
-(:func:`_amplitudes`) that every point of a sweep takes.
+:func:`transmission_surface` evaluates the balanced stack over its (N, k)
+grid in one straight-line loop over k per N (:func:`_surface_row`), the
+scalar chain :func:`ptstack.stack.periodic_entries` -> :func:`_amplitudes`
+written out operation for operation, so each value is the same to the bit.
+That chain (:func:`_surface_point`) is also its error path.
+:func:`scattering_from_matrix` wraps the same amplitude step.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from math import isfinite
+from math import asin, cos, inf, isfinite, sin, sinh, sqrt
 
+from .chebyshev import _pair
 from .core import NonFiniteMatrixError, TransferMatrix, _SlotRecord, check_positive, check_wave_number
 from .stack import PeriodicSpec, periodic_entries, sweep_terms
 
@@ -128,6 +131,60 @@ def _surface_point(spec: PeriodicSpec, b: float, terms: tuple) -> tuple[float, f
     return big_t, big_r_left, big_r_right, absdet_err
 
 
+def _surface_row(spec: PeriodicSpec, b: float, terms: list, big_t: list, big_r_left: list, big_r_right: list,
+                 absdet_err: list) -> None:
+    """Append T, R_left, R_right and |det - 1| at each k of ``terms`` and the
+    N of ``spec`` to the four lists.
+
+    :func:`_surface_point` written out in one loop: the steps of
+    ``cell_terms``, the oscillatory branch of ``_pair`` (0 <= gap <= 1; any
+    other gap calls ``_pair``), ``_cell_pattern`` and ``_amplitudes``, each
+    operation in the same order, so every value is the same to the bit.  A
+    point that raises, or whose values are not finite or meet the pole, is
+    computed again by :func:`_surface_point`, which raises its error.
+    """
+    n = spec.n_cells
+    n_float = float(n)
+    for point in terms:
+        try:
+            _, (rho, _, cos_phi, sin_phi, sin_2phi, u_plus, u_minus), phase = point
+            b_rho = b * rho
+            alpha, beta = b_rho * cos_phi, b_rho * sin_phi
+            sin_a, sin_2a = sin(alpha), sin(2.0 * alpha)
+            sinh_b, sinh_2b = sinh(beta), sinh(2.0 * beta)
+            cos_sin_a = cos_phi * sin_a
+            sin_sinh_b = sin_phi * sinh_b
+            gap = 2.0 * (cos_sin_a - sin_sinh_b) * (cos_sin_a + sin_sinh_b)
+            chi = 0.5 * (u_plus * cos_phi * sin_2a + u_minus * sin_phi * sinh_2b)
+            eta = (sin_a * sin_a + sinh_b * sinh_b) * sin_2phi
+            tau = 0.5 * (u_plus * sin_phi * sinh_2b + u_minus * cos_phi * sin_2a)
+            if 0.0 <= gap <= 1.0:
+                n_theta = n_float * (2.0 * asin(sqrt(0.5 * gap)))
+                sin_theta = sqrt(gap * (2.0 - gap))
+                t = cos(n_theta)
+                u = n_float if sin_theta == 0.0 else sin(n_theta) / sin_theta
+            else:
+                t, u = _pair(n, gap)
+            i_chi_u = 1j * chi * u
+            m11 = (t + i_chi_u) * phase
+            m12 = 1j * (eta - tau) * u * phase
+            m21 = 1j * (eta + tau) * u / phase
+            m22 = (t - i_chi_u) / phase
+            point_t, point_r_left, point_r_right = abs(1.0 / m22) ** 2, abs(-m21 / m22) ** 2, abs(m12 / m22) ** 2
+            point_err = abs(m11 * m22 - m12 * m21 - 1.0)
+            # periodic_entries' check of the entries is not needed: a
+            # non-finite entry makes |det - 1| non-finite too.
+            failed = abs(m22) < POLE_TOLERANCE or not point_t + point_r_left + point_r_right + point_err < inf
+        except (ArithmeticError, ValueError, TypeError):
+            failed = True
+        if failed:
+            point_t, point_r_left, point_r_right, point_err = _surface_point(spec, b, point)
+        big_t.append(point_t)
+        big_r_left.append(point_r_left)
+        big_r_right.append(point_r_right)
+        absdet_err.append(point_err)
+
+
 def transmission_surface(
     v: float,
     total_length: float,
@@ -138,9 +195,9 @@ def transmission_surface(
 
     Rows are emitted in deterministic order; |det - 1| rides along so
     unimodularity drift stays visible in exported tables.  The k-only terms
-    are computed once, then each point runs the per-point kernel.  A failing
-    point raises its error, and the first one in N-major, then k, order is
-    raised; a point whose T, R or |det - 1| is not finite raises
+    are computed once, then :func:`_surface_row` runs every k of each N.  A
+    failing point raises its error, and the first one in N-major, then k,
+    order is raised; a point whose T, R or |det - 1| is not finite raises
     :class:`NonFiniteMatrixError` instead of becoming a row.
     """
     k_list = [check_wave_number(k) for k in k_values]
@@ -148,12 +205,11 @@ def transmission_surface(
     for n in n_values:
         spec = PeriodicSpec(v=v, n_cells=n, total_length=total_length)
         n_cells.append(spec.n_cells)
-        rows = []
+        row = [], [], [], []
         if k_list:
             if terms is None:
                 terms = [sweep_terms(spec.v, spec.total_length, k) for k in k_list]
-            b = check_positive(spec.slab_width, "slab width b")
-            rows = [_surface_point(spec, b, point) for point in terms]
-        for c, column in enumerate(columns):
-            column.append([row[c] for row in rows])
+            _surface_row(spec, check_positive(spec.slab_width, "slab width b"), terms, *row)
+        for column, values in zip(columns, row):
+            column.append(values)
     return TransmissionTable(tuple(n_cells), k_list, *columns)

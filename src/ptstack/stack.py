@@ -8,9 +8,10 @@ Three routes produce the N-cell matrix:
       [[(T_N(xi) + i*chi*U_{N-1}(xi)) e^{-ikL},  i(eta - tau) U_{N-1}(xi) e^{-ikL}],
        [ i(eta + tau) U_{N-1}(xi) e^{ikL},      (T_N(xi) - i*chi*U_{N-1}(xi)) e^{ikL}]]
 
-  O(1) in N, the only practical route for large N.  A sweep calls its
-  per-point kernel (:func:`sweep_terms` once per k, then
-  :func:`periodic_entries`) directly.
+  O(1) in N, the only practical route for large N.  A sweep takes
+  :func:`sweep_terms` once per k and writes :func:`periodic_entries` out in
+  one loop over k per N (:func:`ptstack.scattering._surface_row`), bit for
+  bit, with :func:`periodic_entries` as its error path.
 * :func:`alternating_matrix` - the unbalanced cell (v1 + i v2 then
   v1 - i eps v2), powered by :func:`_cell_power`, which takes any cell of
   slabs.  O(1) in N; it serves the generalized fine-layer study.

@@ -5,6 +5,7 @@ them with ``PYTHONPATH=src python tests/test_cli.py --record`` and review the
 diff.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -884,6 +885,27 @@ def test_golden_sweep_on_one_cpu(monkeypatch, name, fmt):
     forks = _counting_forks(monkeypatch)
     _check_golden(name, fmt)
     assert forks == []
+
+
+# The grid of the benchmark's `surface` workload (perfbench/workloads.py),
+# with its drawn V and k_min fixed at 40 and 1.2: 46,000 points, 92 distinct
+# N by 500 k.  The sha256 of each output was recorded from the per-point call
+# chain that the sweep's straight-line loop replaced.
+SURFACE = ("sweep", "--v", "40", "--total-length", "1", "--n-min", "1", "--n-max", "1000000", "--n-count", "100",
+           "--n-spacing", "log", "--k-min", "1.2", "--k-max", "10.2", "--k-count", "500")
+SURFACE_SHA256 = {
+    "csv": "44ce0e19ed79afa362b08f5424b188707c0f54d4c7998c4f7bf8892477d65cdc",
+    "json": "4267e0225356e19f6a552d0f529d11ff15b67c5d5e5e73846a6da91ccf44815e",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_benchmark_surface_digest(fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*SURFACE, "--format", fmt])
+    assert (code, err.getvalue()) == (0, "")
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == SURFACE_SHA256[fmt]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
