@@ -80,7 +80,7 @@ def test_balanced_closed_form_matches_cell_power(v, k, total_length, n):
 
 
 def _outcome(compute):
-    """The reprs ``compute()`` gives, or the type and message of its error."""
+    """What ``compute()`` returns, or the type and message of its error."""
     try:
         return compute()
     except Exception as exc:
@@ -123,8 +123,8 @@ def _assert_sweep_matches_the_scalar_chain(v, total_length, n_values, k_values):
 )
 def test_sweep_rows_match_the_scalar_chain(v, total_length, n, k):
     # The sweep's straight-line loop against the public scalar chain, bit for
-    # bit, in every regime: oscillatory, hyperbolic, reflected, zero-angle,
-    # pole and overflow.
+    # bit, on the oscillatory, hyperbolic and reflected branches and where
+    # values overflow; the pinned points below add a zero angle and a pole.
     _assert_sweep_matches_the_scalar_chain(v, total_length, [n], [k])
 
 
