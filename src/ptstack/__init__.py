@@ -23,18 +23,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(
         ("CellParams", "barrier_matrix", "cell_from_barriers", "unit_cell_elements",
-         "unit_cell_matrix", "wave_params"),
+         "unit_cell_matrix"),
         "cell",
     ),
     **dict.fromkeys(
-        ("ChebyshevPair", "cheb_pair", "cheb_pair_from_complex_gap", "cheb_pair_from_gap",
-         "cheb_t", "cheb_u"),
+        ("ChebyshevPair", "cheb_pair_from_complex_gap", "cheb_pair_from_gap"),
         "chebyshev",
     ),
     **dict.fromkeys(
         ("Layer", "NonFiniteMatrixError", "PotentialStack", "TransferMatrix",
-         "WaveNumberMismatchError", "check_wave_number", "mat_multiply", "mat_power_direct",
-         "translate"),
+         "WaveNumberMismatchError", "check_wave_number", "mat_multiply", "mat_power_direct"),
         "core",
     ),
     **dict.fromkeys(
@@ -49,8 +47,8 @@ _EXPORTS = {
         "oracle",
     ),
     **dict.fromkeys(
-        ("POLE_TOLERANCE", "ScatteringCoefficients", "SpectralPoleError", "TransmissionRow",
-         "scattering_from_matrix", "transmission_surface"),
+        ("POLE_TOLERANCE", "ScatteringCoefficients", "SpectralPoleError", "scattering_from_matrix",
+         "transmission_surface"),
         "scattering",
     ),
     **dict.fromkeys(

@@ -84,13 +84,6 @@ def wave_terms(k: float, v: float) -> tuple | None:
     return rho, phi, math.cos(phi), math.sin(phi), math.sin(2.0 * phi), k / rho + rho / k, k / rho - rho / k
 
 
-def _slab_phases(w: tuple, b: float) -> tuple[float, float]:
-    """alpha = b rho cos(phi) and beta = b rho sin(phi), from the :func:`wave_terms` ``w``."""
-    rho, _, cos_phi, sin_phi, _, _, _ = w
-    b_rho = b * rho
-    return b_rho * cos_phi, b_rho * sin_phi
-
-
 def cell_terms(k: float, v: float, b: float, w: tuple | None) -> tuple:
     """(alpha, beta, xi, chi, eta, tau, 1 - xi) at slab width b, from the
     :func:`wave_terms` ``w`` of (k, V).
@@ -100,8 +93,9 @@ def cell_terms(k: float, v: float, b: float, w: tuple | None) -> tuple:
     """
     if w is None:
         raise cell_error(k, v, b)
-    _, _, cos_phi, sin_phi, sin_2phi, u_plus, u_minus = w
-    alpha, beta = _slab_phases(w, b)
+    rho, _, cos_phi, sin_phi, sin_2phi, u_plus, u_minus = w
+    b_rho = b * rho
+    alpha, beta = b_rho * cos_phi, b_rho * sin_phi
     try:
         sin_a, sin_2a = math.sin(alpha), math.sin(2.0 * alpha)
         sinh_b, sinh_2b = math.sinh(beta), math.sinh(2.0 * beta)
@@ -116,16 +110,6 @@ def cell_terms(k: float, v: float, b: float, w: tuple | None) -> tuple:
     eta = (sin_a * sin_a + sinh_b * sinh_b) * sin_2phi
     tau = 0.5 * (u_plus * sin_phi * sinh_2b + u_minus * cos_phi * sin_2a)
     return alpha, beta, 1.0 - one_minus_xi, chi, eta, tau, one_minus_xi
-
-
-def wave_params(k: float, v: float, b: float) -> tuple[float, float, float, float, float, float]:
-    """(rho, phi, alpha, beta, u_plus, u_minus) for a cell at (k, V, b)."""
-    k, v, b = _check_cell(k, v, b)
-    w = wave_terms(k, v)
-    if w is None:
-        raise cell_error(k, v, b)
-    rho, phi, _, _, _, u_plus, u_minus = w
-    return (rho, phi, *_slab_phases(w, b), u_plus, u_minus)
 
 
 def unit_cell_elements(k: float, v: float, b: float) -> CellParams:

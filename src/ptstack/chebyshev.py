@@ -21,8 +21,8 @@ Values whose true magnitude exceeds the double range overflow to +/-inf
 with the correct sign: T_n once n*arccosh|x| is above ~710, U_{n-1}
 = sinh(n theta)/sinh(theta) only once the quotient itself does.
 
-:func:`cheb_pair_from_gap` and :func:`cheb_pair` validate their arguments
-and call :func:`_pair`.  A sweep writes its oscillatory branch out inline
+:func:`cheb_pair_from_gap` validates its arguments and calls
+:func:`_pair`.  A sweep writes its oscillatory branch out inline
 (:func:`ptstack.scattering._surface_row`) and calls it for every other gap.
 
 :func:`cheb_pair_from_complex_gap` evaluates the pair at a complex argument
@@ -149,23 +149,3 @@ def cheb_pair_from_complex_gap(n: int, gap: complex) -> tuple[complex, complex]:
     n_theta = 2.0 * n * cmath.asin(s)
     u = complex(n) if sin_theta == 0.0 else cmath.sin(n_theta) / sin_theta
     return sign_t * cmath.cos(n_theta), sign_u * u
-
-
-def cheb_pair(n: int, x: float) -> ChebyshevPair:
-    """T_n(x) and U_{n-1}(x) for real x of any magnitude."""
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    n = check_count(n, "polynomial degree", 0)
-    t, u = _pair(n, 1.0 - x)
-    return ChebyshevPair(n=n, x=x, t_n=t, u_n_minus_1=u)
-
-
-def cheb_t(n: int, x: float) -> float:
-    """Chebyshev polynomial of the first kind, T_n(x)."""
-    return cheb_pair(n, x).t_n
-
-
-def cheb_u(n: int, x: float) -> float:
-    """Chebyshev polynomial of the second kind, U_n(x)."""
-    return cheb_pair(check_count(n, "polynomial degree", 0) + 1, x).u_n_minus_1

@@ -183,11 +183,6 @@ class PotentialStack(_SlotRecord):
     def right_edge(self) -> float:
         return self.layers[-1].right_edge if self.layers else 0.0
 
-    @property
-    def total_support(self) -> float:
-        """Distance between the outermost edges (zero for an empty stack)."""
-        return self.right_edge - self.left_edge
-
 
 class TransferMatrix(namedtuple("TransferMatrix", "m11 m12 m21 m22 k")):
     """2x2 complex transfer matrix tagged with the wave number it was built at."""
@@ -248,13 +243,3 @@ def mat_power_direct(m: TransferMatrix, n: int) -> TransferMatrix:
             m.m21 * a12 + m.m22 * a22,
         )
     return TransferMatrix(a11, a12, a21, a22, m.k)
-
-
-def translate(m: TransferMatrix, d: float) -> TransferMatrix:
-    """Transfer matrix of the same scatterer shifted right by ``d``.
-
-    Conjugation by the diagonal phase matrix diag(exp(-ikd), exp(ikd)):
-    diagonals are untouched, so |t| and both |r| are unchanged.
-    """
-    phase = cmath.exp(-2j * m.k * d)
-    return TransferMatrix(m.m11, m.m12 * phase, m.m21 / phase, m.m22, m.k)

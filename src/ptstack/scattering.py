@@ -74,19 +74,12 @@ def scattering_from_matrix(m: TransferMatrix) -> ScatteringCoefficients:
     return ScatteringCoefficients(*_amplitudes(m.m12, m.m21, m.m22, m.k))
 
 
-class TransmissionRow(namedtuple("TransmissionRow", "n k big_t big_r_left big_r_right absdet_err")):
-    """One (N, k) point of a transmission sweep over a periodic stack."""
-
-    __slots__ = ()
-
-
 class TransmissionTable(_SlotRecord):
     """A transmission sweep by columns: ``big_t[i][j]`` (and likewise each
     column) is the point N = n_values[i], k = k_values[j].
 
-    As a sequence it is the rows in N-major, then k, order: ``len`` counts
-    the points and ``table[i]`` is a :class:`TransmissionRow`.  Two tables
-    are equal only if they are the same object.
+    ``len`` counts the points.  Two tables are equal only if they are the
+    same object.
     """
 
     __slots__ = ("n_values", "k_values", "big_t", "big_r_left", "big_r_right", "absdet_err")
@@ -99,17 +92,6 @@ class TransmissionTable(_SlotRecord):
 
     def __len__(self) -> int:
         return len(self.n_values) * len(self.k_values)
-
-    def __getitem__(self, index: int) -> TransmissionRow:
-        i, j = divmod(range(len(self))[index], len(self.k_values))
-        return TransmissionRow(
-            self.n_values[i],
-            self.k_values[j],
-            *(column[i][j] for column in (self.big_t, self.big_r_left, self.big_r_right, self.absdet_err)),
-        )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
 
 def _surface_point(spec: PeriodicSpec, b: float, terms: tuple) -> tuple[float, float, float, float]:

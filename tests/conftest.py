@@ -26,6 +26,25 @@ def rel_diff(a, b):
     return float(np.max(np.abs(aa - bb) / denom))
 
 
+def cheb_pair_at(n, x):
+    """T_n(x) and U_{n-1}(x) through the gap 1 - x, rounded as a caller that
+    holds only x rounds it."""
+    from ptstack import cheb_pair_from_gap
+
+    return cheb_pair_from_gap(n, 1.0 - x)
+
+
+def surface_points(table):
+    """(N, k, T, R_left, R_right, |det - 1|) at each point of a
+    TransmissionTable, N-major, then k, read off its columns."""
+    columns = (table.big_t, table.big_r_left, table.big_r_right, table.absdet_err)
+    return [
+        (n, k, *(column[i][j] for column in columns))
+        for i, n in enumerate(table.n_values)
+        for j, k in enumerate(table.k_values)
+    ]
+
+
 def random_unimodular(rng, k=1.0):
     """Random 2x2 complex matrix with det exactly 1 (up to rounding)."""
     from ptstack import TransferMatrix

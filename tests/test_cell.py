@@ -10,7 +10,6 @@ from ptstack import (
     scattering_from_matrix,
     unit_cell_elements,
     unit_cell_matrix,
-    wave_params,
 )
 from conftest import entry_diff
 
@@ -32,34 +31,35 @@ CELL_M21_REF = -0.01662868482534876671939 + 0.165732188880697799519j
 CELL_M22_REF = 0.9950080497563581790128 + 0.06643674062890309389245j
 
 
+# The wave parameters rho, phi, alpha, beta and u_pm are CellParams fields.
 def test_wave_params_frozen_point():
-    rho, phi, alpha, beta, u_plus, u_minus = wave_params(1.0, 40.0, 0.05)
-    assert rho == pytest.approx(RHO_REF, rel=1e-15)
-    assert phi == pytest.approx(PHI_REF, rel=1e-15)
-    assert alpha == pytest.approx(ALPHA_REF, rel=1e-15)
-    assert beta == pytest.approx(BETA_REF, rel=1e-15)
-    assert u_plus == pytest.approx(U_PLUS_REF, rel=1e-15)
-    assert u_minus == pytest.approx(U_MINUS_REF, rel=1e-15)
+    p = unit_cell_elements(1.0, 40.0, 0.05)
+    assert p.rho == pytest.approx(RHO_REF, rel=1e-15)
+    assert p.phi == pytest.approx(PHI_REF, rel=1e-15)
+    assert p.alpha == pytest.approx(ALPHA_REF, rel=1e-15)
+    assert p.beta == pytest.approx(BETA_REF, rel=1e-15)
+    assert p.u_plus == pytest.approx(U_PLUS_REF, rel=1e-15)
+    assert p.u_minus == pytest.approx(U_MINUS_REF, rel=1e-15)
 
 
 def test_wave_params_free_space_limit():
-    rho, phi, _, _, _, u_minus = wave_params(1.0, 1e-30, 0.1)
-    assert rho == pytest.approx(1.0, abs=1e-15)
-    assert phi == pytest.approx(0.0, abs=1e-15)
-    assert u_minus == pytest.approx(0.0, abs=1e-15)
-    rho2, phi2, *_ = wave_params(2.0, 1e-30, 0.1)
-    assert rho2 == pytest.approx(2.0, abs=1e-15)
-    assert phi2 == pytest.approx(0.0, abs=1e-15)
+    p = unit_cell_elements(1.0, 1e-30, 0.1)
+    assert p.rho == pytest.approx(1.0, abs=1e-15)
+    assert p.phi == pytest.approx(0.0, abs=1e-15)
+    assert p.u_minus == pytest.approx(0.0, abs=1e-15)
+    p2 = unit_cell_elements(2.0, 1e-30, 0.1)
+    assert p2.rho == pytest.approx(2.0, abs=1e-15)
+    assert p2.phi == pytest.approx(0.0, abs=1e-15)
 
 
 def test_wave_params_validation():
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
-            wave_params(1.0, bad, 0.1)
+            unit_cell_elements(1.0, bad, 0.1)
     with pytest.raises(ValueError):
-        wave_params(0.0, 40.0, 0.1)
+        unit_cell_elements(0.0, 40.0, 0.1)
     with pytest.raises(ValueError):
-        wave_params(1.0, 40.0, 0.0)
+        unit_cell_elements(1.0, 40.0, 0.0)
 
 
 def test_elements_frozen_point():
@@ -210,11 +210,13 @@ def test_barrier_sinc_switch_is_smooth():
 
 
 def test_barrier_offset_matches_translate():
-    from ptstack import translate
-
+    # Shifting a scatterer right by d conjugates its matrix by
+    # diag(exp(-ikd), exp(ikd)): the off-diagonals take exp(-+2ikd).
     m0 = barrier_matrix(1.2, 5.0 - 2.0j, 0.4, 0.0)
     m_shift = barrier_matrix(1.2, 5.0 - 2.0j, 0.4, 1.7)
-    assert entry_diff(m_shift, translate(m0, 1.7)) <= 1e-14
+    phase = cmath.exp(-2j * 1.2 * 1.7)
+    translated = m0._replace(m12=m0.m12 * phase, m21=m0.m21 / phase)
+    assert entry_diff(m_shift, translated) <= 1e-14
 
 
 def test_barrier_width_validation():

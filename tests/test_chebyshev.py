@@ -3,7 +3,8 @@ import math
 import mpmath as mp
 import pytest
 
-from ptstack import cheb_pair, cheb_pair_from_complex_gap, cheb_pair_from_gap, cheb_t, cheb_u
+from ptstack import cheb_pair_from_complex_gap, cheb_pair_from_gap
+from conftest import cheb_pair_at
 
 def recurrence_pair(n, x):
     """Three-term recurrence, the small-n oracle."""
@@ -18,23 +19,23 @@ def recurrence_pair(n, x):
 
 
 def test_spot_values():
-    assert abs(cheb_t(3, 0.5) - (-1.0)) <= 1e-15
+    assert abs(cheb_pair_at(3, 0.5).t_n - (-1.0)) <= 1e-15
     for n in (0, 1, 5, 17, 10**6):
-        assert cheb_t(n, 1.0) == 1.0
-    assert abs(cheb_t(2, 2.0) - 7.0) <= 1e-14
-    assert abs(cheb_u(2, 0.5)) <= 1e-15
+        assert cheb_pair_at(n, 1.0).t_n == 1.0
+    assert abs(cheb_pair_at(2, 2.0).t_n - 7.0) <= 1e-14
+    assert abs(cheb_pair_at(3, 0.5).u_n_minus_1) <= 1e-15  # U_2(0.5)
     for n in (1, 2, 9, 12345):
-        assert cheb_pair(n, 1.0).u_n_minus_1 == float(n)
+        assert cheb_pair_at(n, 1.0).u_n_minus_1 == float(n)
     # oracle value from the recurrence (U_4(1.5) = 55)
-    assert abs(cheb_u(4, 1.5) - 55.0) <= 55.0 * 1e-14
+    assert abs(cheb_pair_at(5, 1.5).u_n_minus_1 - 55.0) <= 55.0 * 1e-14
 
 
 def test_negative_argument_parity(rng):
     for _ in range(100):
         n = int(rng.integers(0, 40))
         x = float(rng.uniform(0.0, 1.8))
-        pair_pos = cheb_pair(n, x)
-        pair_neg = cheb_pair(n, -x)
+        pair_pos = cheb_pair_at(n, x)
+        pair_neg = cheb_pair_at(n, -x)
         sign_t = -1.0 if n % 2 else 1.0
         assert pair_neg.t_n == pytest.approx(sign_t * pair_pos.t_n, rel=1e-13, abs=1e-13)
         assert pair_neg.u_n_minus_1 == pytest.approx(
@@ -43,9 +44,9 @@ def test_negative_argument_parity(rng):
 
 
 def test_endpoint_confluence():
-    assert cheb_pair(7, -1.0).t_n == -1.0
-    assert cheb_pair(7, -1.0).u_n_minus_1 == 7.0
-    assert cheb_pair(8, -1.0).u_n_minus_1 == -8.0
+    assert cheb_pair_at(7, -1.0).t_n == -1.0
+    assert cheb_pair_at(7, -1.0).u_n_minus_1 == 7.0
+    assert cheb_pair_at(8, -1.0).u_n_minus_1 == -8.0
 
 
 def test_agreement_with_recurrence(rng):
@@ -58,7 +59,7 @@ def test_agreement_with_recurrence(rng):
         if abs(x) > 1.0 and n * math.acosh(abs(x)) > 600.0:
             continue
         t_ref, u_ref = recurrence_pair(n, x)
-        pair = cheb_pair(n, x)
+        pair = cheb_pair_at(n, x)
         assert pair.t_n == pytest.approx(t_ref, rel=1e-9, abs=1e-9)
         assert pair.u_n_minus_1 == pytest.approx(u_ref, rel=1e-9, abs=1e-9)
         checked += 1
@@ -73,7 +74,7 @@ def pell_defect(n, x):
     the terms reach ~1e300.  Returns None when the true value itself exceeds
     the double range, after asserting the implementation reported inf.
     """
-    pair = cheb_pair(n, x)
+    pair = cheb_pair_at(n, x)
     t, u = pair.t_n, pair.u_n_minus_1
     if math.isinf(t) or math.isinf(u):
         # U overflows before T whenever sinh(arccosh|x|) < 1; verify each
@@ -119,9 +120,9 @@ def test_gap_interface_preserves_precision():
     pair = cheb_pair_from_gap(10**6, 1e-12)
     assert pair.t_n == pytest.approx(0.1559436947652580781698, rel=5e-14)
     assert pair.u_n_minus_1 == pytest.approx(698455.998636795974606, rel=5e-14)
-    # Plain x path at the same point: the gap is already rounded into x,
-    # but the evaluation must stay faithful to that rounded input.
-    pair_x = cheb_pair(10**6, 1.0 - 1e-12)
+    # Through x at the same point: the gap is already rounded into x, but
+    # the evaluation must stay faithful to that rounded input.
+    pair_x = cheb_pair_at(10**6, 1.0 - 1e-12)
     assert pair_x.t_n == pytest.approx(0.1559591458797495764622, rel=5e-13)
     assert pair_x.u_n_minus_1 == pytest.approx(698461.9993035779677792, rel=5e-13)
 
@@ -131,36 +132,26 @@ def test_confluent_region_finite_and_consistent():
     # from the package's own cancellation-safe angle.
     x = 1.0 - 1e-12
     n = 10**6
-    u = cheb_u(n - 1, x)
+    u = cheb_pair_at(n, x).u_n_minus_1
     assert math.isfinite(u)
     gap = 1.0 - x
     theta = 2.0 * math.asin(math.sqrt(gap / 2.0))
     assert u == pytest.approx(math.sin(n * theta) / math.sin(theta), rel=1e-12)
 
 
-def test_gap_and_x_agree_away_from_one(rng):
-    for _ in range(200):
-        n = int(rng.integers(0, 2000))
-        x = float(rng.uniform(-0.95, 0.95))
-        a = cheb_pair(n, x)
-        b = cheb_pair_from_gap(n, 1.0 - x)
-        assert a.t_n == b.t_n
-        assert a.u_n_minus_1 == b.u_n_minus_1
-
-
 def test_overflow_is_signed_inf():
-    assert cheb_t(10**6, 1.5) == math.inf
-    assert cheb_t(10**6 + 1, -1.5) == -math.inf
-    assert cheb_u(10**6, 1.5) == math.inf
+    assert cheb_pair_at(10**6, 1.5).t_n == math.inf
+    assert cheb_pair_at(10**6 + 1, -1.5).t_n == -math.inf
+    assert cheb_pair_at(10**6 + 1, 1.5).u_n_minus_1 == math.inf  # U_{10^6}(1.5)
 
 
 def test_degree_validation():
     with pytest.raises(ValueError):
-        cheb_t(-1, 0.5)
+        cheb_pair_from_gap(-1, 0.5)
     with pytest.raises(ValueError):
-        cheb_pair(2.5, 0.5)
+        cheb_pair_from_gap(2.5, 0.5)
     with pytest.raises(ValueError):
-        cheb_pair(3, math.nan)
+        cheb_pair_from_gap(3, math.nan)
 
 
 def test_complex_gap_matches_recurrence(rng):
@@ -234,4 +225,4 @@ def test_hyperbolic_u_fits_past_sinh_overflow(n, gap):
 def test_hyperbolic_u_past_the_double_range_is_inf():
     assert cheb_pair_from_gap(2, -9e307).u_n_minus_1 == math.inf  # U_1 = 1.8e308
     assert cheb_pair_from_gap(2, 2.0 + 9e307).u_n_minus_1 == -math.inf  # U_1 = -1.8e308
-    assert cheb_u(1, 1e160) == pytest.approx(2e160, rel=1e-13)
+    assert cheb_pair_from_gap(2, -1e160).u_n_minus_1 == pytest.approx(2e160, rel=1e-13)  # U_1(1e160)

@@ -9,6 +9,7 @@ from ptstack import (
     TransferMatrix,
     WaveNumberMismatchError,
     alternating_matrix,
+    barrier_matrix,
     build_alternating,
     check_wave_number,
     convergence_study,
@@ -16,7 +17,6 @@ from ptstack import (
     mat_multiply,
     mat_power_direct,
     predict_asymptotics,
-    translate,
     transmission_surface,
     unit_cell_matrix,
 )
@@ -81,7 +81,7 @@ def test_layer_validation():
 def test_stack_sorts_and_rejects_overlap():
     stack = PotentialStack([Layer(1.0, 1.0, 5.0), Layer(2.0, 1.0, 0.0)])
     assert [lay.offset for lay in stack.layers] == [0.0, 5.0]
-    assert stack.total_support == 6.0
+    assert stack.right_edge - stack.left_edge == 6.0
     with pytest.raises(ValueError):
         PotentialStack([Layer(1.0, 1.0, 0.0), Layer(1.0, 1.0, 0.5)])
 
@@ -134,20 +134,23 @@ def test_power_matches_periodic_closed_form():
     assert entry_diff(powered, reference) / scale <= 1e-9
 
 
+# A slab is translated through barrier_matrix's offset.
 def test_translate_identity_and_observables():
-    m = unit_cell_matrix(2.0, 40.0, 0.1)
-    assert entry_diff(translate(m, 0.0), m) == 0.0
-    shifted = translate(m, 3.7)
+    m = barrier_matrix(2.0, 40j, 0.1)
+    # A shift by half a wavelength, pi/k, turns the off-diagonal phases by 2 pi.
+    assert entry_diff(barrier_matrix(2.0, 40j, 0.1, math.pi / 2.0), m) <= 1e-14
+    shifted = barrier_matrix(2.0, 40j, 0.1, 3.7)
     assert abs(abs(shifted.m22) - abs(m.m22)) <= 1e-12
     assert abs(abs(shifted.m12) - abs(m.m12)) <= 1e-12
     assert shifted.m11 == m.m11
 
 
 def test_translate_composes_additively():
-    m = unit_cell_matrix(1.3, 7.0, 0.2)
-    twice = translate(translate(m, 0.8), 1.4)
-    once = translate(m, 2.2)
-    assert entry_diff(twice, once) <= 1e-12
+    # Shifts by 0.8 and by 1.4 make one by 2.2: their off-diagonal phases,
+    # relative to offset 0, multiply.
+    at = {d: barrier_matrix(1.3, 7.0j, 0.2, d) for d in (0.0, 0.8, 1.4, 2.2)}
+    assert abs(at[0.8].m12 * (at[1.4].m12 / at[0.0].m12) - at[2.2].m12) <= 1e-12
+    assert abs(at[0.8].m21 * (at[1.4].m21 / at[0.0].m21) - at[2.2].m21) <= 1e-12
 
 
 def test_unimodularity_over_physical_grid(rng):
@@ -156,8 +159,6 @@ def test_unimodularity_over_physical_grid(rng):
     # the flat 1e-10 bound applies where entries are O(1) (every stack the
     # package targets) and a scale-aware bound covers the extreme corners of
     # the parameter box, where entries reach ~4e3.
-    from ptstack import barrier_matrix
-
     flat_checked = 0
     for _ in range(500):
         k = rng.uniform(0.5, 20.0)

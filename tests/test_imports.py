@@ -1,7 +1,9 @@
 """Guards on what the package imports."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 import ptstack
 
 PACKAGE_DIR = Path(ptstack.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
@@ -40,6 +43,27 @@ def test_public_names_resolve_on_first_access():
         assert getattr(ptstack, name) is not None, name
     with pytest.raises(AttributeError, match="no_such_name"):
         ptstack.no_such_name
+
+
+def test_readme_library_table_names_resolve():
+    # Every backticked name in the Contents cell of a row of README's
+    # "Library sketch" table whose Module cell is one module is an attribute
+    # of that module, so the table names no deleted function.
+    table = README.read_text(encoding="utf-8").split("## Library sketch\n\n", 1)[1]
+    checked = 0
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        first, contents = (cell.strip() for cell in line.strip("|").split("|"))
+        module = re.fullmatch(r"`(ptstack(?:\.\w+)*)`", first)
+        if module is None:
+            continue
+        imported = importlib.import_module(module[1])
+        for name in re.findall(r"`([^`]+)`", contents):
+            if name.isidentifier():
+                assert hasattr(imported, name), (module[1], name)
+                checked += 1
+    assert checked >= 30
 
 
 # The ptstack modules each subcommand runs besides the package, the CLI and

@@ -65,3 +65,18 @@ def test_traced_run_wraps_every_layer(tmp_path):
     assert record["counters"]["oracle.solve_ivp"] == {"nfev": 27372}
     assert calls["stack.periodic_matrix"] == 40
     assert calls["oracle.integrate_transfer_matrix"] == calls["oracle.incidence_scattering"] / 2 == 20
+
+
+def test_traced_sweep_counts_its_points(tmp_path):
+    # The tracer counts a sweep's points with len() of the TransmissionTable
+    # that transmission_surface returns.  One N is one range, so the sweep
+    # forks no worker and every call is traced in this process.
+    trace = tmp_path / "trace.json"
+    subprocess.run(
+        [sys.executable, str(PERFBENCH / "trace.py"), str(trace), "--",
+         "sweep", "--v", "40", "--n-min", "4", "--n-max", "4", "--n-count", "1", "--k-count", "3",
+         "--output", str(tmp_path / "out.csv")],
+        check=True, env={**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")},
+    )
+    record = json.loads(trace.read_text(encoding="utf-8"))
+    assert record["counters"]["scattering.transmission_surface"] == {"points": 3}

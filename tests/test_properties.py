@@ -12,7 +12,7 @@ from ptstack import (
     scattering_from_matrix, transmission_surface,
 )
 from ptstack.oracle import slab_propagation_matrix
-from conftest import scaled_diff
+from conftest import scaled_diff, surface_points
 
 
 def log_uniform(lo_exp, hi_exp):
@@ -101,8 +101,8 @@ def _scalar_point(v, total_length, n, k):
 def _assert_sweep_matches_the_scalar_chain(v, total_length, n_values, k_values):
     # The sweep's rows, N-major then k, or the error of its first failing point.
     table = _outcome(lambda: [
-        [repr(x) for x in (row.big_t, row.big_r_left, row.big_r_right, row.absdet_err)]
-        for row in transmission_surface(v, total_length, n_values, k_values)
+        [repr(x) for x in point[2:]]
+        for point in surface_points(transmission_surface(v, total_length, n_values, k_values))
     ])
     expected = []
     for n, k in itertools.product(n_values, k_values):

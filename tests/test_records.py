@@ -8,18 +8,17 @@ import pickle
 import pytest
 
 from ptstack import (
-    Layer, NonFiniteMatrixError, PeriodicSpec, PotentialStack, TransferMatrix, cheb_pair, convergence_study,
-    generalized_limit_study, periodic_matrix, predict_asymptotics, scattering_from_matrix, transmission_surface,
+    Layer, NonFiniteMatrixError, PeriodicSpec, PotentialStack, TransferMatrix, cheb_pair_from_gap,
+    convergence_study, generalized_limit_study, periodic_matrix, predict_asymptotics, scattering_from_matrix, transmission_surface,
     unit_cell_elements, unit_cell_matrix,
 )
 
 # Each builder makes a fresh record from the same inputs.
 RECORDS = {
     "CellParams": lambda: unit_cell_elements(1.0, 40.0, 0.05),
-    "ChebyshevPair": lambda: cheb_pair(7, 0.3),
+    "ChebyshevPair": lambda: cheb_pair_from_gap(7, 0.7),
     "TransferMatrix": lambda: unit_cell_matrix(1.0, 40.0, 0.05),
     "ScatteringCoefficients": lambda: scattering_from_matrix(unit_cell_matrix(1.0, 40.0, 0.05)),
-    "TransmissionRow": lambda: transmission_surface(40.0, 1.0, [1, 2], [1.0, 2.0])[3],
     "AsymptoticPrediction": lambda: predict_asymptotics(1.0, 40.0, 1.0, 10),
     "ConvergenceRecord": lambda: convergence_study(5.0, 40.0, 1.0, [10, 20])[1],
     "GeneralizedLimitResult": lambda: generalized_limit_study(7.0, 40.0, 1.0, 1.0, [16, 32], 3.0),
@@ -64,15 +63,14 @@ def test_transmission_table_compares_by_identity():
 
 
 def test_transmission_table_indexing():
+    # Each column is indexed [N][k]; len counts the points.
     table = RECORDS["TransmissionTable"]()
     assert len(table) == 4
     assert repr(table).startswith("TransmissionTable(n_values=(1, 2), k_values=[1.0, 2.0], big_t=[[")
-    rows = list(table)
-    assert rows == [table[i] for i in range(4)] and table[-1] == rows[3]
-    assert [(row.n, row.k) for row in rows] == [(1, 1.0), (1, 2.0), (2, 1.0), (2, 2.0)]
-    assert rows[2].big_t == table.big_t[1][0] and rows[2].absdet_err == table.absdet_err[1][0]
-    with pytest.raises(IndexError):
-        table[4]
+    for name in ("big_t", "big_r_left", "big_r_right", "absdet_err"):
+        assert [len(row) for row in getattr(table, name)] == [2, 2], name
+    spot = scattering_from_matrix(periodic_matrix(PeriodicSpec(40.0, 2, 1.0), 1.0))
+    assert (table.n_values[1], table.k_values[0], table.big_t[1][0]) == (2, 1.0, spot.big_t)
 
 
 def test_transfer_matrix_identity():
@@ -111,7 +109,7 @@ def test_validating_records_keep_their_values():
     assert [type(value) for value in spec] == [float, int, float] and spec.slab_width == 0.05
     stack = RECORDS["PotentialStack"]()
     assert [layer.offset for layer in stack.layers] == [0.0, 2.0]
-    assert (len(stack), stack.left_edge, stack.right_edge, stack.total_support) == (2, 0.0, 3.0, 3.0)
+    assert (len(stack), stack.left_edge, stack.right_edge, stack.right_edge - stack.left_edge) == (2, 0.0, 3.0, 3.0)
     assert repr(PotentialStack([])) == "PotentialStack(layers=())"
 
 

@@ -10,6 +10,7 @@ from ptstack import (
     scattering_from_matrix,
     transmission_surface,
 )
+from conftest import surface_points
 
 
 def test_identity_is_empty_space():
@@ -50,24 +51,27 @@ def test_gain_loss_stack_not_unitary_at_small_n():
 
 def test_surface_grid_order_and_consistency():
     # N-major, then k, in the order the grids are given.
-    rows = transmission_surface(40.0, 1.0, [10, 100], [2.0, 1.0])
-    assert [(r.n, r.k) for r in rows] == [(10, 2.0), (10, 1.0), (100, 2.0), (100, 1.0)]
+    points = surface_points(transmission_surface(40.0, 1.0, [10, 100], [2.0, 1.0]))
+    assert [(n, k) for n, k, *_ in points] == [(10, 2.0), (10, 1.0), (100, 2.0), (100, 1.0)]
     spot = scattering_from_matrix(
         periodic_matrix(PeriodicSpec(v=40.0, n_cells=1000, total_length=1.0), 5.0)
     )
-    row = transmission_surface(40.0, 1.0, [1000], [5.0])[0]
-    assert row.big_t == spot.big_t
-    assert row.big_r_left == spot.big_r_left
-    assert row.big_r_right == spot.big_r_right
-    assert row.absdet_err <= 1e-12
+    [(_, _, big_t, big_r_left, big_r_right, absdet_err)] = surface_points(
+        transmission_surface(40.0, 1.0, [1000], [5.0])
+    )
+    assert big_t == spot.big_t
+    assert big_r_left == spot.big_r_left
+    assert big_r_right == spot.big_r_right
+    assert absdet_err <= 1e-12
 
 
 def test_surface_free_space_limit():
-    rows = transmission_surface(1e-12, 1.0, [10, 100], [0.7, 3.0, 11.0])
-    for row in rows:
-        assert abs(row.big_t - 1.0) <= 1e-10
-        assert row.big_r_left <= 1e-20
-        assert row.big_r_right <= 1e-20
+    points = surface_points(transmission_surface(1e-12, 1.0, [10, 100], [0.7, 3.0, 11.0]))
+    assert len(points) == 6
+    for _, _, big_t, big_r_left, big_r_right, _ in points:
+        assert abs(big_t - 1.0) <= 1e-10
+        assert big_r_left <= 1e-20
+        assert big_r_right <= 1e-20
 
 
 def test_surface_rejects_bad_k():
@@ -95,16 +99,17 @@ def test_reflections_vanish_at_large_n():
         assert abs(large.big_t - 1.0) <= 1e-8
 
 
-def test_surface_table_is_a_sequence_of_rows():
+def test_surface_table_columns_are_n_major():
     table = transmission_surface(40.0, 1.0, [3, 5], [1.0, 2.0, 4.0])
     assert len(table) == 6
-    assert [len(row) for row in table.big_t] == [3, 3]
-    assert table[-1] == table[5]
-    assert (table[4].n, table[4].k) == (5, 2.0)
-    assert table[4].big_t == table.big_t[1][1]
-    assert list(table)[2] == table[2]
-    with pytest.raises(IndexError):
-        table[6]
+    assert (table.n_values, table.k_values) == ((3, 5), [1.0, 2.0, 4.0])
+    for column in (table.big_t, table.big_r_left, table.big_r_right, table.absdet_err):
+        assert [len(row) for row in column] == [3, 3]
+    # [1][1] is N = 5, k = 2.0.
+    spot = scattering_from_matrix(periodic_matrix(PeriodicSpec(v=40.0, n_cells=5, total_length=1.0), 2.0))
+    assert (table.big_t[1][1], table.big_r_left[1][1], table.big_r_right[1][1]) == (
+        spot.big_t, spot.big_r_left, spot.big_r_right
+    )
 
 
 def test_surface_raises_at_the_first_failing_point():

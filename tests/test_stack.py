@@ -107,7 +107,7 @@ def test_build_alternating_layout():
     assert stack.layers[0].height == 5.0 + 3.0j
     assert stack.layers[1].height == 5.0 - 1.5j
     assert stack.layers[2].height == 5.0 + 3.0j
-    assert stack.total_support == pytest.approx(1.0, rel=1e-15)
+    assert stack.right_edge - stack.left_edge == pytest.approx(1.0, rel=1e-15)
 
 
 def test_build_alternating_eps_zero():

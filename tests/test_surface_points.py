@@ -17,9 +17,9 @@ import sys
 from pathlib import Path
 
 from ptstack import PeriodicSpec, periodic_matrix, scattering_from_matrix, transmission_surface, unit_cell_elements
+from conftest import surface_points
 
 DATA = Path(__file__).parent / "data" / "surface_points.json"
-FIELDS = ("big_t", "big_r_left", "big_r_right", "absdet_err")
 
 
 def _regime(v, total_length, n, k):
@@ -40,7 +40,7 @@ def test_surface_points_reproduce_exactly():
     points = 0
     for case in _cases():
         table = transmission_surface(case["v"], case["total_length"], case["n"], case["k"])
-        got = [[repr(getattr(row, f)) for f in FIELDS] for row in table]
+        got = [[repr(x) for x in point[2:]] for point in surface_points(table)]
         assert got == case["rows"], case
         points += len(got)
     assert points >= 300
@@ -90,8 +90,7 @@ def _record():
             table = transmission_surface(case["v"], case["total_length"], case["n"], case["k"])
         except ArithmeticError:
             continue
-        rows = [[getattr(row, f) for f in FIELDS] for row in table]
-        if not all(math.isfinite(x) for row in rows for x in row):
+        if not all(math.isfinite(x) for point in surface_points(table) for x in point[2:]):
             continue
         regimes = [_regime(case["v"], case["total_length"], n, k) for n in case["n"] for k in case["k"]]
         if not any(counts[r] < targets[r] for r in regimes):
@@ -101,7 +100,7 @@ def _record():
         cases.append(case)
     for case in cases:
         table = transmission_surface(case["v"], case["total_length"], case["n"], case["k"])
-        case["rows"] = [[repr(getattr(row, f)) for f in FIELDS] for row in table]
+        case["rows"] = [[repr(x) for x in point[2:]] for point in surface_points(table)]
     text = json.dumps({"cases": cases}, indent=1) + "\n"
     DATA.write_text(text, encoding="utf-8")
 
