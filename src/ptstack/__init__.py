@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(
-        ("CellParams", "barrier_matrix", "cell_from_barriers", "unit_cell_elements",
-         "unit_cell_matrix"),
+        ("CellParams", "barrier_matrix", "unit_cell_elements", "unit_cell_matrix"),
         "cell",
     ),
     **dict.fromkeys(

@@ -42,9 +42,7 @@ import cmath
 import math
 from collections import namedtuple
 
-from .core import (
-    NonFiniteMatrixError, TransferMatrix, check_finite, check_positive, check_wave_number, mat_multiply,
-)
+from .core import NonFiniteMatrixError, TransferMatrix, check_finite, check_positive, check_wave_number
 
 # Below this |q*width| the slab propagation uses the series form of
 # sin(q w)/q; keeps barrier-top energies (q ~ 0) finite.
@@ -200,13 +198,3 @@ def barrier_matrix(k: float, height: complex, width: float, offset: float = 0.0)
         (c - diag) / edge_phase,
         k,
     )
-
-
-def cell_from_barriers(k: float, v: float, b: float) -> TransferMatrix:
-    """The unit cell assembled as two single-slab matrices (+iV then -iV).
-
-    Reference route for the closed form in :func:`unit_cell_matrix`.
-    """
-    first = barrier_matrix(k, 1j * v, b, 0.0)
-    second = barrier_matrix(k, -1j * v, b, b)
-    return mat_multiply(second, first)

@@ -2,10 +2,10 @@
 
 :func:`transmission_surface` evaluates the balanced stack over its (N, k)
 grid in one straight-line loop over k per N (:func:`_surface_row`), the
-scalar chain :func:`ptstack.stack.periodic_entries` -> :func:`_amplitudes`
-written out operation for operation, so each value is the same to the bit.
-That chain (:func:`_surface_point`) is also its error path.
-:func:`scattering_from_matrix` wraps the same amplitude step.
+public chain :func:`ptstack.stack.periodic_matrix` ->
+:func:`scattering_from_matrix` written out operation for operation, so each
+value is the same to the bit.  That chain (:func:`_surface_point`) is also
+its error path.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import asin, cos, inf, isfinite, sin, sinh, sqrt
 
 from .chebyshev import _pair
 from .core import NonFiniteMatrixError, TransferMatrix, _SlotRecord, check_positive, check_wave_number
-from .stack import PeriodicSpec, periodic_entries, sweep_terms
+from .stack import PeriodicSpec, periodic_matrix, sweep_terms
 
 # Below this |m22| the amplitudes 1/m22 are treated as a pole (a spectral
 # singularity of the potential) instead of returned as huge numbers.
@@ -50,17 +50,6 @@ class ScatteringCoefficients(namedtuple("ScatteringCoefficients", "t r_left r_ri
         return abs(self.r_right) ** 2
 
 
-def _amplitudes(m12: complex, m21: complex, m22: complex, k: float) -> tuple[complex, complex, complex]:
-    """(t, r_left, r_right); OverflowError where |m22| leaves the double
-    range, :class:`SpectralPoleError` where it is below POLE_TOLERANCE."""
-    abs_m22 = abs(m22)
-    if abs_m22 < POLE_TOLERANCE:
-        raise SpectralPoleError(
-            f"|m22| = {abs_m22:.3e} below {POLE_TOLERANCE}; scattering amplitudes diverge at k = {k}"
-        )
-    return 1.0 / m22, -m21 / m22, m12 / m22
-
-
 def scattering_from_matrix(m: TransferMatrix) -> ScatteringCoefficients:
     """t = 1/m22, r_left = -m21/m22, r_right = m12/m22.
 
@@ -70,8 +59,17 @@ def scattering_from_matrix(m: TransferMatrix) -> ScatteringCoefficients:
     (r_r, 1) gives t_r = 1/m22 and r_r = m12/m22.  The direct
     boundary-value integration in :mod:`ptstack.oracle` reproduces exactly
     this assignment.
+
+    Raises OverflowError where |m22| leaves the double range and
+    :class:`SpectralPoleError` where it is below POLE_TOLERANCE.
     """
-    return ScatteringCoefficients(*_amplitudes(m.m12, m.m21, m.m22, m.k))
+    m22 = m.m22
+    abs_m22 = abs(m22)
+    if abs_m22 < POLE_TOLERANCE:
+        raise SpectralPoleError(
+            f"|m22| = {abs_m22:.3e} below {POLE_TOLERANCE}; scattering amplitudes diverge at k = {m.k}"
+        )
+    return ScatteringCoefficients(1.0 / m22, -m.m21 / m22, m.m12 / m22)
 
 
 class TransmissionTable(_SlotRecord):
@@ -94,23 +92,19 @@ class TransmissionTable(_SlotRecord):
         return len(self.n_values) * len(self.k_values)
 
 
-def _surface_point(spec: PeriodicSpec, b: float, terms: tuple) -> tuple[float, float, float, float]:
-    """T, R_left, R_right and |det - 1| at one (N, k) point.
+def _surface_point(spec: PeriodicSpec, k: float) -> tuple[float, float, float, float]:
+    """T, R_left, R_right and |det - 1| at one (N, k) point through
+    periodic_matrix -> scattering_from_matrix.
 
-    Raises the error that the scalar chain periodic_matrix ->
-    scattering_from_matrix -> big_t, big_r_left, big_r_right, absdet_err
-    meets first, or NonFiniteMatrixError for a point that computes but is
-    not finite.
+    Raises the error that chain meets first, or NonFiniteMatrixError for a
+    point that computes but is not finite.
     """
-    m11, m12, m21, m22 = periodic_entries(spec, b, terms)
-    t, r_left, r_right = _amplitudes(m12, m21, m22, terms[0])
-    big_t, big_r_left, big_r_right = abs(t) ** 2, abs(r_left) ** 2, abs(r_right) ** 2
-    absdet_err = abs(m11 * m22 - m12 * m21 - 1.0)
-    if not (isfinite(big_t) and isfinite(big_r_left) and isfinite(big_r_right) and isfinite(absdet_err)):
-        raise NonFiniteMatrixError(
-            f"T, R or absdet_err leaves the double range at N = {spec.n_cells}, k = {terms[0]}"
-        )
-    return big_t, big_r_left, big_r_right, absdet_err
+    m = periodic_matrix(spec, k)
+    s = scattering_from_matrix(m)
+    values = s.big_t, s.big_r_left, s.big_r_right, m.absdet_err
+    if not all(map(isfinite, values)):
+        raise NonFiniteMatrixError(f"T, R or absdet_err leaves the double range at N = {spec.n_cells}, k = {k}")
+    return values
 
 
 def _surface_row(spec: PeriodicSpec, b: float, terms: list, big_t: list, big_r_left: list, big_r_right: list,
@@ -120,10 +114,11 @@ def _surface_row(spec: PeriodicSpec, b: float, terms: list, big_t: list, big_r_l
 
     :func:`_surface_point` written out in one loop: the steps of
     ``cell_terms``, the oscillatory branch of ``_pair`` (0 <= gap <= 1; any
-    other gap calls ``_pair``), ``_cell_pattern`` and ``_amplitudes``, each
-    operation in the same order, so every value is the same to the bit.  A
-    point that raises, or whose values are not finite or meet the pole, is
-    computed again by :func:`_surface_point`, which raises its error.
+    other gap calls ``_pair``), ``_cell_pattern`` and
+    :func:`scattering_from_matrix`, each operation in the same order, so
+    every value is the same to the bit.  A point that raises, or whose values
+    are not finite or meet the pole, is computed again by
+    :func:`_surface_point`, which raises its error.
     """
     n = spec.n_cells
     n_float = float(n)
@@ -154,13 +149,13 @@ def _surface_row(spec: PeriodicSpec, b: float, terms: list, big_t: list, big_r_l
             m22 = (t - i_chi_u) / phase
             point_t, point_r_left, point_r_right = abs(1.0 / m22) ** 2, abs(-m21 / m22) ** 2, abs(m12 / m22) ** 2
             point_err = abs(m11 * m22 - m12 * m21 - 1.0)
-            # periodic_entries' check of the entries is not needed: a
+            # periodic_matrix's check of the entries is not needed: a
             # non-finite entry makes |det - 1| non-finite too.
             failed = abs(m22) < POLE_TOLERANCE or not point_t + point_r_left + point_r_right + point_err < inf
         except (ArithmeticError, ValueError, TypeError):
             failed = True
         if failed:
-            point_t, point_r_left, point_r_right, point_err = _surface_point(spec, b, point)
+            point_t, point_r_left, point_r_right, point_err = _surface_point(spec, point[0])
         big_t.append(point_t)
         big_r_left.append(point_r_left)
         big_r_right.append(point_r_right)

@@ -9,9 +9,9 @@ Three routes produce the N-cell matrix:
        [ i(eta + tau) U_{N-1}(xi) e^{ikL},      (T_N(xi) - i*chi*U_{N-1}(xi)) e^{ikL}]]
 
   O(1) in N, the only practical route for large N.  A sweep takes
-  :func:`sweep_terms` once per k and writes :func:`periodic_entries` out in
-  one loop over k per N (:func:`ptstack.scattering._surface_row`), bit for
-  bit, with :func:`periodic_entries` as its error path.
+  :func:`sweep_terms` once per k and writes this function out in one loop
+  over k per N (:func:`ptstack.scattering._surface_row`), bit for bit, with
+  this function as its error path.
 * :func:`alternating_matrix` - the unbalanced cell (v1 + i v2 then
   v1 - i eps v2), powered by :func:`_cell_power`, which takes any cell of
   slabs.  O(1) in N; it serves the generalized fine-layer study.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from cmath import isfinite
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -90,30 +89,21 @@ def sweep_terms(v: float, total_length: float, k: float) -> tuple:
     return k, wave_terms(k, v), phase
 
 
-def periodic_entries(spec: PeriodicSpec, b: float, terms: tuple) -> tuple[complex, complex, complex, complex]:
-    """The entries m11, m12, m21, m22 of the N-cell matrix at slab width
-    ``b`` and the k of ``terms`` (:func:`sweep_terms`).
+def periodic_matrix(spec: PeriodicSpec, k: float) -> TransferMatrix:
+    """Closed-form transfer matrix of the N-cell stack on [0, total_length].
 
     Raises the error of the cell elements, then that of the Chebyshev pair,
     then :class:`NonFiniteMatrixError` where an entry is not finite.
     """
-    k, w, phase = terms
-    _, _, _, chi, eta, tau, one_minus_xi = cell_terms(k, spec.v, b, w)
-    t, u = _pair(spec.n_cells, one_minus_xi)
-    m11, m12, m21, m22 = _cell_pattern(t, u, chi, eta, tau, phase)
-    if not (isfinite(m11) and isfinite(m12) and isfinite(m21) and isfinite(m22)):
-        raise NonFiniteMatrixError(f"N-cell matrix overflows the double range at k = {k}, {spec}")
-    return m11, m12, m21, m22
-
-
-def periodic_matrix(spec: PeriodicSpec, k: float) -> TransferMatrix:
-    """Closed-form transfer matrix of the N-cell stack on [0, total_length].
-
-    Raises :class:`NonFiniteMatrixError` if an entry overflows to inf or NaN.
-    """
     k = check_wave_number(k)
     b = check_positive(spec.slab_width, "slab width b")
-    return TransferMatrix(*periodic_entries(spec, b, sweep_terms(spec.v, spec.total_length, k)), k)
+    k, w, phase = sweep_terms(spec.v, spec.total_length, k)
+    _, _, _, chi, eta, tau, one_minus_xi = cell_terms(k, spec.v, b, w)
+    t, u = _pair(spec.n_cells, one_minus_xi)
+    m = TransferMatrix(*_cell_pattern(t, u, chi, eta, tau, phase), k)
+    if not m.is_finite:
+        raise NonFiniteMatrixError(f"N-cell matrix overflows the double range at k = {k}, {spec}")
+    return m
 
 
 def compose_stack(stack: PotentialStack, k: float) -> TransferMatrix:

@@ -26,6 +26,16 @@ def rel_diff(a, b):
     return float(np.max(np.abs(aa - bb) / denom))
 
 
+def cell_from_barriers(k, v, b):
+    """The unit cell assembled as two single-slab matrices (+iV then -iV),
+    the reference route for the closed form in ``unit_cell_matrix``."""
+    from ptstack import barrier_matrix, mat_multiply
+
+    first = barrier_matrix(k, 1j * v, b, 0.0)
+    second = barrier_matrix(k, -1j * v, b, b)
+    return mat_multiply(second, first)
+
+
 def cheb_pair_at(n, x):
     """T_n(x) and U_{n-1}(x) through the gap 1 - x, rounded as a caller that
     holds only x rounds it."""

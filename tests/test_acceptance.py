@@ -15,7 +15,6 @@ from ptstack import (
     TransferMatrix,
     barrier_matrix,
     build_alternating,
-    cell_from_barriers,
     cheb_pair_from_gap,
     compose_stack,
     convergence_study,
@@ -29,7 +28,7 @@ from ptstack import (
     unit_cell_elements,
     unit_cell_matrix,
 )
-from conftest import as_array, cheb_pair_at, surface_points
+from conftest import as_array, cell_from_barriers, cheb_pair_at, surface_points
 
 _DBL_MAX_LOG = math.log(1.7976931348623157e308)
 

@@ -5,13 +5,12 @@ import pytest
 
 from ptstack import (
     barrier_matrix,
-    cell_from_barriers,
     mat_multiply,
     scattering_from_matrix,
     unit_cell_elements,
     unit_cell_matrix,
 )
-from conftest import entry_diff
+from conftest import cell_from_barriers, entry_diff
 
 # 50-digit references for (k, V, b) = (1, 40, 0.05); see module formulas.
 RHO_REF = 6.32554330057783362639

@@ -908,6 +908,23 @@ def test_benchmark_surface_digest(fmt):
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == SURFACE_SHA256[fmt]
 
 
+def test_benchmark_surface_takes_no_error_path(capsys, monkeypatch):
+    # Every point of the benchmark's grid computes in the straight-line loop;
+    # none is computed again by the scalar chain that is its error path.
+    import ptstack.scattering
+
+    _on_cpus(monkeypatch, 1)
+    calls, surface_point = [], ptstack.scattering._surface_point
+
+    def counting_point(*args):
+        calls.append(args)
+        return surface_point(*args)
+
+    monkeypatch.setattr(ptstack.scattering, "_surface_point", counting_point)
+    code, _, err = run_cli(capsys, *SURFACE)
+    assert (code, err, calls) == (0, "", [])
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
