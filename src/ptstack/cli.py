@@ -20,10 +20,10 @@ Option precedence: command-line flag > preset flag (``sweep --fig3``,
 is a flat ``key = value`` text file whose keys match the long option names
 with underscores (``n_min = 500``).
 
-Exit codes: 0 success, 1 invalid arguments or unwritable output (a full or
-closed standard output included), 2 numerical failure (scattering pole, a
-value outside the double range, or integrator tolerance failure), 3 study
-flagged as non-converged.
+Exit codes: 0 success, 1 invalid arguments, unwritable output (a full or
+closed standard output included) or too little memory (a grid of a huge
+count), 2 numerical failure (scattering pole, a value outside the double
+range, or integrator tolerance failure), 3 study flagged as non-converged.
 
 ``ptstack`` and ``python -m ptstack.cli`` end through :func:`run`, which
 flushes the standard streams and ends the process without interpreter
@@ -398,6 +398,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"ptstack: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:  # a grid of a huge --n-count or --k-count, say
+        print("ptstack: error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run() -> None:

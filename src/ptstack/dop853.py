@@ -1,27 +1,39 @@
-"""The DOP853 integrator of the ODE oracle tier, on plain Python complex numbers.
+"""The DOP853 integrator of the ODE oracle tier, for the wave equation
+psi'' = w2 psi on plain Python floats and complex numbers.
 
 DOP853 is the explicit Runge-Kutta pair of order 8(5,3) of Dormand and
 Prince, as given by Hairer, Norsett & Wanner, "Solving Ordinary Differential
-Equations I", sec. II.5.  :func:`integrate` takes the steps of scipy's
-``solve_ivp(method="DOP853")``: the same starting step, error norm and step
-controller, so the right-hand-side calls are scipy's and the end states
-agree to within 1e-14 (scaled).  The state is a list of Python complex
-numbers.  Every weighted sum of stages is taken entry by entry, its nonzero
-terms added in stage order with plain ``+``, and every norm is
-``math.hypot`` of the real and imaginary parts: no BLAS call, no SIMD
-kernel and no ``sum()`` (whose float summation changed in Python 3.12), so
-the result does not depend on the CPU, numpy or OpenBLAS.  No dense output,
-no step limit, no method choice.
+Equations I", sec. II.5.  :func:`integrate` solves psi'' = w2 psi, w2 a
+complex constant, for any number of (psi, psi') pairs as the first-order
+system (psi, psi')' = (psi', w2 psi), and takes the steps of scipy's
+``solve_ivp(method="DOP853")`` on that system: the same starting step, error
+norm and step controller, so the right-hand-side count is scipy's and the
+end states agree to within 1e-14 (scaled).  The state is a list of Python
+complex numbers.  Every weighted sum of stages is taken entry by entry, its
+nonzero terms added in stage order with plain ``+``, and every norm is
+``math.hypot`` of the real and imaginary parts: no BLAS call, no SIMD kernel
+and no ``sum()`` (whose float summation changed in Python 3.12), so the
+result does not depend on the CPU, numpy or OpenBLAS.  No dense output, no
+step limit, no method choice.
 
-A step is one straight-line function per state size, generated from the
-tableau by :func:`_step_source` and compiled on first use, as
-``collections.namedtuple`` builds its classes: the stages and state entries
-are locals, and each sum is written out term by term.  The weights are
-their ``repr``, which reads back as the same double, and the terms, their
-order and the ``0j`` each sum starts from are those of a loop over the
-tableau, so the generated step makes the same floating-point operations in
-the same order as that loop and its results are bit for bit the loop's;
-only the interpreter's dispatch per term is gone.
+A step is one straight-line function per number of pairs, generated from
+the tableau by :func:`_step_source` and compiled on first use, as
+``collections.namedtuple`` builds its classes.  It holds the real and
+imaginary parts of the state and the stages as float locals and has the
+right-hand side written in, so a weighted term is two float
+multiplications and two float additions, which the interpreter
+specialises, and no stage calls a function.  The weights are their
+``repr``, which reads back as the same double, and the terms, their order
+and the 0.0 each sum starts from are those of a loop over the tableau on
+complex numbers with a generic right-hand side, so the step's results are
+that loop's bit for bit, with one exception.  CPython 3.10 to 3.13 multiply
+a float and a complex as two complex numbers, which adds 0.0 times the
+other part to each part of the product; the step leaves that term out.  It
+can only change the sign of a zero or turn an infinite part into NaN: a sum
+that starts from +0.0 stays +0.0 whatever the sign of its zero terms, and a
+step with an infinite part has an error norm of inf or NaN and is rejected
+either way.  So the two differ only in the sign of a part of the state that
+starts as -0.0 and stays zero, which no start state of the oracle has.
 
 Nothing here imports ptstack or numpy; :mod:`ptstack.oracle` loads this
 module on its first integration.
@@ -128,91 +140,126 @@ def _initial_step(fun, x, y, f, x_end, direction, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def _step_source(size: int) -> str:
-    """Source of ``step(fun, x, y, f, h, rtol, atol)``, one DOP853 step of
-    size h from (x, y), f = fun(x, y), for a state of ``size`` entries.
+def _step_source(pairs: int) -> str:
+    """Source of ``step(y, h, w2r, w2i, rtol, atol)``, one DOP853 step of
+    size h from the state y of ``pairs`` (psi, psi') pairs of psi'' = w2 psi,
+    w2 = w2r + i w2i.
 
-    The step returns (y_new, f_new, error_norm).  Its operations are those of
-    the loop over the tableau written out: each stage's state is y + h times
-    the sum of its weighted stages, the error estimates are the same sums at
-    y = 0 and h = 1, and the error norm is DOP853's, the fifth-order estimate
-    damped where the third-order one is large,
+    The step returns (y_new, error_norm).  It works on the real and
+    imaginary parts of the state and stages, held as float locals, and its
+    operations are those of the complex loop over the tableau written out:
+    each stage's state is y + h times the sum of its weighted stages, and
+    its stage is (psi', w2 psi) of that state, so the stage of a psi entry
+    is a name for the state's psi' entry and only w2 psi is computed, as
+    the complex product (w2r re - w2i im, w2r im + w2i re).  The error
+    estimates are the same sums at y = 0 and h = 1, the error scale is
+    atol + rtol max(|y|, |y_new|) with Python's complex ``abs`` (libm's
+    ``hypot``, which raises ``OverflowError`` past the double range; it and
+    ``math.hypot`` round differently), and the error norm is DOP853's, the
+    fifth-order estimate damped where the third-order one is large,
     err5^2 / sqrt((err5^2 + 0.01 err3^2) n).
     """
+    size = 2 * pairs
     entries = range(size)
 
-    def unpack(names):
-        return "[" + ", ".join(names) + "]"
+    def stage(j, i, part):
+        """Part ('r' or 'i') of entry i of stage j: for psi (even i) the
+        psi' entry of stage j's state, y itself for stage 0."""
+        if i % 2:
+            return f"k{j}_{i}{part}"
+        return f"y{i + 1}{part}" if j == 0 else f"Y{j}_{i + 1}{part}"
 
-    def advance(y, h, terms):
-        """y + (0j + w_j k_j, the terms in stage order) * h for each entry i,
-        y a template of the entry's name."""
-        return [y.format(i=i) + " + (0j" + "".join(f" + {w!r} * k{j}_{i}" for j, w in terms) + f") * {h}"
-                for i in entries]
+    def weighed(terms, i, part):
+        """The weighted stages of the (j, w_j) terms, in stage order."""
+        return " + ".join(f"{w!r} * {stage(j, i, part)}" for j, w in terms)
 
-    def stage(j):
-        return unpack(f"k{j}_{i}" for i in entries)
+    def advance(terms, i, part):
+        """Part of y_i + (0 + the weighted stages) * h."""
+        return f"y{i}{part} + (0.0 + {weighed(terms, i, part)}) * h"
 
-    body = [f"{unpack(f'y{i}' for i in entries)} = y", f"{stage(0)} = f"]
+    def times_w2(j, i, re, im):
+        """Stage j of the psi' entry i: w2 times the psi whose parts are re, im."""
+        return [f"{stage(j, i, 'r')} = w2r * {re} - w2i * {im}", f"{stage(j, i, 'i')} = w2r * {im} + w2i * {re}"]
+
+    body = [f"{', '.join(f'y{i}' for i in entries)} = y"]
+    body += [f"y{i}r = y{i}.real; y{i}i = y{i}.imag" for i in entries]
+    for i in entries[1::2]:
+        body += times_w2(0, i, f"y{i - 1}r", f"y{i - 1}i")
     for s in range(1, _STAGES):
-        state = ", ".join(advance("y{i}", "h", _A_TERMS[s]))
-        body.append(f"{stage(s)} = fun(x + {_C[s]!r} * h, [{state}])")
-    body += [
-        f"y_new = [{', '.join(advance('y{i}', 'h', _B_TERMS))}]",
-        "f_new = fun(x + h, y_new)",
-        f"{unpack(f'n{i}' for i in entries)} = y_new",
-    ]
+        for i in entries[1::2]:
+            body += [
+                f"ur = {advance(_A_TERMS[s], i - 1, 'r')}",
+                f"ui = {advance(_A_TERMS[s], i - 1, 'i')}",
+                f"Y{s}_{i}r = {advance(_A_TERMS[s], i, 'r')}",
+                f"Y{s}_{i}i = {advance(_A_TERMS[s], i, 'i')}",
+                *times_w2(s, i, "ur", "ui"),
+            ]
+    parts = (f"complex({advance(_B_TERMS, i, 'r')}, {advance(_B_TERMS, i, 'i')})" for i in entries)
+    body += [f"y_new = [{', '.join(parts)}]", f"{', '.join(f'n{i}' for i in entries)} = y_new"]
     for i in entries:  # the error scale: atol + rtol * max(|y|, |y_new|)
         body.append(f"a = abs(y{i}); b = abs(n{i}); s{i} = atol + (b if b > a else a) * rtol")
     for name, terms in (("e", _E5_TERMS), ("d", _E3_TERMS)):
-        for i, total in enumerate(advance("0j", "1.0", terms)):
-            body.append(f"{name}{i} = {total}")
+        for i in entries:  # the norm drops the sign of a zero sum, so no 0.0 starts it
+            body += [f"{name}{i}r = {weighed(terms, i, 'r')}", f"{name}{i}i = {weighed(terms, i, 'i')}"]
     for norm, name in (("err5_2", "e"), ("err3_2", "d")):
-        parts = ", ".join(f"{name}{i}.real / s{i}, {name}{i}.imag / s{i}" for i in entries)
+        parts = ", ".join(f"{name}{i}r / s{i}, {name}{i}i / s{i}" for i in entries)
         body.append(f"{norm} = hypot({parts}) ** 2")
     body += [
         "if err5_2 == 0 and err3_2 == 0:",
-        "    return y_new, f_new, 0.0",
-        f"return y_new, f_new, abs(h) * err5_2 / sqrt((err5_2 + 0.01 * err3_2) * {size})",
+        "    return y_new, 0.0",
+        f"return y_new, abs(h) * err5_2 / sqrt((err5_2 + 0.01 * err3_2) * {size})",
     ]
-    return "def step(fun, x, y, f, h, rtol, atol):\n" + "".join(f"    {line}\n" for line in body)
+    return "def step(y, h, w2r, w2i, rtol, atol):\n" + "".join(f"    {line}\n" for line in body)
 
 
-_STEPS: dict = {}  # state size -> its compiled step
+_STEPS: dict = {}  # number of pairs -> its compiled step
 
 
-def _step(size: int):
-    """The step of :func:`_step_source` for ``size``, compiled on first use."""
-    step = _STEPS.get(size)
+def _step(pairs: int):
+    """The step of :func:`_step_source` for ``pairs``, compiled on first use."""
+    step = _STEPS.get(pairs)
     if step is None:
         namespace = {"hypot": math.hypot, "sqrt": math.sqrt}
-        exec(compile(_step_source(size), f"<dop853 step of size {size}>", "exec"), namespace)
-        step = _STEPS[size] = namespace["step"]
+        exec(compile(_step_source(pairs), f"<dop853 step of {pairs} pairs>", "exec"), namespace)
+        step = _STEPS[pairs] = namespace["step"]
     return step
 
 
-def integrate(fun, x_span, y0, rtol: float, atol: float) -> OdeResult:
-    """Integrate y' = fun(x, y) over ``x_span`` from y0 with DOP853.
+def integrate(w2, x_span, y0, rtol: float, atol: float) -> OdeResult:
+    """Integrate psi'' = w2 psi over ``x_span`` with DOP853, from the state
+    y0 of (psi, psi') pairs, as the system (psi, psi')' = (psi', w2 psi).
 
-    ``fun`` takes x and the state as a list of complex numbers and returns
-    the derivative as a sequence of them.  No step limit.  The step sequence
-    is that of scipy's ``solve_ivp(method="DOP853", rtol=rtol, atol=atol)``:
-    the same starting step, error norm and controller.  A step whose error
-    norm is NaN or inf, or that raises an ``ArithmeticError`` (Python's
-    ``abs`` of a complex past the double range, say), is rejected like any
-    other, and a starting step that raises one is NaN; when the step has to
-    fall below 10 ulps of x, the result has ``success`` False.  A state that
+    w2 is a complex constant, y0 a sequence of complex numbers of even
+    length.  No step limit.  The step sequence is that of scipy's
+    ``solve_ivp(method="DOP853", rtol=rtol, atol=atol)`` on that system:
+    the same starting step, error norm and controller, and ``nfev`` counts
+    the right-hand-side evaluations scipy makes.  A step whose error norm
+    is NaN or inf, or that raises an ``ArithmeticError`` (Python's ``abs``
+    of a complex past the double range, say), is rejected like any other,
+    and a starting step that raises one is NaN; when the step has to fall
+    below 10 ulps of x, the result has ``success`` False.  A state that
     overflows shows up as that failure.
     """
     x, x_end = float(x_span[0]), float(x_span[1])
     y = list(map(complex, y0))
+    pairs, odd = divmod(len(y), 2)
+    if odd or not pairs:
+        raise ValueError(f"the state must be (psi, psi') pairs, got {len(y)} entries")
+    w2 = complex(w2)
+
+    def fun(x, state):
+        """(psi', w2 psi) for every pair: the right-hand side of the starting step."""
+        f = []
+        for psi, dpsi in zip(state[0::2], state[1::2]):
+            f += (dpsi, w2 * psi)
+        return f
+
     direction = 1.0 if x_end > x else -1.0
-    f = fun(x, y)
-    nfev = 1
-    step = _step(len(y))
+    nfev = 1  # the derivative at the start, which the first step takes again
+    step = _step(pairs)
     if x != x_end:
         try:
-            h_abs = _initial_step(fun, x, y, f, x_end, direction, rtol, atol)
+            h_abs = _initial_step(fun, x, y, fun(x, y), x_end, direction, rtol, atol)
         except ArithmeticError:
             h_abs = math.nan
         nfev += 1
@@ -232,7 +279,7 @@ def integrate(fun, x_span, y0, rtol: float, atol: float) -> OdeResult:
             h = x_new - x
             h_abs = abs(h)
             try:
-                y_new, f_new, error_norm = step(fun, x, y, f, h, rtol, atol)
+                y_new, error_norm = step(y, h, w2.real, w2.imag, rtol, atol)
             except ArithmeticError:
                 error_norm = math.inf
             nfev += _STAGES
@@ -244,5 +291,5 @@ def integrate(fun, x_span, y0, rtol: float, atol: float) -> OdeResult:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
             rejected = True
-        x, y, f = x_new, y_new, f_new
+        x, y = x_new, y_new
     return OdeResult(y, nfev, True, "")

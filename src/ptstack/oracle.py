@@ -7,9 +7,10 @@ Nothing here touches the closed forms.  Two independent tiers:
   segment by segment (the potential is constant inside each segment, so the
   step controller never straddles a discontinuity).  Interface continuity of
   psi and psi' is automatic; there is no manual wave matching anywhere.  The
-  integrator is the built-in DOP853 of :mod:`ptstack.dop853`, on plain
-  Python complex numbers like the right-hand side, so no BLAS or SIMD kernel
-  enters the tier.
+  integrator is the built-in DOP853 of :mod:`ptstack.dop853`, which takes
+  w2 = V - k^2 of each segment and has the right-hand side (psi', w2 psi)
+  written into its step, on plain Python floats and complex numbers, so no
+  BLAS or SIMD kernel enters the tier.
 * :func:`slab_propagation_matrix` - exact analytic propagation of (psi, psi')
   across each slab, multiplied up and converted to plane-wave amplitudes only
   at the outer edges.  Exact for rectangles, O(layers), used to cross-check
@@ -37,9 +38,10 @@ class IntegrationFailureError(RuntimeError, ArithmeticError):
     """The step controller could not reach the tolerance."""
 
 
-def solve_ivp(fun, x_span, y0):
-    """Integrate y' = fun(x, y) over ``x_span`` from y0: DOP853 at REL_TOL /
-    ABS_TOL, taking the steps of scipy's ``solve_ivp(method="DOP853")``.
+def solve_ivp(w2, x_span, y0):
+    """Integrate psi'' = w2 psi over ``x_span`` from y0, a list of (psi,
+    psi') pairs: DOP853 at REL_TOL / ABS_TOL, taking the steps of scipy's
+    ``solve_ivp(method="DOP853")`` on (psi, psi')' = (psi', w2 psi).
 
     Returns a :class:`ptstack.dop853.OdeResult` (end state ``y``, ``nfev``,
     ``success``, ``message``); see :func:`ptstack.dop853.integrate`.
@@ -48,33 +50,31 @@ def solve_ivp(fun, x_span, y0):
     # tier does not compile the integrator.
     from .dop853 import integrate
 
-    return integrate(fun, x_span, y0, REL_TOL, ABS_TOL)
+    return integrate(w2, x_span, y0, REL_TOL, ABS_TOL)
 
 
-def _segments(stack: PotentialStack) -> list[tuple[float, float, complex]]:
+# The last stack _segments was given and its segments: oracle-check passes
+# each stack to up to four oracle calls for each of its k, and the segments
+# are built once.  A stack is immutable, and holding it keeps its id from
+# being reused.
+_last_segments: tuple = (None, ())
+
+
+def _segments(stack: PotentialStack) -> tuple[tuple[float, float, complex], ...]:
     """(x_from, x_to, height) covering the support, gaps as height 0."""
-    segments: list[tuple[float, float, complex]] = []
+    global _last_segments
+    last, segments = _last_segments
+    if last is stack:
+        return segments
+    segments = []
     cursor = stack.left_edge
     for layer in stack.layers:
         if layer.offset > cursor:
             segments.append((cursor, layer.offset, 0.0 + 0.0j))
         segments.append((layer.offset, layer.right_edge, complex(layer.height)))
         cursor = layer.right_edge
-    return segments
-
-
-def _wave_equation(w2: complex, size: int):
-    """Right-hand side of psi'' = w2 psi for a state of ``size`` entries: one
-    (psi, psi') pair (2, the incidence problem) or two (4, the transfer
-    matrix)."""
-
-    def one_pair(x, state):
-        return [state[1], w2 * state[0]]
-
-    def two_pairs(x, state):
-        return [state[1], w2 * state[0], state[3], w2 * state[2]]
-
-    return one_pair if size == 2 else two_pairs
+    _last_segments = stack, tuple(segments)
+    return _last_segments[1]
 
 
 def _integrate_through(
@@ -88,7 +88,7 @@ def _integrate_through(
     if backward:
         segments = [(x1, x0, h) for (x0, x1, h) in reversed(segments)]
     for x_from, x_to, height in segments:
-        sol = solve_ivp(_wave_equation(height - k * k, len(y)), (x_from, x_to), y)
+        sol = solve_ivp(height - k * k, (x_from, x_to), y)
         if not sol.success:
             raise IntegrationFailureError(
                 f"integration failed on [{x_from}, {x_to}] "

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -994,6 +995,27 @@ def test_unwritable_stdout_exits_1(stdout, args, errno_text, unbuffered):
     else:
         run = _process(["sh", "-c", '"$@" >&-', "sh", *argv], unbuffered)
     assert (run.returncode, run.stderr.decode("utf-8")) == (1, f"ptstack: error: {errno_text}\n")
+
+
+# A count whose grid cannot fit in memory: the list of points grows until
+# an allocation fails.
+HUGE_COUNT = {
+    "converge": ("converge", "--k", "1", "--v", "40", "--n-count", "1000000000000"),
+    "sweep": ("sweep", "--v", "40", "--n-min", "1", "--n-max", "10", "--k-count", "1000000000000"),
+}
+
+
+@pytest.mark.parametrize("args", list(HUGE_COUNT.values()), ids=list(HUGE_COUNT))
+def test_out_of_memory_is_one_line(args):
+    # Only under a limit on the address space: without one the grid would
+    # take the machine's memory before it failed.
+    limit = 512 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    run = _process([sys.executable, "-m", "ptstack.cli", *args], stdout=subprocess.PIPE, preexec_fn=limit_memory)
+    assert (run.returncode, run.stdout, run.stderr) == (1, b"", b"ptstack: error: out of memory\n")
 
 
 @pytest.mark.parametrize("args", list(HELP.values()), ids=list(HELP))

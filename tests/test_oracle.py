@@ -1,3 +1,4 @@
+import ast
 import math
 import time
 
@@ -159,21 +160,21 @@ def test_overflowing_modulus_fails_without_an_exception():
     # Python's abs of this start state raises OverflowError (|y| is past the
     # double range although both parts are finite); the integrator reports it
     # as the step-size failure its docstring promises.
-    sol = oracle.solve_ivp(_rhs(1e4), (0.0, 1.0), [1.3e308 * (1 + 1j), 0j])
+    sol = oracle.solve_ivp(1e4, (0.0, 1.0), [1.3e308 * (1 + 1j), 0j])
     assert not sol.success
     assert "step size" in sol.message
 
 
 def _oracle_grid_chains():
-    """Segments, as (rhs, x_span), and start state of every chain the ODE tier
+    """Segments, as (w2, x_span), and start state of every chain the ODE tier
     integrates on the oracle-check grid: forward with both plane waves,
     backward with the outgoing one."""
     for v in ORACLE_GRID_V:
         for n in ORACLE_GRID_N:
             segments = oracle._segments(build_alternating(0.0, v, 1.0, n, 1.0))
             for k in ORACLE_GRID_K:
-                forward = [(_rhs(h - k * k), (x0, x1)) for x0, x1, h in segments]
-                backward = [(_rhs(h - k * k), (x1, x0)) for x0, x1, h in reversed(segments)]
+                forward = [(h - k * k, (x0, x1)) for x0, x1, h in segments]
+                backward = [(h - k * k, (x1, x0)) for x0, x1, h in reversed(segments)]
                 yield forward, np.array([1, 1j * k, 1, -1j * k])
                 yield backward, np.exp(1j * k) * np.array([1, 1j * k])
 
@@ -189,7 +190,7 @@ def _random_segments(rng, count):
         x0 = rng.uniform(-1, 1)
         span = (x0, x0 + width) if i % 2 == 0 else (x0 + width, x0)
         size = 4 if i % 2 == 0 else 2
-        yield [(_rhs(height - k * k), span)], rng.normal(size=size) + 1j * rng.normal(size=size)
+        yield [(height - k * k, span)], rng.normal(size=size) + 1j * rng.normal(size=size)
     assert kinds == {"evanescent", "oscillatory"}
 
 
@@ -201,9 +202,9 @@ def test_dop853_takes_scipys_steps(rng):
 
     count = 0
     for chain, y in [*_oracle_grid_chains(), *_random_segments(rng, 300)]:
-        for rhs, span in chain:
-            ours = oracle.solve_ivp(rhs, span, y)
-            theirs = scipy_solve_ivp(rhs, span, y, method="DOP853", rtol=oracle.REL_TOL, atol=oracle.ABS_TOL)
+        for w2, span in chain:
+            ours = oracle.solve_ivp(w2, span, y)
+            theirs = scipy_solve_ivp(_rhs(w2), span, y, method="DOP853", rtol=oracle.REL_TOL, atol=oracle.ABS_TOL)
             assert ours.success and theirs.success
             assert ours.nfev == theirs.nfev, span
             y = theirs.y[:, -1]
@@ -296,29 +297,18 @@ def _loop_integrate(fun, x_span, y0, rtol, atol):
     return dop853.OdeResult(y, nfev, True, ""), rejections
 
 
-def _linear_rhs(matrix):
-    """y' = matrix y, for a state of any size."""
-    def rhs(x, state):
-        out = []
-        for row in matrix:
-            acc = 0j
-            for a, y in zip(row, state):
-                acc += a * y
-            out.append(acc)
-        return out
-
-    return rhs
-
-
-def _odd_sized_segments(rng, count):
-    """Seeded linear systems of one and of three entries, both ways."""
+def _chains_of_pairs(rng, count):
+    """Seeded chains of three segments of random complex height and width,
+    for states of one, two and three (psi, psi') pairs, both ways."""
     for i in range(count):
-        size = 1 if i % 2 == 0 else 3
-        matrix = (rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))) * 10 ** rng.uniform(-1, 1.5)
-        x0 = rng.uniform(-1, 1)
-        width = 10 ** rng.uniform(-2, 0.5)
-        span = (x0, x0 + width) if i % 4 < 2 else (x0 + width, x0)
-        yield [(_linear_rhs(matrix.tolist()), span)], rng.normal(size=size) + 1j * rng.normal(size=size)
+        size = 2 * (1 + i % 3)
+        k = 10 ** rng.uniform(-1, 1)
+        edges = np.cumsum(10 ** rng.uniform(-2, 0, size=4)).tolist()
+        heights = (rng.uniform(-50, 50, size=3) + 1j * rng.uniform(-50, 50, size=3)).tolist()
+        chain = [(h - k * k, (x0, x1)) for x0, x1, h in zip(edges, edges[1:], heights)]
+        if i % 6 >= 3:
+            chain = [(w2, (x1, x0)) for w2, (x0, x1) in reversed(chain)]
+        yield chain, rng.normal(size=size) + 1j * rng.normal(size=size)
 
 
 def test_generated_step_is_the_loop_bit_for_bit(rng):
@@ -328,19 +318,19 @@ def test_generated_step_is_the_loop_bit_for_bit(rng):
     chains = [
         *_oracle_grid_chains(),
         *_random_segments(rng, 300),
-        *_odd_sized_segments(rng, 40),
+        *_chains_of_pairs(rng, 30),
         # steps rejected before the floor stops a too-stiff segment
-        ([(_rhs(1e200 - 1.0), (0.0, 1e-3))], [1, 1j, 1, -1j]),
+        ([(1e200 - 1.0, (0.0, 1e-3))], [1, 1j, 1, -1j]),
         # a state that overflows inside a step: abs raises, the step is rejected
-        ([(_rhs(1e4 - 1.0), (0.0, 100.0))], [1, 1j, 1, -1j]),
+        ([(1e4 - 1.0, (0.0, 100.0))], [1, 1j, 1, -1j]),
         # abs of the start state overflows: a NaN starting step
-        ([(_rhs(1e4), (0.0, 1.0))], [1.3e308 * (1 + 1j), 0j]),
+        ([(1e4, (0.0, 1.0))], [1.3e308 * (1 + 1j), 0j]),
     ]
     outcomes, rejections, sizes = set(), 0, set()
     for chain, y in chains:
-        for rhs, span in chain:
-            ours = oracle.solve_ivp(rhs, span, y)
-            loop, rejected = _loop_integrate(rhs, span, y, oracle.REL_TOL, oracle.ABS_TOL)
+        for w2, span in chain:
+            ours = oracle.solve_ivp(w2, span, y)
+            loop, rejected = _loop_integrate(_rhs(w2), span, y, oracle.REL_TOL, oracle.ABS_TOL)
             assert ours == loop, span
             assert repr(ours.y) == repr(loop.y), span
             outcomes.add(loop.success)
@@ -349,12 +339,28 @@ def test_generated_step_is_the_loop_bit_for_bit(rng):
             y = loop.y
     assert outcomes == {True, False}
     assert rejections > 0
-    assert sizes == {1, 2, 3, 4}
+    assert sizes == {2, 4, 6}
+
+
+def test_error_scale_is_complex_abs():
+    # The error scale takes Python's complex abs, as the loop does; libm's
+    # hypot behind it and math.hypot round the modulus of z differently, and
+    # the error norm of this step tells the two apart.
+    z = complex(-0.16631584095915833, -0.15736679092143152)
+    if abs(z) == math.hypot(z.real, z.imag):
+        pytest.skip("this libm's hypot rounds |z| as math.hypot does")
+    y, h, w2 = [z, 0.01 + 0j], 0.1, -1.0
+    fun = _rhs(w2)
+    y_new, _, k = _loop_rk_step(fun, 0.0, y, fun(0.0, y), h)
+    error_norm = _loop_error_norm(k, h, _loop_error_scale(oracle.REL_TOL, oracle.ABS_TOL, y, y_new))
+    assert dop853._step(1)(y, h, w2, 0.0, oracle.REL_TOL, oracle.ABS_TOL) == (y_new, error_norm)
 
 
 def test_generated_step_source_is_plain_arithmetic():
-    # The only calls are fun, abs, hypot and sqrt: no sum(), no loop.
+    # Straight-line float arithmetic: no sum(), no loop, and no call but the
+    # error scale's abs, the new state's complex and the norm's hypot and sqrt.
     source = dop853._step_source(2)
     assert "sum(" not in source and "for " not in source
-    assert source.count("fun(") == dop853._STAGES
+    calls = {node.func.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
+    assert calls == {"abs", "complex", "hypot", "sqrt"}
     assert dop853._step(2) is dop853._step(2)
