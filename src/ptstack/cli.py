@@ -1,5 +1,6 @@
 """Command-line front end: cell inspection, transmission sweeps, convergence
-studies, the generalized alternating-stack fit, and oracle cross-checks.
+studies, the unbalanced alternating stack against its mean-height barrier,
+and oracle cross-checks.
 
 Output is CSV (UTF-8, comma separated, ``#``-prefixed metadata lines) or
 JSON; ``--output -`` writes to standard output.  Runs are fully
@@ -222,7 +223,7 @@ _COMMANDS = {
         {"k": _Opt(float), "v": _Opt(float), **_n_options(100, 100000, 13, "log")}, None,
     ),
     "general": (
-        "fit the constant-barrier limit of an unbalanced stack",
+        "deviation of an unbalanced stack from its mean-height barrier",
         {"v1": _Opt(float), "v2": _Opt(float), "eps": _Opt(float), "k": _Opt(float),
          **_n_options(128, 2048, 5, "log")},
         None,

@@ -1,4 +1,4 @@
-"""``ptstack general``: fit the constant-barrier limit of an unbalanced stack."""
+"""``ptstack general``: measure an unbalanced stack against its mean-height barrier."""
 
 from __future__ import annotations
 
@@ -16,11 +16,5 @@ def cmd_general(opt: dict, defaulted: set):
     ]
     columns = ("N", "k", "deviation_inf", "diag_err", "offdiag_dev", "absdet_err")
     _check_finite_rows(columns, rows)
-    summary = [
-        (name, getattr(result, name))
-        for name in (
-            "effective_height", "candidate_full_imbalance", "candidate_mean_height",
-            "residual_full_imbalance", "residual_mean_height", "closest_candidate", "converged",
-        )
-    ]
+    summary = [("effective_height", result.effective_height), ("converged", result.converged)]
     return _rows_text(opt["format"], columns, rows), summary, [], EXIT_OK if result.converged else EXIT_NONCONVERGED

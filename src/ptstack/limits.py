@@ -27,7 +27,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .cell import barrier_matrix
-from .core import NonFiniteMatrixError, TransferMatrix, check_count, check_positive, check_wave_number
+from .core import TransferMatrix, check_count, check_positive, check_wave_number
 from .stack import PeriodicSpec, alternating_matrix, periodic_matrix
 
 
@@ -138,78 +138,27 @@ def fit_loglog_slope(ns: Sequence[int], deviations: Sequence[float]) -> float:
     return math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
 
 
-class GeneralizedLimitResult(namedtuple(
-    "GeneralizedLimitResult", "effective_height records converged candidate_full_imbalance candidate_mean_height"
-)):
-    """Fitted constant-barrier equivalent of an unbalanced alternating stack.
+class GeneralizedLimitResult(namedtuple("GeneralizedLimitResult", "effective_height records converged")):
+    """Deviation of an unbalanced alternating stack from its uniform-barrier limit.
 
-    ``effective_height`` minimizes the entrywise least-squares distance
-    between the single-barrier matrix of the full length and the stack
-    matrix at the largest N of the schedule.  Two closed-form candidates are
-    carried for comparison: the full uncompensated imbalance
-    v1 + i(1-eps) v2 and the arithmetic mean of the two slab heights
-    v1 + i(1-eps) v2/2.  ``converged`` is False when the deviation from the
-    fitted barrier fails to decrease over the schedule or never rises above
-    rounding noise (about 1e3 ulps of the largest entry); callers should treat
-    the fit as unreliable in that case rather than expect an exception.
+    ``effective_height`` is the mean of the two slab heights,
+    h = v1 + i(1-eps) v2/2, and every record measures the stack matrix
+    against the single barrier of that height over the full length; the
+    deviation falls like 1/N.  ``converged`` is False when that deviation
+    fails to decrease over the schedule or never rises above rounding noise
+    (about 1e3 ulps of the largest entry); callers should treat the schedule
+    as carrying no convergence signal in that case rather than expect an
+    exception.
     """
 
     __slots__ = ()
 
-    @property
-    def residual_full_imbalance(self) -> float:
-        return abs(self.effective_height - self.candidate_full_imbalance)
-
-    @property
-    def residual_mean_height(self) -> float:
-        return abs(self.effective_height - self.candidate_mean_height)
-
-    @property
-    def closest_candidate(self) -> str:
-        if self.residual_mean_height <= self.residual_full_imbalance:
-            return "mean_height"
-        return "full_imbalance"
-
-
-# Gauss-Newton step cap; from the mean height 3-4 steps reach rounding noise.
-_FIT_MAX_STEPS = 12
 
 # Deviations below this many ulps of the largest entry are rounding noise and
 # compare equal in the convergence test, so a schedule that shows only noise
 # (identical slabs, eps = -1: at most ~105 ulps over 300 random draws) is not
 # flagged as converged by chance.
 _NOISE_ULPS = 1024
-
-
-def _fit_effective_height(
-    target: TransferMatrix, k: float, total_length: float, initial: complex
-) -> complex:
-    """Gauss-Newton fit of one complex barrier height to ``target``.
-
-    ``barrier_matrix`` is analytic in the height h, so the Jacobian of the
-    four complex entry residuals r is one complex column J and each step is
-    h -= (J^H r) / (J^H J).  J is a central difference in h.  The step
-    tolerance can sit below the rounding noise of the step (about 1e-14
-    relative); the step cap then ends the loop.  Raises OverflowError when a
-    step leaves the double range.
-    """
-
-    def residuals(h: complex) -> tuple[complex, ...]:
-        m = barrier_matrix(k, h, total_length, 0.0)
-        return (m.m11 - target.m11, m.m12 - target.m12, m.m21 - target.m21, m.m22 - target.m22)
-
-    h = complex(initial)
-    for _ in range(_FIT_MAX_STEPS):
-        delta = 1e-6 * max(1.0, abs(h))
-        r = residuals(h)
-        jac = [(a - b) / (2.0 * delta) for a, b in zip(residuals(h + delta), residuals(h - delta))]
-        step = sum(j.conjugate() * x for j, x in zip(jac, r)) / sum(abs(j) ** 2 for j in jac)
-        if not cmath.isfinite(step):
-            raise OverflowError("Gauss-Newton step is not finite")
-        h -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(h)):
-            break
-    return h
 
 
 def generalized_limit_study(
@@ -220,26 +169,19 @@ def generalized_limit_study(
     n_schedule: Sequence[int],
     k: float,
 ) -> GeneralizedLimitResult:
-    """Fit the fine-layer limit of slabs alternating v1 + i v2 / v1 - i eps v2.
+    """Fine-layer limit of slabs alternating v1 + i v2 / v1 - i eps v2.
 
     Each stack matrix comes from the closed form :func:`alternating_matrix`
-    (O(1) in N), the effective height is fitted at the largest N, and the
-    per-N deviation from that fitted barrier is recorded.  Raises
-    :class:`NonFiniteMatrixError` when a stack matrix or the fit leaves the
-    double range.
+    (O(1) in N) and its deviation from the barrier of the mean height
+    v1 + i(1-eps) v2/2 is recorded per N.  Raises
+    :class:`NonFiniteMatrixError` when a stack matrix leaves the double
+    range.
     """
     k = check_wave_number(k)
     ns = _check_schedule(n_schedule)
     matrices = [alternating_matrix(v1, v2, eps, n, total_length, k) for n in ns]
     mean_height = complex(v1, (1.0 - eps) * v2 / 2.0)
-    full_imbalance = complex(v1, (1.0 - eps) * v2)
-    try:
-        effective = _fit_effective_height(matrices[-1], k, total_length, mean_height)
-    except OverflowError:
-        raise NonFiniteMatrixError(
-            f"effective-height fit leaves the double range at k = {k}, v1 = {v1}, v2 = {v2}, eps = {eps}"
-        ) from None
-    reference = barrier_matrix(k, effective, total_length, 0.0)
+    reference = barrier_matrix(k, mean_height, total_length, 0.0)
     records = tuple(
         _deviation_record(n, k, m, reference, math.nan) for n, m in zip(ns, matrices)
     )
@@ -249,10 +191,4 @@ def generalized_limit_study(
     converged = all(b <= a * 1.05 for a, b in zip(deviations, deviations[1:])) and (
         deviations[-1] < deviations[0]
     )
-    return GeneralizedLimitResult(
-        effective_height=effective,
-        records=records,
-        converged=converged,
-        candidate_full_imbalance=full_imbalance,
-        candidate_mean_height=mean_height,
-    )
+    return GeneralizedLimitResult(effective_height=mean_height, records=records, converged=converged)

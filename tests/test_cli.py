@@ -283,13 +283,13 @@ def test_sweep_rejects_a_non_finite_k_bound(capsys, k_max):
 
 
 @pytest.mark.parametrize("k", ["1e-160", "1e-310"])
-def test_general_names_the_point_where_its_fit_overflows(capsys, k):
-    # The Gauss-Newton step's sum of |J|^2 overflows (1e-160), or the step is
-    # not finite (1e-310).
+def test_general_names_the_point_where_its_rows_overflow(capsys, k):
+    # The stack matrix's entries grow like 1/k and stay finite, but the
+    # products in its determinant overflow, so |det - 1| is NaN at the
+    # first N.
     code, out, err = run_cli(capsys, "general", "--v1", "0", "--v2", "40", "--eps", "1", "--k", k)
     assert (code, out) == (2, "")
-    assert err == (f"ptstack: numerical failure: effective-height fit leaves the double range at k = {float(k)}, "
-                   "v1 = 0.0, v2 = 40.0, eps = 1.0\n")
+    assert err == f"ptstack: numerical failure: absdet_err leaves the double range at N = 128, k = {float(k)}\n"
     assert run_cli(capsys, "general", "--v1", "0", "--v2", "40", "--eps", "1", "--k", "1e-60")[0] == 0
 
 
