@@ -167,7 +167,7 @@ def test_criterion_7_generalized_real_barrier():
     height_err = abs(res.effective_height - 7.0)
     target = barrier_matrix(3.0, 7.0, 1.0, 0.0)
     devs = [
-        _entry_diff(compose_stack(build_alternating(7.0, 40.0, 1.0, n, 1.0), 3.0), target)
+        _entry_diff(slab_propagation_matrix(build_alternating(7.0, 40.0, 1.0, n, 1.0), 3.0), target)
         for n in ns
     ]
     slope = fit_loglog_slope(ns, devs)

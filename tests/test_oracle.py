@@ -342,6 +342,28 @@ def test_generated_step_is_the_loop_bit_for_bit(rng):
     assert sizes == {2, 4, 6}
 
 
+@pytest.mark.parametrize("w2", [-9.0, -1.0, 0.0, 1.0, 4.0])
+@pytest.mark.parametrize(
+    "y",
+    [
+        [complex(1, -0.0), complex(0.5, -0.0)],
+        [complex(-1, -0.0), complex(0.25, -0.0)],
+        [complex(2, -0.0), complex(-0.5, -0.0), complex(1, -0.0), complex(1, -0.0)],
+    ],
+)
+def test_generated_step_differs_from_the_loop_only_in_zero_signs(w2, y):
+    # A start state whose -0.0 imaginary parts stay zero: CPython's float *
+    # complex in the loop's `acc * h` adds `- acc.imag * 0.0`, which the
+    # generated step leaves out, so an end part may be -0.0 in one and +0.0
+    # in the other.  Every other part, nfev, success and message agree.
+    ours = oracle.solve_ivp(w2, (1.0, 0.0), y)
+    loop, _ = _loop_integrate(_rhs(w2), (1.0, 0.0), y, oracle.REL_TOL, oracle.ABS_TOL)
+    assert ours == loop
+    for z, w in zip(ours.y, loop.y):
+        for a, b in ((z.real, w.real), (z.imag, w.imag)):
+            assert repr(a) == repr(b) or a == b == 0.0, (z, w)
+
+
 def test_error_scale_is_complex_abs():
     # The error scale takes Python's complex abs, as the loop does; libm's
     # hypot behind it and math.hypot round the modulus of z differently, and
