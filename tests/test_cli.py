@@ -637,7 +637,7 @@ def test_worker_killed_while_rendering(capsys, monkeypatch, tmp_path):
         ("sweep", "--v", "1e5", "--total-length", "50", "--n-min", "50", "--n-max", "50",
          "--n-count", "1", "--k-min", "1", "--k-max", "1", "--k-count", "1"),
         ("converge", "--k", "1", "--v", "1e5", "--total-length", "50"),
-        # the N-cell power of the alternating cell overflows before the fit
+        # the N-cell power of the alternating cell overflows before any row is measured
         ("general", "--v1", "0", "--v2", "1e5", "--eps", "1", "--k", "1", "--total-length", "50"),
         # cmath.cos overflows inside one wide slab of the alternating cell
         ("general", "--v1", "0", "--v2", "1e5", "--eps", "1", "--k", "1", "--total-length", "50",
