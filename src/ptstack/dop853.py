@@ -16,24 +16,28 @@ and no ``sum()`` (whose float summation changed in Python 3.12), so the
 result does not depend on the CPU, numpy or OpenBLAS.  No dense output, no
 step limit, no method choice.
 
-A step is one straight-line function per number of pairs, generated from
-the tableau by :func:`_step_source` and compiled on first use, as
-``collections.namedtuple`` builds its classes.  It holds the real and
-imaginary parts of the state and the stages as float locals and has the
+A step is one function for every number of pairs, generated from the
+tableau by :func:`_step_source` and compiled when this module loads, as
+``collections.namedtuple`` builds its classes.  It loops over the pairs of
+the state, and the loop body is straight-line: it holds the real and
+imaginary parts of one pair and its stages as float locals and has the
 right-hand side written in, so a weighted term is two float
 multiplications and two float additions, which the interpreter
-specialises, and no stage calls a function.  The weights are their
-``repr``, which reads back as the same double, and the terms, their order
-and the 0.0 each sum starts from are those of a loop over the tableau on
-complex numbers with a generic right-hand side, so the step's results are
-that loop's bit for bit, with one exception.  CPython 3.10 to 3.13 multiply
-a float and a complex as two complex numbers, which adds 0.0 times the
-other part to each part of the product; the step leaves that term out.  It
-can only change the sign of a zero or turn an infinite part into NaN: a sum
-that starts from +0.0 stays +0.0 whatever the sign of its zero terms, and a
-step with an infinite part has an error norm of inf or NaN and is rejected
-either way.  So the two differ only in the sign of a part of the state that
-starts as -0.0 and stays zero, which no start state of the oracle has.
+specialises, and no stage calls a function.  Each error norm is one
+``math.hypot`` over the scaled parts of every entry, in entry order.  The
+weights are their ``repr``, which reads back as the same double, and the
+terms, their order and the 0.0 each sum starts from are those of a loop
+over the tableau on complex numbers with a generic right-hand side, so the
+step's results are that loop's bit for bit, with one exception.  CPython
+3.10 to 3.13 multiply a float and a complex as two complex numbers, which
+adds 0.0 times the other part to each part of the product; the step leaves
+that term out.  It can only change the sign of a zero or turn an infinite
+part into NaN: a sum that starts from +0.0 stays +0.0 whatever the sign of
+its zero terms, and a step with an infinite part has an error norm of inf
+or NaN and is rejected either way.  So the two differ only in the sign of a
+part of the state that starts as -0.0 and stays zero, which no start state
+of the oracle has.  The starting step (:func:`_initial_step`) forms
+(psi', w2 psi) itself, so no right-hand-side function is passed around.
 
 Nothing here imports ptstack or numpy; :mod:`ptstack.oracle` loads this
 module on its first integration.
@@ -119,19 +123,21 @@ def _norm(x, scale) -> float:
     return math.hypot(*[part / s for z, s in zip(x, scale) for part in (z.real, z.imag)])
 
 
-def _initial_step(fun, x, y, f, x_end, direction, rtol, atol):
-    """Starting step of Hairer, Norsett & Wanner, sec. II.4, for error order 7.
+def _initial_step(w2, y, interval, direction, rtol, atol):
+    """Starting step of Hairer, Norsett & Wanner, sec. II.4, for error order 7,
+    from the state y of (psi, psi') pairs of psi'' = w2 psi.
 
-    Costs one call of ``fun``.
+    Costs one right-hand-side evaluation besides f = (psi', w2 psi) at y.
     """
-    interval = abs(x_end - x)
+    f = [f_i for psi, dpsi in zip(y[0::2], y[1::2]) for f_i in (dpsi, w2 * psi)]
     scale = [atol + abs(y_i) * rtol for y_i in y]
     root_n = len(y) ** 0.5
     d0 = _norm(y, scale) / root_n
     d1 = _norm(f, scale) / root_n
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = fun(x + h0 * direction, [y_i + h0 * direction * f_i for y_i, f_i in zip(y, f)])
+    y1 = [y_i + (h0 * direction) * f_i for y_i, f_i in zip(y, f)]
+    f1 = [f_i for psi, dpsi in zip(y1[0::2], y1[1::2]) for f_i in (dpsi, w2 * psi)]
     d2 = _norm([a - b for a, b in zip(f1, f)], scale) / root_n / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -140,34 +146,34 @@ def _initial_step(fun, x, y, f, x_end, direction, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def _step_source(pairs: int) -> str:
+def _step_source() -> str:
     """Source of ``step(y, h, w2r, w2i, rtol, atol)``, one DOP853 step of
-    size h from the state y of ``pairs`` (psi, psi') pairs of psi'' = w2 psi,
+    size h from the state y of (psi, psi') pairs of psi'' = w2 psi,
     w2 = w2r + i w2i.
 
-    The step returns (y_new, error_norm).  It works on the real and
-    imaginary parts of the state and stages, held as float locals, and its
-    operations are those of the complex loop over the tableau written out:
-    each stage's state is y + h times the sum of its weighted stages, and
-    its stage is (psi', w2 psi) of that state, so the stage of a psi entry
-    is a name for the state's psi' entry and only w2 psi is computed, as
-    the complex product (w2r re - w2i im, w2r im + w2i re).  The error
-    estimates are the same sums at y = 0 and h = 1, the error scale is
-    atol + rtol max(|y|, |y_new|) with Python's complex ``abs`` (libm's
-    ``hypot``, which raises ``OverflowError`` past the double range; it and
-    ``math.hypot`` round differently), and the error norm is DOP853's, the
-    fifth-order estimate damped where the third-order one is large,
-    err5^2 / sqrt((err5^2 + 0.01 err3^2) n).
+    The step returns (y_new, error_norm).  A loop over the pairs of y
+    advances each pair on the real and imaginary parts of its entries and
+    stages, held as float locals, with the operations of the complex loop
+    over the tableau written out: each stage's state is y + h times the sum
+    of its weighted stages, and its stage is (psi', w2 psi) of that state,
+    so the stage of psi is a name for the state's psi' and only w2 psi is
+    computed, as the complex product (w2r re - w2i im, w2r im + w2i re).
+    The error estimates are the same sums at y = 0 and h = 1, the error
+    scale is atol + rtol max(|y|, |y_new|) with Python's complex ``abs``
+    (libm's ``hypot``, which raises ``OverflowError`` past the double range;
+    it and ``math.hypot`` round differently), and the error norm is
+    DOP853's, the fifth-order estimate damped where the third-order one is
+    large, err5^2 / sqrt((err5^2 + 0.01 err3^2) n), each norm one ``hypot``
+    over the scaled parts of all pairs (per-pair norms round differently).
     """
-    size = 2 * pairs
-    entries = range(size)
+    entries = range(2)  # psi and psi' of the pair
 
     def stage(j, i, part):
-        """Part ('r' or 'i') of entry i of stage j: for psi (even i) the
+        """Part ('r' or 'i') of entry i of stage j: for psi (i = 0) the
         psi' entry of stage j's state, y itself for stage 0."""
-        if i % 2:
+        if i:
             return f"k{j}_{i}{part}"
-        return f"y{i + 1}{part}" if j == 0 else f"Y{j}_{i + 1}{part}"
+        return "y1" + part if j == 0 else f"Y{j}_1{part}"
 
     def weighed(terms, i, part):
         """The weighted stages of the (j, w_j) terms, in stage order."""
@@ -177,52 +183,46 @@ def _step_source(pairs: int) -> str:
         """Part of y_i + (0 + the weighted stages) * h."""
         return f"y{i}{part} + (0.0 + {weighed(terms, i, part)}) * h"
 
-    def times_w2(j, i, re, im):
-        """Stage j of the psi' entry i: w2 times the psi whose parts are re, im."""
-        return [f"{stage(j, i, 'r')} = w2r * {re} - w2i * {im}", f"{stage(j, i, 'i')} = w2r * {im} + w2i * {re}"]
+    def times_w2(j, re, im):
+        """Stage j of psi': w2 times the psi whose parts are re, im."""
+        return [f"{stage(j, 1, 'r')} = w2r * {re} - w2i * {im}", f"{stage(j, 1, 'i')} = w2r * {im} + w2i * {re}"]
 
-    body = [f"{', '.join(f'y{i}' for i in entries)} = y"]
-    body += [f"y{i}r = y{i}.real; y{i}i = y{i}.imag" for i in entries]
-    for i in entries[1::2]:
-        body += times_w2(0, i, f"y{i - 1}r", f"y{i - 1}i")
+    pair = ["y0 = y[i]; y1 = y[i + 1]"]
+    pair += [f"y{i}r = y{i}.real; y{i}i = y{i}.imag" for i in entries]
+    pair += times_w2(0, "y0r", "y0i")
     for s in range(1, _STAGES):
-        for i in entries[1::2]:
-            body += [
-                f"ur = {advance(_A_TERMS[s], i - 1, 'r')}",
-                f"ui = {advance(_A_TERMS[s], i - 1, 'i')}",
-                f"Y{s}_{i}r = {advance(_A_TERMS[s], i, 'r')}",
-                f"Y{s}_{i}i = {advance(_A_TERMS[s], i, 'i')}",
-                *times_w2(s, i, "ur", "ui"),
-            ]
-    parts = (f"complex({advance(_B_TERMS, i, 'r')}, {advance(_B_TERMS, i, 'i')})" for i in entries)
-    body += [f"y_new = [{', '.join(parts)}]", f"{', '.join(f'n{i}' for i in entries)} = y_new"]
+        pair += [
+            f"ur = {advance(_A_TERMS[s], 0, 'r')}",
+            f"ui = {advance(_A_TERMS[s], 0, 'i')}",
+            f"Y{s}_1r = {advance(_A_TERMS[s], 1, 'r')}",
+            f"Y{s}_1i = {advance(_A_TERMS[s], 1, 'i')}",
+            *times_w2(s, "ur", "ui"),
+        ]
+    pair += [f"n{i} = complex({advance(_B_TERMS, i, 'r')}, {advance(_B_TERMS, i, 'i')})" for i in entries]
+    pair.append("y_new += (n0, n1)")
     for i in entries:  # the error scale: atol + rtol * max(|y|, |y_new|)
-        body.append(f"a = abs(y{i}); b = abs(n{i}); s{i} = atol + (b if b > a else a) * rtol")
-    for name, terms in (("e", _E5_TERMS), ("d", _E3_TERMS)):
+        pair.append(f"a = abs(y{i}); b = abs(n{i}); s{i} = atol + (b if b > a else a) * rtol")
+    for parts, name, terms in (("err5", "e", _E5_TERMS), ("err3", "d", _E3_TERMS)):
         for i in entries:  # the norm drops the sign of a zero sum, so no 0.0 starts it
-            body += [f"{name}{i}r = {weighed(terms, i, 'r')}", f"{name}{i}i = {weighed(terms, i, 'i')}"]
-    for norm, name in (("err5_2", "e"), ("err3_2", "d")):
-        parts = ", ".join(f"{name}{i}r / s{i}, {name}{i}i / s{i}" for i in entries)
-        body.append(f"{norm} = hypot({parts}) ** 2")
-    body += [
+            pair += [f"{name}{i}r = {weighed(terms, i, 'r')}", f"{name}{i}i = {weighed(terms, i, 'i')}"]
+        pair.append(f"{parts} += ({', '.join(f'{name}{i}r / s{i}, {name}{i}i / s{i}' for i in entries)})")
+    body = [
+        "y_new = []; err5 = []; err3 = []",
+        "for i in range(0, size := len(y), 2):",
+        *(f"    {line}" for line in pair),
+        "err5_2 = hypot(*err5) ** 2",
+        "err3_2 = hypot(*err3) ** 2",
         "if err5_2 == 0 and err3_2 == 0:",
         "    return y_new, 0.0",
-        f"return y_new, abs(h) * err5_2 / sqrt((err5_2 + 0.01 * err3_2) * {size})",
+        "return y_new, abs(h) * err5_2 / sqrt((err5_2 + 0.01 * err3_2) * size)",
     ]
     return "def step(y, h, w2r, w2i, rtol, atol):\n" + "".join(f"    {line}\n" for line in body)
 
 
-_STEPS: dict = {}  # number of pairs -> its compiled step
-
-
-def _step(pairs: int):
-    """The step of :func:`_step_source` for ``pairs``, compiled on first use."""
-    step = _STEPS.get(pairs)
-    if step is None:
-        namespace = {"hypot": math.hypot, "sqrt": math.sqrt}
-        exec(compile(_step_source(pairs), f"<dop853 step of {pairs} pairs>", "exec"), namespace)
-        step = _STEPS[pairs] = namespace["step"]
-    return step
+# The step of :func:`_step_source`, compiled once, when this module loads.
+_namespace = {"hypot": math.hypot, "sqrt": math.sqrt}
+exec(compile(_step_source(), "<dop853 step>", "exec"), _namespace)
+_step = _namespace["step"]
 
 
 def integrate(w2, x_span, y0, rtol: float, atol: float) -> OdeResult:
@@ -242,24 +242,14 @@ def integrate(w2, x_span, y0, rtol: float, atol: float) -> OdeResult:
     """
     x, x_end = float(x_span[0]), float(x_span[1])
     y = list(map(complex, y0))
-    pairs, odd = divmod(len(y), 2)
-    if odd or not pairs:
+    if not y or len(y) % 2:
         raise ValueError(f"the state must be (psi, psi') pairs, got {len(y)} entries")
     w2 = complex(w2)
-
-    def fun(x, state):
-        """(psi', w2 psi) for every pair: the right-hand side of the starting step."""
-        f = []
-        for psi, dpsi in zip(state[0::2], state[1::2]):
-            f += (dpsi, w2 * psi)
-        return f
-
     direction = 1.0 if x_end > x else -1.0
     nfev = 1  # the derivative at the start, which the first step takes again
-    step = _step(pairs)
     if x != x_end:
         try:
-            h_abs = _initial_step(fun, x, y, fun(x, y), x_end, direction, rtol, atol)
+            h_abs = _initial_step(w2, y, abs(x_end - x), direction, rtol, atol)
         except ArithmeticError:
             h_abs = math.nan
         nfev += 1
@@ -279,7 +269,7 @@ def integrate(w2, x_span, y0, rtol: float, atol: float) -> OdeResult:
             h = x_new - x
             h_abs = abs(h)
             try:
-                y_new, error_norm = step(y, h, w2.real, w2.imag, rtol, atol)
+                y_new, error_norm = _step(y, h, w2.real, w2.imag, rtol, atol)
             except ArithmeticError:
                 error_norm = math.inf
             nfev += _STAGES

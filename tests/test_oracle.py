@@ -250,9 +250,10 @@ def _loop_error_norm(k, h, scale):
     return abs(h) * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
 
 
-def _loop_integrate(fun, x_span, y0, rtol, atol):
+def _loop_integrate(w2, x_span, y0, rtol, atol):
     """dop853.integrate with the loop step; also returns the count of
     rejected steps."""
+    fun = _rhs(w2)
     rejections = 0
     x, x_end = float(x_span[0]), float(x_span[1])
     y = list(map(complex, y0))
@@ -261,7 +262,7 @@ def _loop_integrate(fun, x_span, y0, rtol, atol):
     nfev = 1
     if x != x_end:
         try:
-            h_abs = dop853._initial_step(fun, x, y, f, x_end, direction, rtol, atol)
+            h_abs = dop853._initial_step(w2, y, abs(x_end - x), direction, rtol, atol)
         except ArithmeticError:
             h_abs = math.nan
         nfev += 1
@@ -330,7 +331,7 @@ def test_generated_step_is_the_loop_bit_for_bit(rng):
     for chain, y in chains:
         for w2, span in chain:
             ours = oracle.solve_ivp(w2, span, y)
-            loop, rejected = _loop_integrate(_rhs(w2), span, y, oracle.REL_TOL, oracle.ABS_TOL)
+            loop, rejected = _loop_integrate(w2, span, y, oracle.REL_TOL, oracle.ABS_TOL)
             assert ours == loop, span
             assert repr(ours.y) == repr(loop.y), span
             outcomes.add(loop.success)
@@ -357,7 +358,7 @@ def test_generated_step_differs_from_the_loop_only_in_zero_signs(w2, y):
     # generated step leaves out, so an end part may be -0.0 in one and +0.0
     # in the other.  Every other part, nfev, success and message agree.
     ours = oracle.solve_ivp(w2, (1.0, 0.0), y)
-    loop, _ = _loop_integrate(_rhs(w2), (1.0, 0.0), y, oracle.REL_TOL, oracle.ABS_TOL)
+    loop, _ = _loop_integrate(w2, (1.0, 0.0), y, oracle.REL_TOL, oracle.ABS_TOL)
     assert ours == loop
     for z, w in zip(ours.y, loop.y):
         for a, b in ((z.real, w.real), (z.imag, w.imag)):
@@ -375,14 +376,50 @@ def test_error_scale_is_complex_abs():
     fun = _rhs(w2)
     y_new, _, k = _loop_rk_step(fun, 0.0, y, fun(0.0, y), h)
     error_norm = _loop_error_norm(k, h, _loop_error_scale(oracle.REL_TOL, oracle.ABS_TOL, y, y_new))
-    assert dop853._step(1)(y, h, w2, 0.0, oracle.REL_TOL, oracle.ABS_TOL) == (y_new, error_norm)
+    assert dop853._step(y, h, w2, 0.0, oracle.REL_TOL, oracle.ABS_TOL) == (y_new, error_norm)
 
 
-def test_generated_step_source_is_plain_arithmetic():
-    # Straight-line float arithmetic: no sum(), no loop, and no call but the
-    # error scale's abs, the new state's complex and the norm's hypot and sqrt.
-    source = dop853._step_source(2)
-    assert "sum(" not in source and "for " not in source
-    calls = {node.func.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
+def test_error_norm_is_one_hypot_over_every_pair(monkeypatch):
+    # Each error norm is one hypot over the scaled parts of every entry, in
+    # entry order, as in the loop.  On this 2-pair state the hypot of the
+    # per-pair norms differs in its last bits, so a step that took the norm
+    # pair by pair would fail.
+    y, h, w2 = [0.26 + 0.45j, -0.41 + 0.49j, 0.79 + 0.95j, 0.93j], 0.05, -1.0
+    fun = _rhs(w2)
+    y_new, _, k = _loop_rk_step(fun, 0.0, y, fun(0.0, y), h)
+    scale = _loop_error_scale(oracle.REL_TOL, oracle.ABS_TOL, y, y_new)
+    error_norm = _loop_error_norm(k, h, scale)
+    norm = dop853._norm
+
+    def per_pair(x, scale):
+        return math.hypot(*(norm(x[i:i + 2], scale[i:i + 2]) for i in range(0, len(x), 2)))
+
+    monkeypatch.setattr(dop853, "_norm", per_pair)
+    assert _loop_error_norm(k, h, scale) != error_norm
+    monkeypatch.undo()
+    assert dop853._step(y, h, w2, 0.0, oracle.REL_TOL, oracle.ABS_TOL) == (y_new, error_norm)
+
+
+def test_one_generated_step_serves_every_number_of_pairs(monkeypatch):
+    # One step, compiled once, advances states of 1, 2 and 3 pairs.  Its only
+    # loop is the one over the pairs; the rest is float arithmetic with no
+    # sum() and no call but the error scale's abs, the new state's complex
+    # and the norm's hypot and sqrt.
+    source = dop853._step_source()
+    tree = ast.parse(source)
+    (loop,) = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert isinstance(loop, ast.For) and loop.iter.func.id == "range" and ast.literal_eval(loop.iter.args[2]) == 2
+    header = set(ast.walk(loop.iter))
+    calls = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and node not in header}
     assert calls == {"abs", "complex", "hypot", "sqrt"}
-    assert dop853._step(2) is dop853._step(2)
+    assert "sum(" not in source
+    step, sizes = dop853._step, []
+
+    def spy(y, *args):
+        sizes.append(len(y))
+        return step(y, *args)
+
+    monkeypatch.setattr(dop853, "_step", spy)
+    for pairs in (1, 2, 3):
+        assert oracle.solve_ivp(-4.0, (0.0, 1.0), [1, 2j] * pairs).success
+    assert set(sizes) == {2, 4, 6}
