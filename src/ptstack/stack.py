@@ -126,14 +126,15 @@ def compose_stack(stack: PotentialStack, k: float) -> TransferMatrix:
 def _alternating_slabs(
     v1: float, v2: float, eps: float, n_cells: int, total_length: float
 ) -> tuple[complex, complex, int, float]:
-    """Validated (gain height, loss height, N, slab width) of the alternating stack."""
+    """Validated (gain height, loss height, N, slab width) of the alternating
+    stack; :class:`NonFiniteMatrixError` where eps * v2 overflows."""
     n_cells = check_count(n_cells, "n_cells", 1)
     total_length = check_positive(total_length, "total_length")
     v1, v2, eps = check_finite(v1, "v1"), check_finite(v2, "v2"), check_finite(eps, "eps")
-    # Finite inputs can still overflow the product eps * v2.
-    gain = check_finite(complex(v1, v2), "slab height")
-    loss = check_finite(complex(v1, -eps * v2), "slab height")
-    return gain, loss, n_cells, total_length / (2.0 * n_cells)
+    loss = -eps * v2
+    if math.isinf(loss):  # finite inputs can still overflow the product
+        raise NonFiniteMatrixError(f"eps * v2 leaves the double range at v1 = {v1}, v2 = {v2}, eps = {eps}")
+    return complex(v1, v2), complex(v1, loss), n_cells, total_length / (2.0 * n_cells)
 
 
 def build_alternating(

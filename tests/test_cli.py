@@ -274,6 +274,14 @@ def test_general_names_a_non_finite_option(capsys, option, value):
     assert err == f"ptstack: error: {option} must be finite, got {value}\n"
 
 
+def test_general_names_an_overflowing_eps_times_v2(capsys):
+    # Every option is finite, but the loss slab's height -eps * v2 is not: a
+    # numerical failure, not a usage error.
+    code, out, err = run_cli(capsys, "general", "--v1", "0", "--v2", "1e308", "--eps", "2", "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == "ptstack: numerical failure: eps * v2 leaves the double range at v1 = 0.0, v2 = 1e+308, eps = 2.0\n"
+
+
 @pytest.mark.parametrize("k_max", ["inf", "nan", "1e309"])
 def test_sweep_rejects_a_non_finite_k_bound(capsys, k_max):
     # An infinite bound must not reach the grid, where it becomes NaN points.

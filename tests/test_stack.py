@@ -117,6 +117,11 @@ def test_build_alternating_eps_zero():
     assert stack.layers[1].height == 0.0 + 0.0j
 
 
+def test_build_alternating_names_an_overflowing_eps_times_v2():
+    with pytest.raises(NonFiniteMatrixError, match=r"^eps \* v2 leaves the double range at v1 = 0, v2 = 1e\+308, eps = 2$"):
+        build_alternating(0, 1e308, 2, 4, 1.0)
+
+
 def test_build_alternating_balanced_matches_periodic():
     k, v, n = 2.0, 40.0, 5
     prod = compose_stack(build_alternating(0.0, v, 1.0, n, 1.0), k)
