@@ -215,7 +215,7 @@ def test_dop853_takes_scipys_steps(rng):
 
 
 # A DOP853 step as a loop over the tableau of ptstack.dop853: the reference
-# that its generated straight-line steps must match bit for bit.
+# that its generated step must match bit for bit.
 def _loop_advance(y, h, terms, k):
     """y + h sum_j w_j k_j entry by entry, over the (j, w_j) terms in stage order."""
     total = []
