@@ -176,9 +176,9 @@ def barrier_matrix(k: float, height: complex, width: float, offset: float = 0.0)
     this reduces to the textbook rectangular-barrier matrix.
     """
     k = check_wave_number(k)
-    height = check_finite(complex(height), "barrier height")
+    height = check_finite(height, "barrier height", complex)
     width = check_positive(width, "barrier width")
-    offset = check_finite(float(offset), "barrier offset")
+    offset = check_finite(offset, "barrier offset", float)
     q2 = k * k - height
     try:
         c, s_over_q = _propagation_terms(q2, width)

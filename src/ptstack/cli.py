@@ -14,7 +14,11 @@ contiguous N range, the first one included, renders into a temporary file
 before the output is opened, a forked worker rendering each range after the
 first, and the bytes do not depend on the CPU count.  A failure in any range
 writes no row, and every sweep needs a writable temporary directory, also on
-one CPU.  ``taskset -c 0 ptstack sweep ...`` runs it in one process.
+one CPU.  ``oracle-check`` deals its grid rows over the CPUs the same way,
+row i to process i mod P of P, and merges them in row order: its
+bytes, and the row whose failure it reports, do not depend on the CPU count
+either.  ``taskset -c 0 ptstack sweep ...`` (or ``oracle-check``) runs in
+one process.
 
 Option precedence: command-line flag > preset flag (``sweep --fig3``,
 ``oracle-check --quick``) > config file > built-in default.  The config file
@@ -409,7 +413,7 @@ def run() -> None:
 
     Teardown (module and object finalization) would run for milliseconds
     after the last byte, and nothing needs it: ``main`` closes the output
-    file and the sweep's range files, reaps the sweep's workers and
+    file and the sweep's range files, reaps every forked worker and
     registers no exit handler, so only the standard streams are flushed
     here.  A flush that fails here prints nothing: ``main`` flushed its
     output and reported a failure itself, and an exit code of 0 becomes 1.

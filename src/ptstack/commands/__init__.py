@@ -1,6 +1,7 @@
 """The CLI's commands, one module each, which ``ptstack.cli`` imports only
-when it runs that command, and :mod:`.common`, which the front end and every
-command share.
+when it runs that command; :mod:`.common`, which the front end and every
+command share; and :mod:`.forked`, the fork helper of the two commands that
+spread their work over the CPUs, ``sweep`` and ``oracle-check``.
 
 Command ``name`` is ``cmd_<name>`` in module ``<name>``, with ``-`` read as
 ``_``.  It takes the resolved options and the names left at their default,

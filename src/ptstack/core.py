@@ -67,7 +67,10 @@ def check_positive(value: float, name: str) -> float:
 
     The one rule for every magnitude: V, slab widths and total lengths.
     """
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the double range, whose repr may be too long to make
+        raise ValueError(f"{name} must be finite and > 0, got a number beyond the double range") from None
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return value
@@ -97,10 +100,17 @@ def check_count(n: int, name: str, minimum: int) -> int:
     return count
 
 
-def check_finite(value: complex, name: str) -> complex:
-    """Return ``value`` (real or complex) unchanged, or raise ValueError unless
-    it is finite: slab heights, offsets and the parameters they are built from."""
-    if not cmath.isfinite(value):
+def check_finite(value: complex, name: str, kind=None) -> complex:
+    """Return ``value`` (real or complex), converted by ``kind`` (``float`` or
+    ``complex``) if given, or raise ValueError unless it is finite: slab
+    heights, offsets and the parameters they are built from."""
+    try:
+        if kind is not None:
+            value = kind(value)
+        finite = cmath.isfinite(value)
+    except OverflowError:  # an int beyond the double range, whose repr may be too long to make
+        raise ValueError(f"{name} must be finite, got a number beyond the double range") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
@@ -134,8 +144,8 @@ class Layer(namedtuple("Layer", "height width offset")):
 
     def __new__(cls, height: complex, width: float, offset: float = 0.0) -> "Layer":
         check_positive(width, "layer width")
-        check_finite(float(offset), "layer offset")
-        check_finite(complex(height), "layer height")
+        check_finite(offset, "layer offset", float)
+        check_finite(height, "layer height", complex)
         return tuple.__new__(cls, (height, width, offset))
 
     @classmethod

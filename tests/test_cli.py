@@ -483,7 +483,8 @@ def test_numerical_failure_maps_to_exit_2(capsys, monkeypatch):
 
 
 def _on_cpus(monkeypatch, count):
-    # sweep starts one worker per CPU in its affinity mask after the first.
+    # sweep and oracle-check start one worker per CPU in their affinity mask
+    # after the first.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
@@ -631,6 +632,102 @@ def test_worker_killed_while_rendering(capsys, monkeypatch, tmp_path):
         capsys, monkeypatch, tmp_path, lambda: os.kill(os.getpid(), signal.SIGKILL),
         "ptstack: error: sweep worker for N = 8..10 failed (exit code -9)\n",
     )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("ode", [("--quick",), ("--ode-n-max", "16")], ids=["quick", "ode-n-max-16"])
+def test_oracle_check_bytes_do_not_depend_on_cpu_count(capsys, monkeypatch, fmt, ode):
+    args = ("oracle-check", *ode, "--format", fmt)
+    _on_cpus(monkeypatch, 1)
+    forks = _counting_forks(monkeypatch)
+    expected = run_cli(capsys, *args)
+    assert expected[0] == 0 and expected[2] == "" and forks == []
+    for cpus in (2, 3):
+        _on_cpus(monkeypatch, cpus)
+        forks, fds = _counting_forks(monkeypatch), _open_fds()
+        assert run_cli(capsys, *args) == expected
+        assert len(forks) == cpus - 1
+        assert _open_fds() == fds
+        _assert_no_worker_left()
+
+
+# The (V, N, k) of each oracle-check row, in row order.  On 2 CPUs this
+# process computes the even rows and a worker the odd ones; on 3 CPUs row i
+# goes to share i mod 3.
+def _oracle_grid():
+    from ptstack.commands.oracle_check import ORACLE_GRID_K, ORACLE_GRID_N, ORACLE_GRID_V
+
+    return [(v, n, k) for v in ORACLE_GRID_V for n in ORACLE_GRID_N for k in ORACLE_GRID_K]
+
+
+def _oracle_failing(monkeypatch, action):
+    """integrate_transfer_matrix calls ``action(row)`` with the index of the
+    oracle-check row it integrates; a forked worker inherits the replacement."""
+    import ptstack.oracle
+
+    integrate, grid = ptstack.oracle.integrate_transfer_matrix, _oracle_grid()
+
+    def failing_integrate(stack, k):
+        action(grid.index((stack.layers[0].height.imag, len(stack.layers) // 2, k)))
+        return integrate(stack, k)
+
+    monkeypatch.setattr(ptstack.oracle, "integrate_transfer_matrix", failing_integrate)
+
+
+def _fails_at(*rows):
+    def action(row):
+        if row in rows:
+            from ptstack.oracle import IntegrationFailureError
+
+            raise IntegrationFailureError(f"synthetic failure at row {row}")
+
+    return action
+
+
+@pytest.mark.parametrize(
+    "cpus, rows",
+    [(2, (3,)), (2, (2,)), (2, (4, 3)), (3, (4, 2))],
+    ids=["worker-row", "own-row", "worker-row-first", "later-worker-row-first"],
+)
+def test_oracle_check_failing_row_is_the_serial_one(capsys, monkeypatch, tmp_path, cpus, rows):
+    # Whichever process computes it, the first failing row in row order is
+    # the one reported, as on one CPU: rows 2 and 4 are this process's on 2
+    # CPUs, 3 a worker's; on 3 CPUs, 4 is the first worker's, 2 the second's.
+    _oracle_failing(monkeypatch, _fails_at(*rows))
+    _on_cpus(monkeypatch, 1)
+    expected = run_cli(capsys, "oracle-check", "--quick")
+    assert expected == (2, "", f"ptstack: numerical failure: synthetic failure at row {min(rows)}\n")
+    _on_cpus(monkeypatch, cpus)
+    forks = _counting_forks(monkeypatch)
+    path = tmp_path / "rows.csv"
+    assert run_cli(capsys, "oracle-check", "--quick", "--output", str(path)) == expected
+    assert not path.exists()
+    assert len(forks) == cpus - 1
+    _assert_no_worker_left()
+
+
+@pytest.mark.parametrize(
+    "action, err",
+    [
+        (lambda: os._exit(1), "exit code 1"),
+        # The rows compute here without raising: the computation is not
+        # deterministic, and no exception can be reproduced.
+        (_raises(ValueError("worker only")), "exit code 2"),
+    ],
+    ids=["no-status", "not-reproduced"],
+)
+def test_oracle_check_failing_worker_writes_nothing(capsys, monkeypatch, tmp_path, action, err):
+    # A worker runs ``action`` at its first row that runs the ODE tier.
+    parent = os.getpid()
+    _oracle_failing(monkeypatch, lambda row: os.getpid() != parent and action())
+    _on_cpus(monkeypatch, 2)
+    fds, path = _open_fds(), tmp_path / "rows.csv"
+    assert run_cli(capsys, "oracle-check", "--quick", "--output", str(path)) == (
+        1, "", f"ptstack: error: oracle-check worker for grid rows 1..39 in steps of 2 failed ({err})\n"
+    )
+    assert not path.exists()
+    assert _open_fds() == fds
+    _assert_no_worker_left()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 from ptstack import (
     Layer,
+    PeriodicSpec,
     PotentialStack,
     TransferMatrix,
     WaveNumberMismatchError,
@@ -68,6 +69,28 @@ def test_cell_count_must_be_an_integer(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call(2.5)
     assert repr(call(2.0)) == repr(call(np.int64(2))) == repr(call(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_alternating(0, 10**400, 1, 1, 1.0), "v2 must be finite"),
+        (lambda: build_alternating(0, 1.0, 1, 1, 10**400), "total_length must be finite and > 0"),
+        (lambda: PeriodicSpec(v=10**400, n_cells=1, total_length=1.0), "V must be finite and > 0"),
+        (lambda: Layer(10**400, 1.0, 0.0), "layer height must be finite"),
+        (lambda: Layer(1.0, 1.0, -10**400), "layer offset must be finite"),
+        (lambda: alternating_matrix(0, 10**400, 1, 4, 1.0, 1.0), "v2 must be finite"),
+        (lambda: barrier_matrix(1.0, 10**5000, 1.0), "barrier height must be finite"),
+        (lambda: check_wave_number(10**400), "wave number must be finite and > 0"),
+    ],
+    ids=["build-v2", "build-length", "spec-v", "layer-height", "layer-offset", "alternating-v2",
+         "barrier-height", "wave-number"],
+)
+def test_int_beyond_the_double_range_names_its_parameter(call, message):
+    # float() and complex() of such an int raise OverflowError, and its repr
+    # may be too long to make (10**5000), so the message names no value.
+    with pytest.raises(ValueError, match=f"^{message}, got a number beyond the double range$"):
+        call()
 
 
 def test_layer_validation():

@@ -68,18 +68,20 @@ def test_readme_library_table_names_resolve():
 
 # The ptstack modules each subcommand runs besides the package, the CLI and
 # ptstack.commands.common: its own command module, and no other command's,
-# and the library modules it uses.  ptstack.cli puts the library modules in
+# the fork helper ptstack.commands.forked for sweep and oracle-check, and the
+# library modules it uses.  ptstack.cli puts the library modules in
 # sys.modules unexecuted (LazyLoader's module type); a module that has run is
 # a plain module.
 COMMAND_MODULES = {
     ("cell", "--k", "1", "--v", "40", "--b", "0.5"): {"commands.cell", "core", "cell"},
     ("sweep", "--v", "40", "--n-min", "1", "--n-max", "4", "--n-count", "2", "--k-count", "3"):
-        {"commands.sweep", "core", "cell", "chebyshev", "stack", "scattering"},
+        {"commands.sweep", "commands.forked", "core", "cell", "chebyshev", "stack", "scattering"},
     ("converge", "--k", "1", "--v", "40", "--n-max", "1000", "--n-count", "3"):
         {"commands.converge", "core", "cell", "chebyshev", "stack", "limits"},
     ("general", "--v1", "7", "--v2", "40", "--eps", "1", "--k", "3", "--n-max", "256", "--n-count", "2"):
         {"commands.general", "core", "cell", "chebyshev", "stack", "limits"},
-    ("oracle-check", "--quick"): {"commands.oracle_check", "core", "cell", "chebyshev", "stack", "oracle", "dop853"},
+    ("oracle-check", "--quick"):
+        {"commands.oracle_check", "commands.forked", "core", "cell", "chebyshev", "stack", "oracle", "dop853"},
 }
 
 
@@ -148,7 +150,7 @@ def test_module_run_never_imports_the_cli_again(argv, tmp_path):
     # Under python -m ptstack.cli the front end runs as __main__; a command
     # that imported ptstack.cli would compile and run it again as a second
     # module.  run() ends the process through os._exit, which reports here;
-    # sweep's forked workers leave through it too, silently.
+    # sweep's and oracle-check's forked workers leave through it too, silently.
     code = (
         "import os, runpy, sys\n"
         "exit, pid = os._exit, os.getpid()\n"

@@ -47,15 +47,22 @@ def test_traced_names_are_functions():
         assert callable(getattr(importlib.import_module(module), name)), f"{module}.{name}"
 
 
+def _on_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def test_traced_run_wraps_every_layer(tmp_path):
     # The tracer replaces functions in the ptstack modules loaded when it
     # installs, right after importing ptstack.cli; modules a command runs
-    # later must already be there.
+    # later must already be there.  oracle-check deals its rows to forked
+    # workers, whose calls the tracer does not see, so the run gets one CPU
+    # (a platform without affinity masks runs on one anyway).
     trace = tmp_path / "trace.json"
     subprocess.run(
         [sys.executable, str(PERFBENCH / "trace.py"), str(trace), "--",
          "oracle-check", "--quick", "--output", str(tmp_path / "out.csv")],
         check=True, env={**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")},
+        preexec_fn=_on_one_cpu if hasattr(os, "sched_setaffinity") else None,
     )
     record = json.loads(trace.read_text(encoding="utf-8"))
     calls = Counter()
