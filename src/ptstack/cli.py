@@ -2,28 +2,28 @@
 studies, the unbalanced alternating stack against its mean-height barrier,
 and oracle cross-checks.
 
-Output is CSV (UTF-8, comma separated, ``#``-prefixed metadata lines) or
-JSON; ``--output -`` writes to standard output.  Runs are fully
+Output is CSV (UTF-8, comma separated, '#'-prefixed metadata lines) or
+JSON; '--output -' writes to standard output.  Runs are fully
 deterministic: identical invocations produce byte-identical output.
 Nothing is written before the whole output is computed: each command
 renders its rows as text first, and the output gets the metadata, those
 rows and the summary.
 
-``sweep`` spreads its N grid over the CPUs in its affinity mask: every
-contiguous N range, the first one included, renders into a temporary file
+sweep spreads its N grid over the CPUs in its affinity mask in contiguous N
+ranges: every range, the first one included, renders into a temporary file
 before the output is opened, a forked worker rendering each range after the
-first, and the bytes do not depend on the CPU count.  A failure in any range
-writes no row, and every sweep needs a writable temporary directory, also on
-one CPU.  ``oracle-check`` deals its grid rows over the CPUs the same way,
-row i to process i mod P of P, and merges them in row order: its
-bytes, and the row whose failure it reports, do not depend on the CPU count
-either.  ``taskset -c 0 ptstack sweep ...`` (or ``oracle-check``) runs in
-one process.
+first.  A failure in any range writes no row, and every sweep needs a
+writable temporary directory, also on one CPU.  oracle-check deals its grid
+rows over P processes, one per CPU in its affinity mask (at most one per
+row), row i to process i mod P, and merges them in row order.  The bytes of
+both, and the row whose failure oracle-check reports, do not depend on the
+CPU count; 'taskset -c 0 ptstack sweep ...' (or oracle-check) runs in one
+process.
 
-Option precedence: command-line flag > preset flag (``sweep --fig3``,
-``oracle-check --quick``) > config file > built-in default.  The config file
-is a flat ``key = value`` text file whose keys match the long option names
-with underscores (``n_min = 500``).
+Option precedence: command-line flag > preset flag (sweep --fig3,
+oracle-check --quick) > config file > built-in default.  The config file
+is a flat 'key = value' text file whose keys match the long option names
+with underscores ('n_min = 500').
 
 Exit codes: 0 success, 1 invalid arguments, unwritable output (a full or
 closed standard output included) or too little memory (a grid of a huge
@@ -33,13 +33,13 @@ range, or integrator tolerance failure), 3 study flagged as non-converged.
 ``ptstack`` and ``python -m ptstack.cli`` end through :func:`run`, which
 flushes the standard streams and ends the process without interpreter
 teardown; :func:`main` is the in-process entry and returns the exit code.
-
 Each command's code is a module of ``ptstack.commands`` that :func:`main`
 imports only when it runs that command, so a process compiles and runs this
 front end, the shared ``ptstack.commands.common`` and its one command.
 :func:`_parse` reads every command line from the option table, as argparse
 reads it and with argparse's usage errors, so no process loads argparse or
-gettext; ``--help`` is rendered from the table.
+gettext; ``--help`` is rendered from the table and this docstring, without
+this last paragraph, which is about the code.
 """
 
 from __future__ import annotations

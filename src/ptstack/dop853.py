@@ -14,7 +14,7 @@ nonzero terms added in stage order with plain ``+``, and every norm is
 ``math.hypot`` of the real and imaginary parts: no BLAS call, no SIMD kernel
 and no ``sum()`` (whose float summation changed in Python 3.12), so the
 result does not depend on the CPU, numpy or OpenBLAS.  No dense output, no
-step limit, no method choice.
+step limit, no method choice, one tolerance.
 
 A step is one function for every number of pairs, generated from the
 tableau by :func:`_step_source` and compiled when this module loads, as
@@ -104,7 +104,10 @@ _A_TERMS = tuple(map(_terms, _A))
 _B_TERMS, _E3_TERMS, _E5_TERMS = map(_terms, (_B, _E3, _E5))
 
 # Step-size control: new step = old * SAFETY * error_norm^(-1/8), the factor
-# clipped to [MIN_FACTOR, MAX_FACTOR] (never above 1 right after a rejection).
+# clipped to [MIN_FACTOR, MAX_FACTOR] (never above 1 right after a rejection),
+# at the one tolerance that keeps the ODE tier's error far below oracle-check's threshold.
+REL_TOL = 1e-12
+ABS_TOL = 1e-14
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -123,14 +126,14 @@ def _norm(x, scale) -> float:
     return math.hypot(*[part / s for z, s in zip(x, scale) for part in (z.real, z.imag)])
 
 
-def _initial_step(w2, y, interval, direction, rtol, atol):
+def _initial_step(w2, y, interval, direction):
     """Starting step of Hairer, Norsett & Wanner, sec. II.4, for error order 7,
     from the state y of (psi, psi') pairs of psi'' = w2 psi.
 
     Costs one right-hand-side evaluation besides f = (psi', w2 psi) at y.
     """
     f = [f_i for psi, dpsi in zip(y[0::2], y[1::2]) for f_i in (dpsi, w2 * psi)]
-    scale = [atol + abs(y_i) * rtol for y_i in y]
+    scale = [ABS_TOL + abs(y_i) * REL_TOL for y_i in y]
     root_n = len(y) ** 0.5
     d0 = _norm(y, scale) / root_n
     d1 = _norm(f, scale) / root_n
@@ -147,7 +150,7 @@ def _initial_step(w2, y, interval, direction, rtol, atol):
 
 
 def _step_source() -> str:
-    """Source of ``step(y, h, w2r, w2i, rtol, atol)``, one DOP853 step of
+    """Source of ``step(y, h, w2r, w2i)``, one DOP853 step of
     size h from the state y of (psi, psi') pairs of psi'' = w2 psi,
     w2 = w2r + i w2i.
 
@@ -159,7 +162,7 @@ def _step_source() -> str:
     so the stage of psi is a name for the state's psi' and only w2 psi is
     computed, as the complex product (w2r re - w2i im, w2r im + w2i re).
     The error estimates are the same sums at y = 0 and h = 1, the error
-    scale is atol + rtol max(|y|, |y_new|) with Python's complex ``abs``
+    scale is ABS_TOL + REL_TOL max(|y|, |y_new|) with Python's complex ``abs``
     (libm's ``hypot``, which raises ``OverflowError`` past the double range;
     it and ``math.hypot`` round differently), and the error norm is
     DOP853's, the fifth-order estimate damped where the third-order one is
@@ -200,8 +203,8 @@ def _step_source() -> str:
         ]
     pair += [f"n{i} = complex({advance(_B_TERMS, i, 'r')}, {advance(_B_TERMS, i, 'i')})" for i in entries]
     pair.append("y_new += (n0, n1)")
-    for i in entries:  # the error scale: atol + rtol * max(|y|, |y_new|)
-        pair.append(f"a = abs(y{i}); b = abs(n{i}); s{i} = atol + (b if b > a else a) * rtol")
+    for i in entries:  # the error scale: ABS_TOL + REL_TOL * max(|y|, |y_new|)
+        pair.append(f"a = abs(y{i}); b = abs(n{i}); s{i} = {ABS_TOL!r} + (b if b > a else a) * {REL_TOL!r}")
     for parts, name, terms in (("err5", "e", _E5_TERMS), ("err3", "d", _E3_TERMS)):
         for i in entries:  # the norm drops the sign of a zero sum, so no 0.0 starts it
             pair += [f"{name}{i}r = {weighed(terms, i, 'r')}", f"{name}{i}i = {weighed(terms, i, 'i')}"]
@@ -216,7 +219,7 @@ def _step_source() -> str:
         "    return y_new, 0.0",
         "return y_new, abs(h) * err5_2 / sqrt((err5_2 + 0.01 * err3_2) * size)",
     ]
-    return "def step(y, h, w2r, w2i, rtol, atol):\n" + "".join(f"    {line}\n" for line in body)
+    return "def step(y, h, w2r, w2i):\n" + "".join(f"    {line}\n" for line in body)
 
 
 # The step of :func:`_step_source`, compiled once, when this module loads.
@@ -225,13 +228,13 @@ exec(compile(_step_source(), "<dop853 step>", "exec"), _namespace)
 _step = _namespace["step"]
 
 
-def integrate(w2, x_span, y0, rtol: float, atol: float) -> OdeResult:
+def integrate(w2, x_span, y0) -> OdeResult:
     """Integrate psi'' = w2 psi over ``x_span`` with DOP853, from the state
     y0 of (psi, psi') pairs, as the system (psi, psi')' = (psi', w2 psi).
 
     w2 is a complex constant, y0 a sequence of complex numbers of even
     length.  No step limit.  The step sequence is that of scipy's
-    ``solve_ivp(method="DOP853", rtol=rtol, atol=atol)`` on that system:
+    ``solve_ivp(method="DOP853", rtol=REL_TOL, atol=ABS_TOL)`` on that system:
     the same starting step, error norm and controller, and ``nfev`` counts
     the right-hand-side evaluations scipy makes.  A step whose error norm
     is NaN or inf, or that raises an ``ArithmeticError`` (Python's ``abs``
@@ -249,7 +252,7 @@ def integrate(w2, x_span, y0, rtol: float, atol: float) -> OdeResult:
     nfev = 1  # the derivative at the start, which the first step takes again
     if x != x_end:
         try:
-            h_abs = _initial_step(w2, y, abs(x_end - x), direction, rtol, atol)
+            h_abs = _initial_step(w2, y, abs(x_end - x), direction)
         except ArithmeticError:
             h_abs = math.nan
         nfev += 1
@@ -269,7 +272,7 @@ def integrate(w2, x_span, y0, rtol: float, atol: float) -> OdeResult:
             h = x_new - x
             h_abs = abs(h)
             try:
-                y_new, error_norm = _step(y, h, w2.real, w2.imag, rtol, atol)
+                y_new, error_norm = _step(y, h, w2.real, w2.imag)
             except ArithmeticError:
                 error_norm = math.inf
             nfev += _STAGES

@@ -28,11 +28,6 @@ from .core import PotentialStack, TransferMatrix, check_wave_number
 
 _SINC_SWITCH = 1e-4  # kept local: this tier must not lean on the closed-form module
 
-# The one tolerance of the ODE tier's DOP853 step controller, tight enough
-# that the tier's own error stays far below ORACLE_THRESHOLD of oracle-check.
-REL_TOL = 1e-12
-ABS_TOL = 1e-14
-
 
 class IntegrationFailureError(RuntimeError, ArithmeticError):
     """The step controller could not reach the tolerance."""
@@ -40,8 +35,8 @@ class IntegrationFailureError(RuntimeError, ArithmeticError):
 
 def solve_ivp(w2, x_span, y0):
     """Integrate psi'' = w2 psi over ``x_span`` from y0, a list of (psi,
-    psi') pairs: DOP853 at REL_TOL / ABS_TOL, taking the steps of scipy's
-    ``solve_ivp(method="DOP853")`` on (psi, psi')' = (psi', w2 psi).
+    psi') pairs: DOP853 at dop853.REL_TOL / ABS_TOL, taking the steps of
+    scipy's ``solve_ivp(method="DOP853")`` on (psi, psi')' = (psi', w2 psi).
 
     Returns a :class:`ptstack.dop853.OdeResult` (end state ``y``, ``nfev``,
     ``success``, ``message``); see :func:`ptstack.dop853.integrate`.
@@ -50,7 +45,7 @@ def solve_ivp(w2, x_span, y0):
     # tier does not compile the integrator.
     from .dop853 import integrate
 
-    return integrate(w2, x_span, y0, REL_TOL, ABS_TOL)
+    return integrate(w2, x_span, y0)
 
 
 # The last stack _segments was given and its segments: oracle-check passes

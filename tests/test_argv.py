@@ -259,6 +259,7 @@ def test_help_lists_the_option_table(capsys, argv):
     if len(argv) == 1:
         assert usage == "usage: ptstack [-h] [--version] {cell,sweep,converge,general,oracle-check} ..."
         assert description == cli.__doc__[:cli.__doc__.rindex("\n\n")]  # the last paragraph is about the code
+        assert "``" not in description and ":func:" not in description  # plain text, no reST markup
         assert rows.startswith("commands:\n")
         assert all(f"  {name}  " in rows and help_text in rows for name, (help_text, _, _) in cli._COMMANDS.items())
     else:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from ptstack import (
+    NonFiniteMatrixError,
     barrier_matrix,
     mat_multiply,
     scattering_from_matrix,
@@ -221,3 +222,13 @@ def test_barrier_offset_matches_translate():
 def test_barrier_width_validation():
     with pytest.raises(ValueError):
         barrier_matrix(1.0, 1.0, 0.0, 0.0)
+
+
+def test_barrier_beyond_the_double_range_names_the_slab():
+    # cos(q w) at q w of about 1000i leaves the double range (cmath raises
+    # OverflowError); the error names every parameter.
+    with pytest.raises(NonFiniteMatrixError) as raised:
+        barrier_matrix(1.0, 1e6, 1.0)
+    assert str(raised.value) == (
+        "slab matrix leaves the double range at k = 1.0, height = (1000000+0j), width = 1.0, offset = 0.0"
+    )

@@ -403,6 +403,14 @@ def test_config_not_utf8_names_the_file(capsys, tmp_path):
                    " in position 6: invalid start byte\n")
 
 
+def test_config_line_without_equals_names_the_line(capsys, tmp_path):
+    cfg = tmp_path / "junk.cfg"
+    cfg.write_text("v = 40\njunk\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"ptstack: error: {cfg}:2: expected key = value, got 'junk'\n"
+
+
 def test_config_unknown_key(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("vv = 40\n")
@@ -454,6 +462,12 @@ def test_k_range_must_be_positive(capsys):
     )
     assert code == 1
     assert "k range" in err
+
+
+def test_n_range_below_one_exits_1(capsys):
+    code, out, err = run_cli(capsys, "converge", "--k", "1", "--v", "40", "--n-min", "0")
+    assert (code, out) == (1, "")
+    assert err == "ptstack: error: bad N range: min=0 max=100000 count=13\n"
 
 
 def test_converge_free_space_floor(capsys):

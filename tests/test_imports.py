@@ -71,7 +71,9 @@ def test_readme_library_table_names_resolve():
 # the fork helper ptstack.commands.forked for sweep and oracle-check, and the
 # library modules it uses.  ptstack.cli puts the library modules in
 # sys.modules unexecuted (LazyLoader's module type); a module that has run is
-# a plain module.
+# a plain module.  oracle-check with no ODE row loads no integrator: the oracle
+# tier imports it on its first integration.
+NO_ODE = ("oracle-check", "--ode-n-max", "0")
 COMMAND_MODULES = {
     ("cell", "--k", "1", "--v", "40", "--b", "0.5"): {"commands.cell", "core", "cell"},
     ("sweep", "--v", "40", "--n-min", "1", "--n-max", "4", "--n-count", "2", "--k-count", "3"):
@@ -82,7 +84,12 @@ COMMAND_MODULES = {
         {"commands.general", "core", "cell", "chebyshev", "stack", "limits"},
     ("oracle-check", "--quick"):
         {"commands.oracle_check", "commands.forked", "core", "cell", "chebyshev", "stack", "oracle", "dop853"},
+    NO_ODE: {"commands.oracle_check", "commands.forked", "core", "cell", "chebyshev", "stack", "oracle"},
 }
+
+
+def _command_id(argv) -> str:
+    return "oracle-check-no-ode" if argv == NO_ODE else argv[0]
 
 
 # Standard modules no command loads for CSV output without --config:
@@ -95,7 +102,7 @@ STARTUP_FREE = ("dataclasses", "inspect", "signal", "json", "pathlib", "argparse
 SWEEP_ONLY = ("tempfile", "shutil")
 
 
-@pytest.mark.parametrize("argv", list(COMMAND_MODULES), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", list(COMMAND_MODULES), ids=_command_id)
 def test_subcommand_runs_only_its_modules(argv, tmp_path):
     # Only the modules loaded after ptstack.cli's import count.  The process
     # runs without the site module (-S), whose hooks may load some of them.
@@ -144,7 +151,7 @@ def test_no_command_line_loads_argparse(argv, exit_code, tmp_path):
         assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
-@pytest.mark.parametrize("argv", [*(pytest.param(argv, id=argv[0]) for argv in COMMAND_MODULES),
+@pytest.mark.parametrize("argv", [*(pytest.param(argv, id=_command_id(argv)) for argv in COMMAND_MODULES),
                                   pytest.param(ABBREVIATED, id="cell-abbreviated")])
 def test_module_run_never_imports_the_cli_again(argv, tmp_path):
     # Under python -m ptstack.cli the front end runs as __main__; a command

@@ -165,6 +165,13 @@ def test_overflowing_modulus_fails_without_an_exception():
     assert "step size" in sol.message
 
 
+@pytest.mark.parametrize("y0", [[1, 1j, 1], []], ids=["odd", "empty"])
+def test_state_that_is_not_pairs_is_a_value_error(y0):
+    with pytest.raises(ValueError) as raised:
+        dop853.integrate(-1.0, (0.0, 1.0), y0)
+    assert str(raised.value) == f"the state must be (psi, psi') pairs, got {len(y0)} entries"
+
+
 def _oracle_grid_chains():
     """Segments, as (w2, x_span), and start state of every chain the ODE tier
     integrates on the oracle-check grid: forward with both plane waves,
@@ -200,18 +207,21 @@ def test_dop853_takes_scipys_steps(rng):
     # Along a chain, each segment starts from scipy's end state of the last.
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
+    # A zero state has zero derivatives: the starting step is the fallback
+    # max(1e-6, h0 / 1000) of Hairer, Norsett & Wanner, both ways.
+    zero = ([(-9.0, (0.0, 1.0)), (16.0 + 3.0j, (1.0, 0.25))], [0j, 0j])
     count = 0
-    for chain, y in [*_oracle_grid_chains(), *_random_segments(rng, 300)]:
+    for chain, y in [*_oracle_grid_chains(), *_random_segments(rng, 300), zero]:
         for w2, span in chain:
             ours = oracle.solve_ivp(w2, span, y)
-            theirs = scipy_solve_ivp(_rhs(w2), span, y, method="DOP853", rtol=oracle.REL_TOL, atol=oracle.ABS_TOL)
+            theirs = scipy_solve_ivp(_rhs(w2), span, y, method="DOP853", rtol=dop853.REL_TOL, atol=dop853.ABS_TOL)
             assert ours.success and theirs.success
             assert ours.nfev == theirs.nfev, span
             y = theirs.y[:, -1]
             scale = max(1.0, np.max(np.abs(ours.y)), np.max(np.abs(y)))
             assert np.max(np.abs(ours.y - y)) <= 1e-14 * scale, span
             count += 1
-    assert count == 300 + 4 * sum(ORACLE_GRID_N) * len(ORACLE_GRID_V) * len(ORACLE_GRID_K)
+    assert count == 300 + 2 + 4 * sum(ORACLE_GRID_N) * len(ORACLE_GRID_V) * len(ORACLE_GRID_K)
 
 
 # A DOP853 step as a loop over the tableau of ptstack.dop853: the reference
@@ -236,9 +246,9 @@ def _loop_rk_step(fun, x, y, f, h):
     return y_new, fun(x + h, y_new), k
 
 
-def _loop_error_scale(rtol, atol, *states) -> list:
-    """atol + rtol * the largest |y| of the states, entry by entry."""
-    return [atol + max(map(abs, entries)) * rtol for entries in zip(*states)]
+def _loop_error_scale(*states) -> list:
+    """ABS_TOL + REL_TOL * the largest |y| of the states, entry by entry."""
+    return [dop853.ABS_TOL + max(map(abs, entries)) * dop853.REL_TOL for entries in zip(*states)]
 
 
 def _loop_error_norm(k, h, scale):
@@ -250,7 +260,7 @@ def _loop_error_norm(k, h, scale):
     return abs(h) * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
 
 
-def _loop_integrate(w2, x_span, y0, rtol, atol):
+def _loop_integrate(w2, x_span, y0):
     """dop853.integrate with the loop step; also returns the count of
     rejected steps."""
     fun = _rhs(w2)
@@ -262,7 +272,7 @@ def _loop_integrate(w2, x_span, y0, rtol, atol):
     nfev = 1
     if x != x_end:
         try:
-            h_abs = dop853._initial_step(w2, y, abs(x_end - x), direction, rtol, atol)
+            h_abs = dop853._initial_step(w2, y, abs(x_end - x), direction)
         except ArithmeticError:
             h_abs = math.nan
         nfev += 1
@@ -281,7 +291,7 @@ def _loop_integrate(w2, x_span, y0, rtol, atol):
             h_abs = abs(h)
             try:
                 y_new, f_new, k = _loop_rk_step(fun, x, y, f, h)
-                error_norm = _loop_error_norm(k, h, _loop_error_scale(rtol, atol, y, y_new))
+                error_norm = _loop_error_norm(k, h, _loop_error_scale(y, y_new))
             except ArithmeticError:
                 error_norm = math.inf
             nfev += dop853._STAGES
@@ -331,7 +341,7 @@ def test_generated_step_is_the_loop_bit_for_bit(rng):
     for chain, y in chains:
         for w2, span in chain:
             ours = oracle.solve_ivp(w2, span, y)
-            loop, rejected = _loop_integrate(w2, span, y, oracle.REL_TOL, oracle.ABS_TOL)
+            loop, rejected = _loop_integrate(w2, span, y)
             assert ours == loop, span
             assert repr(ours.y) == repr(loop.y), span
             outcomes.add(loop.success)
@@ -358,7 +368,7 @@ def test_generated_step_differs_from_the_loop_only_in_zero_signs(w2, y):
     # generated step leaves out, so an end part may be -0.0 in one and +0.0
     # in the other.  Every other part, nfev, success and message agree.
     ours = oracle.solve_ivp(w2, (1.0, 0.0), y)
-    loop, _ = _loop_integrate(w2, (1.0, 0.0), y, oracle.REL_TOL, oracle.ABS_TOL)
+    loop, _ = _loop_integrate(w2, (1.0, 0.0), y)
     assert ours == loop
     for z, w in zip(ours.y, loop.y):
         for a, b in ((z.real, w.real), (z.imag, w.imag)):
@@ -375,8 +385,8 @@ def test_error_scale_is_complex_abs():
     y, h, w2 = [z, 0.01 + 0j], 0.1, -1.0
     fun = _rhs(w2)
     y_new, _, k = _loop_rk_step(fun, 0.0, y, fun(0.0, y), h)
-    error_norm = _loop_error_norm(k, h, _loop_error_scale(oracle.REL_TOL, oracle.ABS_TOL, y, y_new))
-    assert dop853._step(y, h, w2, 0.0, oracle.REL_TOL, oracle.ABS_TOL) == (y_new, error_norm)
+    error_norm = _loop_error_norm(k, h, _loop_error_scale(y, y_new))
+    assert dop853._step(y, h, w2, 0.0) == (y_new, error_norm)
 
 
 def test_error_norm_is_one_hypot_over_every_pair(monkeypatch):
@@ -387,7 +397,7 @@ def test_error_norm_is_one_hypot_over_every_pair(monkeypatch):
     y, h, w2 = [0.26 + 0.45j, -0.41 + 0.49j, 0.79 + 0.95j, 0.93j], 0.05, -1.0
     fun = _rhs(w2)
     y_new, _, k = _loop_rk_step(fun, 0.0, y, fun(0.0, y), h)
-    scale = _loop_error_scale(oracle.REL_TOL, oracle.ABS_TOL, y, y_new)
+    scale = _loop_error_scale(y, y_new)
     error_norm = _loop_error_norm(k, h, scale)
     norm = dop853._norm
 
@@ -397,7 +407,7 @@ def test_error_norm_is_one_hypot_over_every_pair(monkeypatch):
     monkeypatch.setattr(dop853, "_norm", per_pair)
     assert _loop_error_norm(k, h, scale) != error_norm
     monkeypatch.undo()
-    assert dop853._step(y, h, w2, 0.0, oracle.REL_TOL, oracle.ABS_TOL) == (y_new, error_norm)
+    assert dop853._step(y, h, w2, 0.0) == (y_new, error_norm)
 
 
 def test_one_generated_step_serves_every_number_of_pairs(monkeypatch):
