@@ -37,7 +37,7 @@ def _work(i: int, share, compute, send, write_end: int):
         os._exit(code)
 
 
-def forked(shares: list, compute, send, retry, name) -> list:
+def forked(shares: list, whole, compute, send, name) -> list:
     """``send(i, compute(shares[i]))`` of every share, in share order.
 
     The first share is computed here, after a forked worker has started on
@@ -46,15 +46,15 @@ def forked(shares: list, compute, send, retry, name) -> list:
     this process has read every pipe to its end and reaped every worker.
 
     If a computation raises, here or in a worker (which then exits with
-    code 2), every worker is killed and reaped and ``retry(i)`` runs here, i
-    the failing share's index.  A worker is not asked why it failed: it is
-    up to ``retry`` to compute again, serially, and raise the error to
-    report.  If ``retry`` returns, the error here is raised as it was, and a
-    worker's as ``ChildProcessError``, which a worker that ended any other
-    way raises too, with ``name(share)`` in its message.
+    code 2), every worker is killed and reaped.  Where there was more than
+    one share, ``compute(whole)``, the job the shares divide, then runs here
+    to raise the error of a run on one CPU.  If it returns, the error here
+    is raised as it was, and a worker's as ``ChildProcessError``, which a
+    worker that ended any other way raises too, with ``name(share)`` in its
+    message.
     """
     results, workers, pipes = [None] * len(shares), {}, []  # workers: pid -> (share index, read end)
-    failed = None
+    failed = False
     try:
         for i in range(1, len(shares)):
             read_end, write_end = os.pipe()
@@ -71,7 +71,7 @@ def forked(shares: list, compute, send, retry, name) -> list:
         try:
             result = compute(shares[0])
         except Exception:
-            failed = 0
+            failed = True
             raise
         results[0] = send(0, result)
         for pid, (i, read_end) in list(workers.items()):
@@ -79,8 +79,7 @@ def forked(shares: list, compute, send, retry, name) -> list:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del workers[pid]
-            if code == 2:
-                failed = i
+            failed = code == 2
             if code != 0:
                 raise ChildProcessError(f"{name(shares[i])} failed (exit code {code})")
             results[i] = marshal.loads(data)
@@ -90,8 +89,8 @@ def forked(shares: list, compute, send, retry, name) -> list:
         for pid in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if failed is not None:
-            retry(failed)
+        if failed and len(shares) > 1:
+            compute(whole)
         raise
     finally:
         for read_end in pipes:

@@ -59,17 +59,11 @@ def cmd_oracle_check(opt: dict, defaulted: set):
     def compute(share: range) -> list:
         return [row(*grid[i]) for i in share]
 
-    def retry(_: int) -> None:
-        # The rows in their order, as on one CPU, raise the first failing
-        # row's error.  On one CPU that share was all of them.
-        if count > 1:
-            compute(range(len(grid)))
-
     # The rows are dealt to the CPUs this process may run on: row i to
     # share i mod count, which evens out the costly V = 40 rows.
     count = min(cpu_count(), len(grid))
     shares = [range(i, len(grid), count) for i in range(count)]
-    done = forked(shares, compute, lambda i, rows: rows, retry,
+    done = forked(shares, range(len(grid)), compute, lambda i, rows: rows,
                   lambda share: f"oracle-check worker for grid rows {share[0]}..{share[-1]} in steps of {count}")
     rows = [done[i % count][i // count] for i in range(len(grid))]
     worst = (0.0, math.nan, math.nan, 0, "none")  # (deviation, k, v, N, column)

@@ -41,10 +41,6 @@ def cmd_sweep(opt: dict, defaulted: set):
             files[i].write(_render_rows(fmt, fields, i == j == 0))
         files[i].flush()
 
-    def retry(i: int) -> None:
-        if i:  # the first range's error, raised here, is the earliest
-            compute(ranges[i])
-
     # One N range per CPU this process may run on, each rendered into its
     # own unlinked temporary file; a failure closes them all, so nothing is
     # written after it.
@@ -52,7 +48,7 @@ def cmd_sweep(opt: dict, defaulted: set):
     try:
         for _ in ranges:
             files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-        forked(ranges, compute, render, retry, lambda values: f"sweep worker for N = {values[0]}..{values[-1]}")
+        forked(ranges, n_values, compute, render, lambda values: f"sweep worker for N = {values[0]}..{values[-1]}")
     except BaseException:
         for rows in files:
             rows.close()

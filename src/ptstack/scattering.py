@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from math import asin, cos, inf, isfinite, sin, sinh, sqrt
 
 from .chebyshev import _pair
-from .core import NonFiniteMatrixError, TransferMatrix, _SlotRecord, check_positive, check_wave_number
+from .core import NonFiniteMatrixError, TransferMatrix, _SlotRecord, check_wave_number
 from .stack import PeriodicSpec, periodic_matrix, sweep_terms
 
 # Below this |m22| the amplitudes 1/m22 are treated as a pole (a spectral
@@ -186,7 +186,7 @@ def transmission_surface(
         if k_list:
             if terms is None:
                 terms = [sweep_terms(spec.v, spec.total_length, k) for k in k_list]
-            _surface_row(spec, check_positive(spec.slab_width, "slab width b"), terms, *row)
+            _surface_row(spec, spec.slab_width, terms, *row)
         for column, values in zip(columns, row):
             column.append(values)
     return TransmissionTable(tuple(n_cells), k_list, *columns)

@@ -16,11 +16,11 @@ Three routes produce the N-cell matrix:
   v1 - i eps v2), powered by :func:`_cell_power`, which takes any cell of
   slabs.  O(1) in N; it serves the generalized fine-layer study.
 * :func:`compose_stack` - explicit product of positioned single-slab
-  matrices, O(number of layers).  Works for arbitrary heterogeneous stacks
-  and anchors both closed forms at small N.
+  matrices, O(number of layers), for any heterogeneous stack.  The tighter
+  :func:`ptstack.oracle.slab_propagation_matrix` anchors both closed forms.
 
-Slab widths are always derived from (L, N) as b = L/(2N); accumulating b 2N
-times would contaminate the fixed-length limit with rounding.
+Slab widths are always derived from (L, N) by :func:`slab_width`, b = L/(2N);
+accumulating b 2N times would contaminate the fixed-length limit with rounding.
 """
 
 from __future__ import annotations
@@ -51,6 +51,15 @@ def cells_as_float(n_cells: int) -> float:
         ) from None
 
 
+def slab_width(total_length: float, n_cells: int) -> float:
+    """b = L/(2N), the width of each slab of N two-slab cells on [0, L], or
+    :class:`NonFiniteMatrixError` naming L and N where it underflows to 0."""
+    b = total_length / (2.0 * cells_as_float(n_cells))
+    if b == 0.0:
+        raise NonFiniteMatrixError(f"slab width b = L/(2N) underflows to 0 at L = {total_length}, N = {n_cells}")
+    return b
+
+
 class PeriodicSpec(namedtuple("PeriodicSpec", "v n_cells total_length")):
     """N gain/loss cells of magnitude V filling total_length without gaps."""
 
@@ -70,7 +79,7 @@ class PeriodicSpec(namedtuple("PeriodicSpec", "v n_cells total_length")):
     @property
     def slab_width(self) -> float:
         """Width b of each of the 2N slabs (derived, never set directly)."""
-        return self.total_length / (2.0 * self.n_cells)
+        return slab_width(self.total_length, self.n_cells)
 
 
 def sweep_terms(v: float, total_length: float, k: float) -> tuple:
@@ -96,9 +105,8 @@ def periodic_matrix(spec: PeriodicSpec, k: float) -> TransferMatrix:
     then :class:`NonFiniteMatrixError` where an entry is not finite.
     """
     k = check_wave_number(k)
-    b = check_positive(spec.slab_width, "slab width b")
     k, w, phase = sweep_terms(spec.v, spec.total_length, k)
-    _, _, _, chi, eta, tau, one_minus_xi = cell_terms(k, spec.v, b, w)
+    _, _, _, chi, eta, tau, one_minus_xi = cell_terms(k, spec.v, spec.slab_width, w)
     t, u = _pair(spec.n_cells, one_minus_xi)
     m = TransferMatrix(*_cell_pattern(t, u, chi, eta, tau, phase), k)
     if not m.is_finite:
@@ -127,14 +135,14 @@ def _alternating_slabs(
     v1: float, v2: float, eps: float, n_cells: int, total_length: float
 ) -> tuple[complex, complex, int, float]:
     """Validated (gain height, loss height, N, slab width) of the alternating
-    stack; :class:`NonFiniteMatrixError` where eps * v2 overflows."""
+    stack; :class:`NonFiniteMatrixError` where eps * v2 overflows or b underflows."""
     n_cells = check_count(n_cells, "n_cells", 1)
     total_length = check_positive(total_length, "total_length")
     v1, v2, eps = check_finite(v1, "v1"), check_finite(v2, "v2"), check_finite(eps, "eps")
     loss = -eps * v2
     if math.isinf(loss):  # finite inputs can still overflow the product
         raise NonFiniteMatrixError(f"eps * v2 leaves the double range at v1 = {v1}, v2 = {v2}, eps = {eps}")
-    return complex(v1, v2), complex(v1, loss), n_cells, total_length / (2.0 * n_cells)
+    return complex(v1, v2), complex(v1, loss), n_cells, slab_width(total_length, n_cells)
 
 
 def build_alternating(

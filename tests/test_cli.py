@@ -282,6 +282,23 @@ def test_general_names_an_overflowing_eps_times_v2(capsys):
     assert err == "ptstack: numerical failure: eps * v2 leaves the double range at v1 = 0.0, v2 = 1e+308, eps = 2.0\n"
 
 
+@pytest.mark.parametrize(
+    "args, n",
+    [
+        (("converge", "--k", "1", "--v", "40"), 3162),
+        (("sweep", "--v", "40", "--n-min", "1", "--n-max", "100000", "--n-count", "3", "--k-count", "2"), 50000),
+        (("general", "--v1", "0", "--v2", "40", "--eps", "1", "--k", "1"), 2048),
+    ],
+    ids=["converge", "sweep", "general"],
+)
+def test_an_underflowing_slab_width_is_a_numerical_failure(capsys, args, n):
+    # Every option is finite and valid, but the slab width L/(2N) underflows
+    # to 0 at the N named.
+    code, out, err = run_cli(capsys, *args, "--total-length", "1e-320")
+    assert (code, out) == (2, "")
+    assert err == f"ptstack: numerical failure: slab width b = L/(2N) underflows to 0 at L = 1e-320, N = {n}\n"
+
+
 @pytest.mark.parametrize("k_max", ["inf", "nan", "1e309"])
 def test_sweep_rejects_a_non_finite_k_bound(capsys, k_max):
     # An infinite bound must not reach the grid, where it becomes NaN points.
@@ -545,22 +562,22 @@ def test_sweep_bytes_do_not_depend_on_cpu_count(capsys, monkeypatch, fmt, n_coun
     _assert_no_worker_left()
 
 
-def _sweep_failing(monkeypatch, first=None, later=None):
-    """transmission_surface runs ``first`` before the first N range of
-    FAILING_SWEEP and ``later`` before a later one; a forked worker inherits
-    the replacement."""
+def _sweep_failing(monkeypatch, first=None, later=None, cpus=2):
+    """transmission_surface runs ``first`` where it computes N = 5 and
+    ``later`` where it computes N = 8, whichever process computes them; a
+    forked worker inherits the replacement."""
     import ptstack.scattering
 
     surface = ptstack.scattering.transmission_surface
 
     def failing_surface(v, total_length, n_values, k_values):
-        action = first if n_values[0] == 5 else later
-        if action:
-            action()
+        for n, action in ((5, first), (8, later)):
+            if n in n_values and action:
+                action()
         return surface(v, total_length, n_values, k_values)
 
     monkeypatch.setattr(ptstack.scattering, "transmission_surface", failing_surface)
-    _on_cpus(monkeypatch, 2)
+    _on_cpus(monkeypatch, cpus)
 
 
 # N = 5..10 on 2 CPUs: this process runs N = 5..7, a worker N = 8..10.
@@ -646,6 +663,42 @@ def test_worker_killed_while_rendering(capsys, monkeypatch, tmp_path):
         capsys, monkeypatch, tmp_path, lambda: os.kill(os.getpid(), signal.SIGKILL),
         "ptstack: error: sweep worker for N = 8..10 failed (exit code -9)\n",
     )
+
+
+def test_failing_workers_report_the_serial_error(capsys, monkeypatch, tmp_path):
+    # N = 1..10 on 3 CPUs: this process runs N = 1..3, the workers N = 4..6
+    # and N = 7..10, and both workers' ranges fail.  The earlier range's
+    # error is reported, as on one CPU.
+    args = ("sweep", "--v", "40", "--n-min", "1", "--n-max", "10")
+    _sweep_failing(monkeypatch, _raises(NonFiniteMatrixError("first range")),
+                   _raises(NonFiniteMatrixError("later range")), cpus=1)
+    expected = run_cli(capsys, *args)
+    assert expected == (2, "", "ptstack: numerical failure: first range\n")
+    _on_cpus(monkeypatch, 3)
+    forks, fds, path = _counting_forks(monkeypatch), _open_fds(), tmp_path / "rows.csv"
+    assert run_cli(capsys, *args, "--output", str(path)) == expected
+    assert not path.exists()
+    assert len(forks) == 2
+    assert _open_fds() == fds
+    _assert_no_worker_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_needs_a_writable_temporary_directory(capsys, monkeypatch, tmp_path, cpus):
+    # Every N range renders into a temporary file, also on one CPU, and the
+    # files are made before any worker forks.
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    _on_cpus(monkeypatch, cpus)
+    forks, fds, path = _counting_forks(monkeypatch), _open_fds(), tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, *FAILING_SWEEP, "--output", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("ptstack: error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert not path.exists()
+    assert forks == []
+    assert _open_fds() == fds
+    _assert_no_worker_left()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

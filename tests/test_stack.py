@@ -17,6 +17,7 @@ from ptstack import (
     mat_multiply,
     mat_power_direct,
     periodic_matrix,
+    slab_propagation_matrix,
     unit_cell_matrix,
 )
 from ptstack.stack import _cell_power
@@ -54,7 +55,7 @@ def test_closed_form_matches_composition():
         for v in (1.0, 40.0):
             for n in (2, 7, 64):
                 cheb = periodic_matrix(PeriodicSpec(v=v, n_cells=n, total_length=1.0), k)
-                prod = compose_stack(build_alternating(0.0, v, 1.0, n, 1.0), k)
+                prod = slab_propagation_matrix(build_alternating(0.0, v, 1.0, n, 1.0), k)
                 worst = max(worst, rel_diff(cheb, prod))
     assert worst <= 1e-9
 
@@ -122,9 +123,20 @@ def test_build_alternating_names_an_overflowing_eps_times_v2():
         build_alternating(0, 1e308, 2, 4, 1.0)
 
 
+def test_an_underflowing_slab_width_names_l_and_n():
+    # L and N are valid, but L/(2N) rounds to 0.
+    message = r"^slab width b = L/\(2N\) underflows to 0 at L = 1e-320, N = 4096$"
+    spec = PeriodicSpec(v=40.0, n_cells=4096, total_length=1e-320)
+    with pytest.raises(NonFiniteMatrixError, match=message):
+        periodic_matrix(spec, 1.0)
+    with pytest.raises(NonFiniteMatrixError, match=message):
+        build_alternating(0.0, 40.0, 1.0, 4096, 1e-320)
+    assert PeriodicSpec(v=40.0, n_cells=1, total_length=1e-320).slab_width == 5e-321
+
+
 def test_build_alternating_balanced_matches_periodic():
     k, v, n = 2.0, 40.0, 5
-    prod = compose_stack(build_alternating(0.0, v, 1.0, n, 1.0), k)
+    prod = slab_propagation_matrix(build_alternating(0.0, v, 1.0, n, 1.0), k)
     cheb = periodic_matrix(PeriodicSpec(v=v, n_cells=n, total_length=1.0), k)
     assert rel_diff(prod, cheb) <= 1e-10
 
@@ -157,7 +169,7 @@ def test_alternating_matches_power_of_rebased_cell(v1, v2, eps, k):
     total = 1.0
     for n in (1, 2, 7, 64):
         b = total / (2 * n)
-        cell = compose_stack(build_alternating(v1, v2, eps, 1, 2 * b), k)
+        cell = slab_propagation_matrix(build_alternating(v1, v2, eps, 1, 2 * b), k)
         rebase = TransferMatrix(cmath.exp(2j * k * b), 0.0, 0.0, cmath.exp(-2j * k * b), k)
         restore = TransferMatrix(cmath.exp(-1j * k * total), 0.0, 0.0, cmath.exp(1j * k * total), k)
         powered = mat_multiply(restore, mat_power_direct(mat_multiply(rebase, cell), n))
