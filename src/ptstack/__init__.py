@@ -35,9 +35,8 @@ _EXPORTS = {
         "core",
     ),
     **dict.fromkeys(
-        ("AsymptoticPrediction", "ConvergenceRecord", "GeneralizedLimitResult",
-         "convergence_study", "fit_loglog_slope", "generalized_limit_study",
-         "predict_asymptotics"),
+        ("ConvergenceRecord", "GeneralizedLimitResult", "convergence_study", "fit_loglog_slope",
+         "generalized_limit_study"),
         "limits",
     ),
     **dict.fromkeys(

@@ -41,7 +41,7 @@ def _n_grid(opt: dict) -> list[int]:
     lo, hi, count = opt["n_min"], opt["n_max"], opt["n_count"]
     if lo < 1 or hi < lo or count < 1:
         raise CliUsageError(f"bad N range: min={lo} max={hi} count={count}")
-    lo, hi = float(lo), cells_as_float(hi)  # an N beyond the double range is a numerical failure, named
+    lo, hi = cells_as_float(lo), cells_as_float(hi)  # an N beyond the double range is a numerical failure, named
     if opt["n_spacing"] == "log":
         # As numpy's geomspace: 10 to the power of the linspace of the
         # logs, with the two ends pinned to lo and hi.

@@ -1,8 +1,9 @@
-"""Fine-layer limit: leading-order predictors, convergence measurements, and
-the generalized (unbalanced) alternating stack.
+"""Fine-layer limit: convergence measurements of the balanced stack, and the
+generalized (unbalanced) alternating stack against its mean-height barrier.
 
 For the balanced gain/loss stack at fixed total length L, the N-cell matrix
-tends to the identity as N grows.  The leading orders, with b = L/(2N):
+tends to the identity as N grows.  The paper's leading orders, with
+b = L/(2N):
 
     xi        -> 1 - (kL)^2 / (2 N^2)
     chi       -> kL / N
@@ -13,31 +14,24 @@ tends to the identity as N grows.  The leading orders, with b = L/(2N):
     T_N(xi) + i chi U_{N-1}(xi) -> e^{ikL}       (diagonals -> 1)
     off-diagonal magnitude      -> V b/(2k) * sin kL  -> 0 like 1/N
 
-Convergence is measured on the matrix itself (max-norm against the identity),
-not only on the transmission: T -> 1 alone can mask residual off-diagonal
-structure.
+Acceptance criterion 6 (``tests/test_acceptance.py``) checks this table
+against the closed form.  Only the last line is computed here:
+:func:`convergence_study` records it next to each measured off-diagonal.
+Convergence is measured on the matrix itself (max-norm against the
+identity), not only on the transmission: T -> 1 alone can mask residual
+off-diagonal structure.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
 from .cell import barrier_matrix
-from .core import TransferMatrix, check_count, check_positive, check_wave_number
+from .core import TransferMatrix, check_count, check_wave_number
 from .stack import PeriodicSpec, alternating_matrix, periodic_matrix
-
-
-class AsymptoticPrediction(namedtuple("AsymptoticPrediction", (
-    "k v total_length n xi_pred chi_pred arccos_xi_pred t_n_pred u_pred u_pred_small_angle chi_u_pred diag_pred "
-    "offdiag_scale_pred"
-))):
-    """Leading-order values of the cell and stack quantities at one (k, N)."""
-
-    __slots__ = ()
 
 
 class ConvergenceRecord(namedtuple(
@@ -46,35 +40,6 @@ class ConvergenceRecord(namedtuple(
     """Deviation of the N-cell matrix from its limit at one schedule point."""
 
     __slots__ = ()
-
-
-def predict_asymptotics(k: float, v: float, total_length: float, n: int) -> AsymptoticPrediction:
-    """Populate every leading-order predictor for the balanced stack.
-
-    ``u_pred`` keeps the exact sin(kL/N) denominator; ``u_pred_small_angle``
-    replaces it by kL/N.  Tests and ratio checks use the exact form.
-    """
-    k = check_wave_number(k)
-    n = check_count(n, "n", 1)
-    total_length = check_positive(total_length, "total_length")
-    v = check_positive(v, "V")
-    kl = k * total_length
-    b = total_length / (2.0 * n)
-    return AsymptoticPrediction(
-        k=k,
-        v=v,
-        total_length=total_length,
-        n=n,
-        xi_pred=1.0 - kl * kl / (2.0 * n * n),
-        chi_pred=kl / n,
-        arccos_xi_pred=kl / n,
-        t_n_pred=math.cos(kl),
-        u_pred=math.sin(kl) / math.sin(kl / n),
-        u_pred_small_angle=n * math.sin(kl) / kl,
-        chi_u_pred=math.sin(kl),
-        diag_pred=cmath.exp(1j * kl),
-        offdiag_scale_pred=v * b / (2.0 * k) * math.sin(kl),
-    )
 
 
 def _deviation_record(n: int, k: float, m: TransferMatrix, ref: TransferMatrix, offdiag_predicted: float) -> ConvergenceRecord:
@@ -108,7 +73,11 @@ def convergence_study(
     """Deviation of the closed-form N-cell matrix from the identity, per N.
 
     Off-diagonal magnitudes are recorded next to their leading-order
-    prediction |V b/(2k) sin kL| so the ratio can be read off directly.
+    prediction |V b/(2k) sin kL|, b = :attr:`PeriodicSpec.slab_width`, so the
+    ratio can be read off directly; the prediction is 0.0 where the product
+    underflows, kL rounding to 0 included.  Raises the first error of
+    :class:`PeriodicSpec` or :func:`periodic_matrix` over the schedule, which
+    names its quantity.
     """
     k = check_wave_number(k)
     records = []
@@ -116,7 +85,7 @@ def convergence_study(
     for n in _check_schedule(n_schedule):
         spec = PeriodicSpec(v=v, n_cells=n, total_length=total_length)
         m = periodic_matrix(spec, k)
-        predicted = abs(predict_asymptotics(k, v, total_length, n).offdiag_scale_pred)
+        predicted = abs(spec.v * spec.slab_width / (2.0 * k) * math.sin(k * spec.total_length))
         records.append(_deviation_record(n, k, m, identity, predicted))
     return records
 

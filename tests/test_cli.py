@@ -286,10 +286,12 @@ def test_general_names_an_overflowing_eps_times_v2(capsys):
     "args, n",
     [
         (("converge", "--k", "1", "--v", "40"), 3162),
+        # kL/N underflows to 0 first, at N = 1000, where b does not.
+        (("converge", "--k", "0.001", "--v", "40"), 3162),
         (("sweep", "--v", "40", "--n-min", "1", "--n-max", "100000", "--n-count", "3", "--k-count", "2"), 50000),
         (("general", "--v1", "0", "--v2", "40", "--eps", "1", "--k", "1"), 2048),
     ],
-    ids=["converge", "sweep", "general"],
+    ids=["converge", "converge-small-k", "sweep", "general"],
 )
 def test_an_underflowing_slab_width_is_a_numerical_failure(capsys, args, n):
     # Every option is finite and valid, but the slab width L/(2N) underflows

@@ -17,7 +17,6 @@ from ptstack import (
     generalized_limit_study,
     mat_multiply,
     mat_power_direct,
-    predict_asymptotics,
     transmission_surface,
     unit_cell_matrix,
 )
@@ -53,14 +52,13 @@ def test_input_checks():
     [
         lambda n: alternating_matrix(7.0, 40.0, 1.0, n, 1.0, 3.0),
         lambda n: build_alternating(7.0, 40.0, 1.0, n, 1.0),
-        lambda n: predict_asymptotics(1.0, 40.0, 1.0, n),
         lambda n: mat_power_direct(unit_cell_matrix(1.0, 40.0, 0.05), n),
         lambda n: convergence_study(2.0, 40.0, 1.0, [1, n]),
         lambda n: generalized_limit_study(7.0, 40.0, 1.0, 1.0, [1, n], 3.0),
         lambda n: transmission_surface(40.0, 1.0, [n], [1.0, 2.0]),
     ],
     ids=[
-        "alternating_matrix", "build_alternating", "predict_asymptotics", "mat_power_direct",
+        "alternating_matrix", "build_alternating", "mat_power_direct",
         "convergence_study", "generalized_limit_study", "transmission_surface",
     ],
 )

@@ -1,4 +1,3 @@
-import cmath
 import json
 import math
 
@@ -10,38 +9,14 @@ from ptstack import (
     convergence_study,
     fit_loglog_slope,
     generalized_limit_study,
-    predict_asymptotics,
 )
 from conftest import entry_diff
 
 
-def test_predictor_fields_direct_substitution():
-    p = predict_asymptotics(1.0, 40.0, 1.0, 1000)
-    assert p.xi_pred == pytest.approx(1.0 - 1.0 / (2.0 * 10**6), rel=1e-15)
-    assert p.chi_pred == pytest.approx(1e-3, rel=1e-15)
-    assert p.arccos_xi_pred == p.chi_pred
-    assert p.t_n_pred == pytest.approx(math.cos(1.0), rel=1e-15)
-    assert p.chi_u_pred == pytest.approx(math.sin(1.0), rel=1e-15)
-    assert p.u_pred == pytest.approx(math.sin(1.0) / math.sin(1e-3), rel=1e-15)
-    assert p.u_pred_small_angle == pytest.approx(1000 * math.sin(1.0), rel=1e-15)
-    assert p.diag_pred == pytest.approx(cmath.exp(1j), rel=1e-15)
-
-
-def test_predictor_at_k_l_pi():
-    p = predict_asymptotics(math.pi, 40.0, 1.0, 10**4)
-    assert p.t_n_pred == pytest.approx(-1.0, abs=1e-12)
-    assert abs(p.chi_u_pred) <= 1e-12
-
-
 def test_offdiag_scale_frozen_value():
-    # V b/(2k) sin(kL) at (k=5, V=40, L=1, N=1000), 50-digit reference.
-    p = predict_asymptotics(5.0, 40.0, 1.0, 1000)
-    assert p.offdiag_scale_pred == pytest.approx(-0.001917848549326276937786, rel=1e-14)
-
-
-def test_predictor_validation():
-    with pytest.raises(ValueError):
-        predict_asymptotics(1.0, 40.0, 1.0, 0)
+    # |V b/(2k) sin(kL)| at (k=5, V=40, L=1, N=1000), 50-digit reference.
+    (record,) = convergence_study(5.0, 40.0, 1.0, [1000])
+    assert record.offdiag_predicted == pytest.approx(0.001917848549326276937786, rel=1e-14)
 
 
 def test_convergence_free_space_floor():
@@ -55,6 +30,8 @@ def test_convergence_schedule_validation():
         convergence_study(2.0, 40.0, 1.0, [10, 10])
     with pytest.raises(ValueError):
         convergence_study(2.0, 40.0, 1.0, [])
+    with pytest.raises(ValueError):
+        convergence_study(2.0, 40.0, 1.0, [0, 10])
 
 
 def test_convergence_slope_and_predictor_ratio():

@@ -9,7 +9,7 @@ import pytest
 
 from ptstack import (
     Layer, NonFiniteMatrixError, PeriodicSpec, PotentialStack, TransferMatrix, cheb_pair_from_gap,
-    convergence_study, generalized_limit_study, periodic_matrix, predict_asymptotics, scattering_from_matrix, transmission_surface,
+    convergence_study, generalized_limit_study, periodic_matrix, scattering_from_matrix, transmission_surface,
     unit_cell_elements, unit_cell_matrix,
 )
 
@@ -19,7 +19,6 @@ RECORDS = {
     "ChebyshevPair": lambda: cheb_pair_from_gap(7, 0.7),
     "TransferMatrix": lambda: unit_cell_matrix(1.0, 40.0, 0.05),
     "ScatteringCoefficients": lambda: scattering_from_matrix(unit_cell_matrix(1.0, 40.0, 0.05)),
-    "AsymptoticPrediction": lambda: predict_asymptotics(1.0, 40.0, 1.0, 10),
     "ConvergenceRecord": lambda: convergence_study(5.0, 40.0, 1.0, [10, 20])[1],
     "GeneralizedLimitResult": lambda: generalized_limit_study(7.0, 40.0, 1.0, 1.0, [16, 32], 3.0),
     "Layer": lambda: Layer(2 - 1j, 0.5, -1.0),
