@@ -66,6 +66,15 @@ def _exp_safe(y: float) -> float:
         return math.inf
 
 
+def _reflect(n: int, gap: float | complex) -> tuple:
+    """(gap, sign_t, sign_u): where Re(gap) > 1 (x < 0), the reflection to
+    x' = -x, i.e. gap' = 2 - gap (exact), with the parity signs (-1)^n and
+    (-1)^(n-1); else ``gap`` itself and signs 1."""
+    if gap.real > 1.0:
+        return (2.0 - gap, -1.0, 1.0) if n % 2 else (2.0 - gap, 1.0, -1.0)
+    return gap, 1.0, 1.0
+
+
 def _pair(n: int, gap: float) -> tuple[float, float]:
     """(T_n(1 - gap), U_{n-1}(1 - gap)) for a validated degree ``n``.
 
@@ -77,14 +86,7 @@ def _pair(n: int, gap: float) -> tuple[float, float]:
     if n == 0:
         return 1.0, 0.0
     n_float = float(n)  # what n * theta rounds n to
-    # x < 0: reflect to x' = -x = gap - 1, i.e. gap' = 2 - gap (exact).
-    sign_t = sign_u = 1.0
-    if gap > 1.0:
-        gap = 2.0 - gap
-        if n % 2:
-            sign_t = -1.0
-        else:
-            sign_u = -1.0
+    gap, sign_t, sign_u = _reflect(n, gap)
     if gap < 0.0:
         u_arg = -gap
         n_theta = n_float * (2.0 * math.asinh(math.sqrt(0.5 * u_arg)))
@@ -137,13 +139,7 @@ def cheb_pair_from_complex_gap(n: int, gap: complex) -> tuple[complex, complex]:
     gap = complex(gap)
     if n == 0:
         return 1.0 + 0.0j, 0.0j
-    sign_t = sign_u = 1.0
-    if gap.real > 1.0:
-        gap = 2.0 - gap
-        if n % 2:
-            sign_t = -1.0
-        else:
-            sign_u = -1.0
+    gap, sign_t, sign_u = _reflect(n, gap)
     s = cmath.sqrt(0.5 * gap)
     sin_theta = 2.0 * s * cmath.sqrt(0.5 * (2.0 - gap))
     n_theta = 2.0 * n * cmath.asin(s)

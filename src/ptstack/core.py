@@ -32,7 +32,8 @@ with AVX2 and FMA (CI's runners among them); the plain variants differ by
 ``sweep-fig3-config``, ``oracle-check`` and ``oracle-check-quick`` cases,
 ``test_cli.py::test_golden_sweep_on_one_cpu`` for the two sweep cases (each
 in CSV and JSON), ``test_cli.py::test_benchmark_surface_digest`` in CSV and
-JSON, and both tests in ``test_surface_points.py``.
+JSON, and both tests in ``test_surface_points.py``; the oracle values that
+``test_oracle.py`` records off the origin hold with and without them.
 ``tests/test_dispatch.py`` checks that a sweep and ``oracle-check --quick``
 agree within 1e-13 with and without them.
 

@@ -12,12 +12,13 @@ Nothing here touches the closed forms.  Two independent tiers:
   written into its step, on plain Python floats and complex numbers, so no
   BLAS or SIMD kernel enters the tier.
 * :func:`slab_propagation_matrix` - exact analytic propagation of (psi, psi')
-  across each slab, multiplied up and converted to plane-wave amplitudes only
-  at the outer edges.  Exact for rectangles, O(layers), used to cross-check
-  the ODE tier and to reach larger stacks cheaply.
+  across each slab, multiplied up and applied to the plane waves only at the
+  outer edges.  Exact for rectangles, O(layers), used to cross-check the ODE
+  tier and to reach larger stacks cheaply.
 
-Both tiers share the global-coordinate amplitude convention of
-:mod:`ptstack.core`.
+The tiers share one plane-wave boundary, in the global-coordinate amplitude
+convention of :mod:`ptstack.core`, and differ only in how they carry
+(psi, psi') across the stack.
 """
 
 from __future__ import annotations
@@ -63,11 +64,11 @@ def _segments(stack: PotentialStack) -> tuple[tuple[float, float, complex], ...]
         return segments
     segments = []
     cursor = stack.left_edge
-    for layer in stack.layers:
-        if layer.offset > cursor:
-            segments.append((cursor, layer.offset, 0.0 + 0.0j))
-        segments.append((layer.offset, layer.right_edge, complex(layer.height)))
-        cursor = layer.right_edge
+    for height, width, offset in stack.layers:
+        if offset > cursor:
+            segments.append((cursor, offset, 0.0 + 0.0j))
+        cursor = offset + width
+        segments.append((offset, cursor, complex(height)))
     _last_segments = stack, tuple(segments)
     return _last_segments[1]
 
@@ -93,6 +94,12 @@ def _integrate_through(
     return y
 
 
+def _plane_wave(ik: complex, x: float) -> tuple[complex, complex]:
+    """(psi, psi') of e^{ikx} at x, for ik = 1j * k or -1j * k."""
+    psi = cmath.exp(ik * x)
+    return psi, ik * psi
+
+
 def _amplitudes_at(psi: complex, dpsi: complex, k: float, x: float) -> tuple[complex, complex]:
     """Split (psi, psi') at position x into (a, b) of a e^{ikx} + b e^{-ikx}."""
     phase = cmath.exp(-1j * k * x)
@@ -101,24 +108,28 @@ def _amplitudes_at(psi: complex, dpsi: complex, k: float, x: float) -> tuple[com
     return a, b
 
 
+def _transfer_matrix(stack: PotentialStack, k: float, carry) -> TransferMatrix:
+    """The matrix whose columns are the images at the right edge of e^{ikx}
+    and e^{-ikx}, which ``carry(stack, k, y)`` takes from the left edge."""
+    k = check_wave_number(k)
+    if not stack.layers:
+        return TransferMatrix.identity(k)
+    x_l, x_r = stack.left_edge, stack.right_edge
+    psi1, dpsi1 = _plane_wave(1j * k, x_l)
+    psi2, dpsi2 = _plane_wave(-1j * k, x_l)
+    y = carry(stack, k, [psi1, dpsi1, psi2, dpsi2])
+    a1, b1 = _amplitudes_at(y[0], y[1], k, x_r)
+    a2, b2 = _amplitudes_at(y[2], y[3], k, x_r)
+    return TransferMatrix(a1, a2, b1, b2, k)
+
+
 def integrate_transfer_matrix(stack: PotentialStack, k: float) -> TransferMatrix:
     """Transfer matrix of an arbitrary stack by direct integration.
 
     Two independent plane-wave initial conditions are carried from the left
     edge to the right edge; their images give the columns of the matrix.
     """
-    k = check_wave_number(k)
-    if not stack.layers:
-        return TransferMatrix.identity(k)
-    x_l, x_r = stack.left_edge, stack.right_edge
-    right_mover = cmath.exp(1j * k * x_l)
-    left_mover = cmath.exp(-1j * k * x_l)
-    y = _integrate_through(
-        stack, k, [right_mover, 1j * k * right_mover, left_mover, -1j * k * left_mover]
-    )
-    a1, b1 = _amplitudes_at(y[0], y[1], k, x_r)
-    a2, b2 = _amplitudes_at(y[2], y[3], k, x_r)
-    return TransferMatrix(a1, a2, b1, b2, k)
+    return _transfer_matrix(stack, k, _integrate_through)
 
 
 def incidence_scattering(
@@ -138,12 +149,10 @@ def incidence_scattering(
         return 1.0 + 0.0j, 0.0j
     x_l, x_r = stack.left_edge, stack.right_edge
     if side == "left":
-        out = cmath.exp(1j * k * x_r)
-        y = _integrate_through(stack, k, [out, 1j * k * out], backward=True)
+        y = _integrate_through(stack, k, _plane_wave(1j * k, x_r), backward=True)
         incoming, reflected = _amplitudes_at(y[0], y[1], k, x_l)
     else:
-        out = cmath.exp(-1j * k * x_l)
-        y = _integrate_through(stack, k, [out, -1j * k * out])
+        y = _integrate_through(stack, k, _plane_wave(-1j * k, x_l))
         reflected, incoming = _amplitudes_at(y[0], y[1], k, x_r)
     return 1.0 / incoming, reflected / incoming
 
@@ -161,18 +170,8 @@ def _slab_terms(q2: complex, width: float) -> tuple[complex, complex]:
     return c, s_over_q
 
 
-def slab_propagation_matrix(stack: PotentialStack, k: float) -> TransferMatrix:
-    """Exact per-slab analytic propagation tier.
-
-    Multiplies the (psi, psi') propagators of every segment,
-
-        [[cos(q w), sin(q w)/q], [-q sin(q w), cos(q w)]],  q^2 = k^2 - V,
-
-    then converts to plane-wave amplitudes at the two outer edges.
-    """
-    k = check_wave_number(k)
-    if not stack.layers:
-        return TransferMatrix.identity(k)
+def _propagate_through(stack: PotentialStack, k: float, y: list) -> list:
+    """Apply the product of the segments' (psi, psi') propagators to both pairs."""
     p11, p12, p21, p22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
     for x_from, x_to, height in _segments(stack):
         q2 = k * k - height
@@ -183,19 +182,22 @@ def slab_propagation_matrix(stack: PotentialStack, k: float) -> TransferMatrix:
             -q2 * s_over_q * p11 + c * p21,
             -q2 * s_over_q * p12 + c * p22,
         )
-    x_l, x_r = stack.left_edge, stack.right_edge
-    right_mover = cmath.exp(1j * k * x_l)
-    left_mover = cmath.exp(-1j * k * x_l)
-    a1, b1 = _amplitudes_at(
-        p11 * right_mover + p12 * (1j * k * right_mover),
-        p21 * right_mover + p22 * (1j * k * right_mover),
-        k,
-        x_r,
-    )
-    a2, b2 = _amplitudes_at(
-        p11 * left_mover + p12 * (-1j * k * left_mover),
-        p21 * left_mover + p22 * (-1j * k * left_mover),
-        k,
-        x_r,
-    )
-    return TransferMatrix(a1, a2, b1, b2, k)
+    psi1, dpsi1, psi2, dpsi2 = y
+    return [
+        p11 * psi1 + p12 * dpsi1,
+        p21 * psi1 + p22 * dpsi1,
+        p11 * psi2 + p12 * dpsi2,
+        p21 * psi2 + p22 * dpsi2,
+    ]
+
+
+def slab_propagation_matrix(stack: PotentialStack, k: float) -> TransferMatrix:
+    """Exact per-slab analytic propagation tier.
+
+    Multiplies the (psi, psi') propagators of every segment,
+
+        [[cos(q w), sin(q w)/q], [-q sin(q w), cos(q w)]],  q^2 = k^2 - V,
+
+    then converts to plane-wave amplitudes at the two outer edges.
+    """
+    return _transfer_matrix(stack, k, _propagate_through)

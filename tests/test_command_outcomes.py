@@ -1,20 +1,25 @@
-"""Every command line of the commands that fork nothing (cell, converge,
-general) ends one of three ways (README, "Exit codes"):
+"""Every command line of every command (cell, sweep, converge, general,
+oracle-check) ends one of three ways (README, "Exit codes"):
 
 - exit 0, with every row and summary value finite except the documented
-  0/0 of ``offdiag_ratio`` and ``offdiag_ratio_at_n_max``;
+  0/0 of ``offdiag_ratio`` and ``offdiag_ratio_at_n_max``, the ODE-tier
+  columns of ``oracle-check``, which read NaN where that tier does not run,
+  and its summary values that are text;
 - exit 3, a study that did not converge, its table held to the same rule;
 - exit 1 or 2, with no output and exactly one stderr line that names the
   quantity that failed.
 
 The options and their kinds are read from ``cli._COMMANDS``, so a new option
-is drawn without editing this file.  ``sweep`` and ``oracle-check`` fork one
-worker per CPU inside ``main`` and are left out.
+is drawn without editing this file.  ``oracle-check`` has one option,
+``--ode-n-max``, whose few outcomes are listed as known command lines in
+place of draws.  ``sweep`` and ``oracle-check`` fork one worker per CPU
+inside ``main``; each run here sees one CPU, so they compute in this process.
 """
 
 import io
 import json
 import math
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -24,11 +29,15 @@ from hypothesis import strategies as st
 
 from ptstack import cli
 
-COMMANDS = ("cell", "converge", "general")
+# Command -> the exit codes its draws must reach.
+COMMANDS = {"cell": {0, 2}, "sweep": {0, 1, 2}, "converge": {0, 1, 2}, "general": {0, 1, 2}}
 # The options that take a value of either sign; every other float is drawn > 0.
 SIGNED = {"v1", "v2", "eps"}
 # A 0/0 by design where offdiag_predicted is 0: NaN, never infinite.
-MAY_BE_NAN = {"offdiag_ratio", "offdiag_ratio_at_n_max"}
+# And the ODE-tier columns of oracle-check, NaN where that tier does not run.
+MAY_BE_NAN = {"offdiag_ratio", "offdiag_ratio_at_n_max", "ode_vs_closed", "ode_vs_slab", "t_lr_diff"}
+# Summary values that are text, not numbers.
+TEXT = {"max_deviation_column", "verdict"}
 # Python's own messages, which name no quantity.
 BARE_MESSAGES = (
     "division by zero", "math domain error", "math range error", "Numerical result out of range",
@@ -100,9 +109,10 @@ def _table_values(fmt, text):
     return [(name.removesuffix("_re").removesuffix("_im"), value) for name, value in pairs]
 
 
-def check_outcome(argv):
-    """Run ``argv`` through ``cli.main`` and hold its outcome to the three
-    ways a run may end; return the exit code."""
+def check_outcome(monkeypatch, argv):
+    """Run ``argv`` through ``cli.main`` on one CPU and hold its outcome to
+    the three ways a run may end; return the exit code."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(list(argv))
@@ -112,7 +122,7 @@ def check_outcome(argv):
         values = _table_values(argv[1].removeprefix("--format="), out)
         assert any(name == "N" or name == "k" for name, _ in values), argv
         for name, value in values:
-            if value in (True, False, "True", "False"):
+            if value in (True, False, "True", "False") or name in TEXT:
                 continue
             value = float(value)
             assert math.isfinite(value) or (math.isnan(value) and name in MAY_BE_NAN), (argv, name, value)
@@ -127,20 +137,18 @@ def check_outcome(argv):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_every_command_line_ends_in_a_finite_table_or_one_named_line(command):
+def test_every_command_line_ends_in_a_finite_table_or_one_named_line(monkeypatch, command):
     codes = []
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(command_lines(command))
     def ends_well(argv):
-        codes.append(check_outcome(argv))
+        codes.append(check_outcome(monkeypatch, argv))
 
     ends_well()
-    # The draws must reach both a table and each kind of failure.
+    # The draws must reach a table and each kind of failure the command has.
     assert len(codes) == 300
-    assert {0, 2} <= set(codes), (command, sorted(set(codes)))
-    if command != "cell":
-        assert 1 in codes, command
+    assert COMMANDS[command] <= set(codes), (command, sorted(set(codes)))
 
 
 # Derandomized examples are drawn from a hash of the test's body, so they
@@ -174,10 +182,18 @@ KNOWN_COMMAND_LINES = [
     (("general", "--v1", "0", "--v2", "40", "--eps", "1", "--k", "1", "--n-max", str(10**400)), 2),
     # float(n_min) overflowed, a bare "int too large to convert to float".
     (("converge", "--k", "1", "--v", "40", "--n-min", str(10**320), "--n-max", str(10**320)), 2),
+    # The slab width L/(2N) underflows to 0 within the N grid.
+    (("sweep", "--v", "40", "--total-length", "1e-320", "--n-min", "1", "--n-max", "100000",
+      "--n-count", "3", "--k-count", "2"), 2),
+    # An infinite k bound and a negative --ode-n-max are usage errors.
+    (("sweep", "--v", "40", "--n-min", "1", "--n-max", "4", "--k-max", "inf"), 1),
+    (("oracle-check", "--ode-n-max", "-1"), 1),
+    # No ODE tier, the ODE tier up to each N of the oracle grid, and beyond it.
+    *((("oracle-check", "--ode-n-max", str(n)), 0) for n in (0, 1, 4, 16, 64, 10**18)),
 ]
 
 
 @pytest.mark.parametrize("argv, code", KNOWN_COMMAND_LINES)
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_known_command_lines_end_in_a_finite_table_or_one_named_line(argv, code, fmt):
-    assert check_outcome((argv[0], f"--format={fmt}", *argv[1:])) == code
+def test_known_command_lines_end_in_a_finite_table_or_one_named_line(monkeypatch, argv, code, fmt):
+    assert check_outcome(monkeypatch, (argv[0], f"--format={fmt}", *argv[1:])) == code

@@ -56,6 +56,30 @@ def test_tiers_agree_scaled():
         assert scaled_diff(ode, slab) <= 1e-9
 
 
+# repr of integrate_transfer_matrix, slab_propagation_matrix and
+# incidence_scattering from the left and from the right, recorded on the
+# gapped stack below: the oracle-check grid starts every stack at 0 with no
+# gap, so these hold the plane-wave boundary off the origin bit for bit.
+GAPPED_STACK_RECORDED = {
+    0.9: (
+        "TransferMatrix(m11=(-3.2014016208207585-3.908324533920652j), m12=(-3.8300081934801478-7.512176984875253j), "
+        "m21=(0.6048086641405584+1.8090305067179804j), m22=(0.21722897679270745+3.3182434785531125j), k=0.9)",
+        "TransferMatrix(m11=(-3.2014016208208425-3.9083245339213297j), m12=(-3.830008193479879-7.512176984876213j), "
+        "m21=(0.6048086641405845+1.8090305067181223j), m22=(0.21722897679269415+3.318243478553257j), k=0.9)",
+        "((0.019644636195989867-0.30007822578886345j), (-0.5547319110290806+0.1459521647051123j))",
+        "((0.01964463619598897-0.30007822578886273j), (-2.329479859021859+1.0017280795485803j))",
+    ),
+    4.2: (
+        "TransferMatrix(m11=(0.8454900876426897-0.3667761793537221j), m12=(-0.22100374507109938-0.033438803462253724j), "
+        "m21=(-0.3493160260646764-0.25358089525908195j), m22=(1.0345844906750314+0.5289050583995953j), k=4.2)",
+        "TransferMatrix(m11=(0.8454900876428271-0.3667761793534904j), m12=(-0.22100374507117274-0.033438803462238j), "
+        "m21=(-0.34931602606470835-0.2535808952589969j), m22=(1.034584490675224+0.5289050583993046j), k=4.2)",
+        "((0.7662989238326962-0.39175087265886477j), (0.367021031858237+0.057473909096999856j))",
+        "((0.7662989238326959-0.3917508726588637j), (-0.1824546124479861+0.06095429088510225j))",
+    ),
+}
+
+
 def test_gapped_heterogeneous_stack_both_tiers():
     stack = PotentialStack(
         [Layer(3.0 - 7.0j, 0.3, -0.5), Layer(12.0, 0.25, 0.1), Layer(2.0j, 0.4, 0.8)]
@@ -65,6 +89,12 @@ def test_gapped_heterogeneous_stack_both_tiers():
         slab = slab_propagation_matrix(stack, k)
         assert scaled_diff(ode, slab) <= 1e-9
         assert abs(slab.det - 1.0) <= 1e-11
+        assert (
+            repr(ode),
+            repr(slab),
+            repr(incidence_scattering(stack, k, "left")),
+            repr(incidence_scattering(stack, k, "right")),
+        ) == GAPPED_STACK_RECORDED[k]
 
 
 def test_incidence_empty_stack():
