@@ -42,7 +42,15 @@ def _n_grid(opt: dict) -> list[int]:
     if lo < 1 or hi < lo or count < 1:
         raise CliUsageError(f"bad N range: min={lo} max={hi} count={count}")
     lo, hi = cells_as_float(lo), cells_as_float(hi)  # an N beyond the double range is a numerical failure, named
-    if opt["n_spacing"] == "log":
+    log = opt["n_spacing"] == "log"
+    if count > 1 and hi < 2.0**52:
+        # Where no two neighbouring points lie more than 0.5 apart (log
+        # spacing is widest at the top), rounding hits every integer from lo
+        # to hi, and the grid costs memory for its distinct N only.
+        gap = -hi * math.expm1(-math.log(hi / lo) / (count - 1)) if log else (hi - lo) / (count - 1)
+        if gap <= 0.5:
+            return list(range(int(lo), int(hi) + 1))
+    if log:
         # As numpy's geomspace: 10 to the power of the linspace of the
         # logs, with the two ends pinned to lo and hi.
         exponents = _linspace(math.log10(lo), math.log10(hi), count)

@@ -34,8 +34,7 @@ def cmd_oracle_check(opt: dict, defaulted: set):
     if ode_n_max < 0:
         raise CliUsageError(f"--ode-n-max must be >= 0 (0 runs no ODE tier), got {ode_n_max}")
     # What the workers share is made before they fork: the integrator's step
-    # compiles once, and each (V, N) has one stack, which keeps the oracle's
-    # one-stack segment cache hitting while a process runs that stack's k.
+    # compiles once, and each (V, N) has one stack, built once for all its k.
     if ode_n_max >= min(ORACLE_GRID_N):
         from .. import dop853  # noqa: F401
     stacks = {(v, n): build_alternating(0.0, v, 1.0, n, 1.0) for v in ORACLE_GRID_V for n in ORACLE_GRID_N}

@@ -49,19 +49,8 @@ def solve_ivp(w2, x_span, y0):
     return integrate(w2, x_span, y0)
 
 
-# The last stack _segments was given and its segments: oracle-check passes
-# each stack to up to four oracle calls for each of its k, and the segments
-# are built once.  A stack is immutable, and holding it keeps its id from
-# being reused.
-_last_segments: tuple = (None, ())
-
-
-def _segments(stack: PotentialStack) -> tuple[tuple[float, float, complex], ...]:
+def _segments(stack: PotentialStack) -> list[tuple[float, float, complex]]:
     """(x_from, x_to, height) covering the support, gaps as height 0."""
-    global _last_segments
-    last, segments = _last_segments
-    if last is stack:
-        return segments
     segments = []
     cursor = stack.left_edge
     for height, width, offset in stack.layers:
@@ -69,8 +58,7 @@ def _segments(stack: PotentialStack) -> tuple[tuple[float, float, complex], ...]
             segments.append((cursor, offset, 0.0 + 0.0j))
         cursor = offset + width
         segments.append((offset, cursor, complex(height)))
-    _last_segments = stack, tuple(segments)
-    return _last_segments[1]
+    return segments
 
 
 def _integrate_through(

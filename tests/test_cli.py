@@ -953,20 +953,35 @@ def test_grids_match_numpy(monkeypatch):
     import numpy as np
     from ptstack.commands.common import _float_grid, _n_grid
 
+    def spaced(lo, hi, count, spacing):
+        return np.geomspace(lo, hi, count) if spacing == "log" else np.linspace(lo, hi, count)
+
     rng = random.Random(20261018)
     grids = [(*grid, "log") for grid in _perfbench_n_grids(monkeypatch)]
     for _ in range(2000):
         lo = max(1, int(10 ** rng.uniform(0, 6)))
         grids.append((lo, lo + int(10 ** rng.uniform(0, 7)), rng.randint(1, 200), rng.choice(["log", "linear"])))
     for lo, hi, count, spacing in grids:
-        spaced = np.geomspace(lo, hi, count) if spacing == "log" else np.linspace(lo, hi, count)
-        expected = sorted({int(round(x)) for x in spaced})
+        expected = sorted({int(round(x)) for x in spaced(lo, hi, count, spacing)})
         assert _n_grid({"n_min": lo, "n_max": hi, "n_count": count, "n_spacing": spacing}) == expected
     for _ in range(2000):
         lo = 10 ** rng.uniform(-5, 5)
         hi = lo + rng.choice([0.0, 5e-324, 10 ** rng.uniform(-20, 5)])
         count = rng.randint(1, 300)
         assert list(map(repr, _float_grid(lo, hi, count))) == list(map(repr, np.linspace(lo, hi, count).tolist()))
+    # Grids on which no two neighbouring points lie more than 0.5 apart,
+    # which round to every integer from lo to hi.
+    dense = [(1, 2, 3, "linear"), (10, 20, 21, "linear"), (7, 7, 5, "log")]
+    while len(dense) < 300:
+        count = int(10 ** rng.uniform(0.5, 5))
+        lo = max(1, int(10 ** rng.uniform(0, 7)))
+        grid = (lo, lo + int(rng.uniform(0, 0.5) * (count - 1)), count, rng.choice(["log", "linear"]))
+        if np.diff(spaced(*grid)).max() <= 0.5:
+            dense.append(grid)
+    for lo, hi, count, spacing in dense:
+        expected = np.unique(np.rint(spaced(lo, hi, count, spacing))).astype(int).tolist()
+        assert expected == list(range(lo, hi + 1))
+        assert _n_grid({"n_min": lo, "n_max": hi, "n_count": count, "n_spacing": spacing}) == expected
 
 
 def test_json_writer_matches_json_dumps():
@@ -1171,10 +1186,12 @@ def test_unwritable_stdout_exits_1(stdout, args, errno_text, unbuffered):
     assert (run.returncode, run.stderr.decode("utf-8")) == (1, f"ptstack: error: {errno_text}\n")
 
 
-# A count whose grid cannot fit in memory: the list of points grows until
-# an allocation fails.
+# A grid whose points cannot fit in memory: the list of points grows until
+# an allocation fails.  (A count far beyond the distinct N of a narrow range
+# costs only the distinct N.)
 HUGE_COUNT = {
-    "converge": ("converge", "--k", "1", "--v", "40", "--n-count", "1000000000000"),
+    "converge": ("converge", "--k", "1", "--v", "40", "--n-min", "1", "--n-max", "1000000000000000",
+                 "--n-count", "1000000000000"),
     "sweep": ("sweep", "--v", "40", "--n-min", "1", "--n-max", "10", "--k-count", "1000000000000"),
 }
 

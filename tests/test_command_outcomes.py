@@ -188,6 +188,9 @@ KNOWN_COMMAND_LINES = [
     # An infinite k bound and a negative --ode-n-max are usage errors.
     (("sweep", "--v", "40", "--n-min", "1", "--n-max", "4", "--k-max", "inf"), 1),
     (("oracle-check", "--ode-n-max", "-1"), 1),
+    # A count far beyond the distinct N of the range: the grid is every N in it.
+    (("converge", "--k", "1", "--v", "40", "--n-min", "100", "--n-max", "200", "--n-count", "1000000000000"), 0),
+    (("sweep", "--v", "40", "--n-min", "1", "--n-max", "10", "--n-count", "1000000000000", "--k-count", "2"), 0),
     # No ODE tier, the ODE tier up to each N of the oracle grid, and beyond it.
     *((("oracle-check", "--ode-n-max", str(n)), 0) for n in (0, 1, 4, 16, 64, 10**18)),
 ]

@@ -84,17 +84,26 @@ def test_gapped_heterogeneous_stack_both_tiers():
     stack = PotentialStack(
         [Layer(3.0 - 7.0j, 0.3, -0.5), Layer(12.0, 0.25, 0.1), Layer(2.0j, 0.4, 0.8)]
     )
+    # The four entry points, run on another stack before, between and after
+    # the gapped stack's calls: a result depends on its arguments only.
+    calls = (
+        integrate_transfer_matrix,
+        slab_propagation_matrix,
+        lambda s, k: incidence_scattering(s, k, "left"),
+        lambda s, k: incidence_scattering(s, k, "right"),
+    )
+    other = cell_stack(40.0, 0.05)
     for k in (0.9, 4.2):
+        other_first = [repr(call(other, k)) for call in calls]
+        recorded = []
+        for call in calls:
+            recorded.append(repr(call(stack, k)))
+            assert [repr(c(other, k)) for c in calls] == other_first
+        assert tuple(recorded) == GAPPED_STACK_RECORDED[k]
         ode = integrate_transfer_matrix(stack, k)
         slab = slab_propagation_matrix(stack, k)
         assert scaled_diff(ode, slab) <= 1e-9
         assert abs(slab.det - 1.0) <= 1e-11
-        assert (
-            repr(ode),
-            repr(slab),
-            repr(incidence_scattering(stack, k, "left")),
-            repr(incidence_scattering(stack, k, "right")),
-        ) == GAPPED_STACK_RECORDED[k]
 
 
 def test_incidence_empty_stack():
