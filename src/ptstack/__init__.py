@@ -3,11 +3,11 @@
 The package computes plane-wave scattering off finite stacks of rectangular
 (generally complex) potential slabs.  Its centerpiece is the balanced
 gain/loss cell (+iV, -iV) and its N-cell periodic repetition over a fixed
-length, evaluated either in closed form via Chebyshev polynomials or by
-explicit matrix composition (the unbalanced v1 + iv2 / v1 - i eps v2 cell
-has a Chebyshev closed form too), together with the machinery to verify
-that the fine-layer limit of such a stack is indistinguishable from free
-space.
+length, evaluated in closed form via Chebyshev polynomials (the unbalanced
+v1 + iv2 / v1 - i eps v2 cell has a Chebyshev closed form too), together
+with the machinery to verify that the fine-layer limit of such a stack is
+indistinguishable from free space.  The brute-force reference for the
+closed forms is the oracle tier (:mod:`ptstack.oracle`).
 
 ``import ptstack`` loads no submodule and no numpy.  Each public name is
 looked up in the submodule that defines it on first access
@@ -30,8 +30,8 @@ _EXPORTS = {
         "chebyshev",
     ),
     **dict.fromkeys(
-        ("Layer", "NonFiniteMatrixError", "PotentialStack", "TransferMatrix",
-         "WaveNumberMismatchError", "check_wave_number", "mat_multiply", "mat_power_direct"),
+        ("Layer", "NonFiniteMatrixError", "PotentialStack", "TransferMatrix", "check_wave_number",
+         "mat_power_direct"),
         "core",
     ),
     **dict.fromkeys(
@@ -50,8 +50,7 @@ _EXPORTS = {
         "scattering",
     ),
     **dict.fromkeys(
-        ("PeriodicSpec", "alternating_matrix", "build_alternating", "compose_stack",
-         "periodic_matrix"),
+        ("PeriodicSpec", "alternating_matrix", "build_alternating", "periodic_matrix"),
         "stack",
     ),
 }

@@ -4,6 +4,7 @@ codes, the N and k grids and the table renderers."""
 from __future__ import annotations
 
 import math
+import sys
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,6 +36,14 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
     return values
 
 
+def _check_list_size(count: int, option: str) -> None:
+    """A usage error naming ``option`` for a count of points no list can hold."""
+    if count > sys.maxsize:
+        from decimal import Decimal
+
+        raise CliUsageError(f"{option} = {Decimal(count):.3e} is more points than a list can hold")
+
+
 def _n_grid(opt: dict) -> list[int]:
     from ..stack import cells_as_float
 
@@ -46,10 +55,14 @@ def _n_grid(opt: dict) -> list[int]:
     if count > 1 and hi < 2.0**52:
         # Where no two neighbouring points lie more than 0.5 apart (log
         # spacing is widest at the top), rounding hits every integer from lo
-        # to hi, and the grid costs memory for its distinct N only.
-        gap = -hi * math.expm1(-math.log(hi / lo) / (count - 1)) if log else (hi - lo) / (count - 1)
+        # to hi, and the grid costs memory for its distinct N only.  A count
+        # above sys.maxsize, which may lie beyond the double range, has gaps
+        # narrower than sys.maxsize points have, all below 0.02.
+        div = min(count, sys.maxsize) - 1
+        gap = -hi * math.expm1(-math.log(hi / lo) / div) if log else (hi - lo) / div
         if gap <= 0.5:
             return list(range(int(lo), int(hi) + 1))
+    _check_list_size(count, "--n-count")
     if log:
         # As numpy's geomspace: 10 to the power of the linspace of the
         # logs, with the two ends pinned to lo and hi.
@@ -63,6 +76,7 @@ def _n_grid(opt: dict) -> list[int]:
 def _float_grid(lo: float, hi: float, count: int) -> list[float]:
     if not (lo > 0.0 and hi >= lo and math.isfinite(hi) and count >= 1):
         raise CliUsageError(f"bad k range: min={lo} max={hi} count={count}")
+    _check_list_size(count, "--k-count")
     return _linspace(lo, hi, count)
 
 

@@ -1,6 +1,6 @@
 """N identical gain/loss cells over a fixed total length, plus general stacks.
 
-Three routes produce the N-cell matrix:
+Two closed forms produce the N-cell matrix:
 
 * :func:`periodic_matrix` - closed form: the N-cell matrix of cells on
   [0, L] is, with xi, chi, eta, tau the single-cell elements at b = L/(2N),
@@ -15,9 +15,11 @@ Three routes produce the N-cell matrix:
 * :func:`alternating_matrix` - the unbalanced cell (v1 + i v2 then
   v1 - i eps v2), powered by :func:`_cell_power`, which takes any cell of
   slabs.  O(1) in N; it serves the generalized fine-layer study.
-* :func:`compose_stack` - explicit product of positioned single-slab
-  matrices, O(number of layers), for any heterogeneous stack.  The tighter
-  :func:`ptstack.oracle.slab_propagation_matrix` anchors both closed forms.
+
+Both are held against one brute-force reference, O(number of layers) for any
+stack: :func:`ptstack.oracle.slab_propagation_matrix`.  :func:`compose_stack`,
+the plane-wave product of single-slab matrices, is not exported from
+:mod:`ptstack`; it stays here only because perfbench's tracer wraps it.
 
 Slab widths are always derived from (L, N) by :func:`slab_width`, b = L/(2N);
 accumulating b 2N times would contaminate the fixed-length limit with rounding.

@@ -29,7 +29,8 @@ def rel_diff(a, b):
 def cell_from_barriers(k, v, b):
     """The unit cell assembled as two single-slab matrices (+iV then -iV),
     the reference route for the closed form in ``unit_cell_matrix``."""
-    from ptstack import barrier_matrix, mat_multiply
+    from ptstack import barrier_matrix
+    from ptstack.core import mat_multiply
 
     first = barrier_matrix(k, 1j * v, b, 0.0)
     second = barrier_matrix(k, -1j * v, b, b)

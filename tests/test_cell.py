@@ -6,11 +6,11 @@ import pytest
 from ptstack import (
     NonFiniteMatrixError,
     barrier_matrix,
-    mat_multiply,
     scattering_from_matrix,
     unit_cell_elements,
     unit_cell_matrix,
 )
+from ptstack.core import mat_multiply
 from conftest import cell_from_barriers, entry_diff
 
 # 50-digit references for (k, V, b) = (1, 40, 0.05); see module formulas.

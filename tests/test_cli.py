@@ -912,6 +912,32 @@ def test_cell_count_beyond_double_range_exits_2(capsys):
     assert err == "ptstack: numerical failure: n_cells = 1.000e+400 is beyond the double range\n"
 
 
+COUNT_BEYOND_DOUBLES = str(10**400)
+
+
+@pytest.mark.parametrize("args, n_values", [
+    (("converge", "--k", "1", "--v", "40", "--n-min", "100", "--n-max", "200"), list(range(100, 201))),
+    (("sweep", "--v", "40", "--n-min", "1", "--n-max", "4", "--k-count", "2"), [1, 1, 2, 2, 3, 3, 4, 4]),
+], ids=["converge", "sweep"])
+def test_n_count_beyond_double_range_is_every_n(capsys, args, n_values):
+    # Every gap of such a grid lies below 0.5, so it holds every N from
+    # N_min to N_max, and the count is never converted to a float.
+    code, out, err = run_cli(capsys, *args, "--n-count", COUNT_BEYOND_DOUBLES)
+    assert (code, err) == (0, "")
+    assert [int(row["N"]) for row in parse_csv(out)[2]] == n_values
+
+
+@pytest.mark.parametrize("args, option", [
+    (("sweep", "--v", "40", "--n-min", "1", "--n-max", "4", "--k-count", COUNT_BEYOND_DOUBLES), "--k-count"),
+    (("converge", "--k", "1", "--v", "40", "--n-min", "1", "--n-max", "9007199254740993",
+      "--n-count", COUNT_BEYOND_DOUBLES), "--n-count"),
+], ids=["k-count", "n-count"])
+def test_count_no_list_can_hold_is_a_usage_error(capsys, args, option):
+    # Named at once, before any point is built.
+    assert run_cli(capsys, *args) == (
+        1, "", f"ptstack: error: {option} = 1.000e+400 is more points than a list can hold\n")
+
+
 @pytest.mark.parametrize("spacing", ["log", "linear"])
 @pytest.mark.parametrize(
     "command",

@@ -193,6 +193,13 @@ KNOWN_COMMAND_LINES = [
     (("sweep", "--v", "40", "--n-min", "1", "--n-max", "10", "--n-count", "1000000000000", "--k-count", "2"), 0),
     # No ODE tier, the ODE tier up to each N of the oracle grid, and beyond it.
     *((("oracle-check", "--ode-n-max", str(n)), 0) for n in (0, 1, 4, 16, 64, 10**18)),
+    # A count beyond the double range: every N in the range, as above ...
+    (("converge", "--k", "1", "--v", "40", "--n-min", "100", "--n-max", "200", "--n-count", str(10**400)), 0),
+    (("sweep", "--v", "40", "--n-min", "1", "--n-max", "4", "--n-count", str(10**400), "--k-count", "2"), 0),
+    # ... and a usage error wherever the grid would be a list of its points.
+    (("sweep", "--v", "40", "--n-min", "1", "--n-max", "4", "--k-count", str(10**400)), 1),
+    (("converge", "--k", "1", "--v", "40", "--n-min", "1", "--n-max", "9007199254740993",
+      "--n-count", str(10**400)), 1),
 ]
 
 

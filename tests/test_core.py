@@ -8,19 +8,17 @@ from ptstack import (
     PeriodicSpec,
     PotentialStack,
     TransferMatrix,
-    WaveNumberMismatchError,
     alternating_matrix,
     barrier_matrix,
     build_alternating,
     check_wave_number,
     convergence_study,
     generalized_limit_study,
-    mat_multiply,
     mat_power_direct,
     transmission_surface,
     unit_cell_matrix,
 )
-from ptstack.core import check_count, check_finite, check_positive
+from ptstack.core import WaveNumberMismatchError, check_count, check_finite, check_positive, mat_multiply
 from conftest import as_array, entry_diff, random_unimodular
 
 

@@ -13,14 +13,13 @@ from ptstack import (
     alternating_matrix,
     barrier_matrix,
     build_alternating,
-    compose_stack,
-    mat_multiply,
     mat_power_direct,
     periodic_matrix,
     slab_propagation_matrix,
     unit_cell_matrix,
 )
-from ptstack.stack import _cell_power
+from ptstack.core import mat_multiply
+from ptstack.stack import _cell_power, compose_stack
 from conftest import entry_diff, rel_diff, scaled_diff
 
 
@@ -86,8 +85,6 @@ def test_compose_empty_and_single():
 
 def test_compose_gapped_stack_matches_translated_product():
     # A gap between layers needs no explicit factor in global coordinates.
-    from ptstack import mat_multiply
-
     k = 1.7
     a = Layer(height=2.0 + 1.0j, width=0.3, offset=0.0)
     b = Layer(height=-4.0j, width=0.2, offset=0.9)
